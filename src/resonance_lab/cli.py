@@ -1,17 +1,31 @@
 """Command line front end.
 
-All configuration problems, including argparse-level ones, exit with
-status 1; partial results (some track points not found) exit 2.
+Each subcommand sets its spec class as the `spec` default and names its
+argparse dests after that spec's fields, so one line builds the spec from
+the parsed arguments.  All configuration problems, including argparse-level
+ones, exit with status 1; partial results (some track points not found)
+exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
 from .errors import ConfigError
-from .runs import FORMAT_VERSION, RunConfig, run, run_figure
+from .runs import (
+    FORMAT_VERSION,
+    BesselEvalSpec,
+    ClassifySpec,
+    Delta1dSpec,
+    LambertEvalSpec,
+    PhaseSpec,
+    TrackSpec,
+    run,
+    run_figure,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,6 +60,7 @@ def parse_eps_offsets(text: str) -> tuple[float, ...]:
 
 
 def build_parser() -> _Parser:
+    # the parse_eps_* types raise ConfigError, which main() reports
     parser = _Parser(prog="resonance-lab")
     parser.add_argument("--output", default=".", help="directory for CSV output")
     parser.add_argument(
@@ -72,49 +87,49 @@ def build_parser() -> _Parser:
 
     sub = parser.add_subparsers(dest="subcommand", parser_class=_Parser)
 
-    p_track = sub.add_parser(
-        "track", parents=[common], help="follow a resonance along a depth family"
-    )
-    p_track.add_argument("--l", type=int, required=True, help="angular mode")
-    p_track.add_argument(
-        "--a0sq-from-zero",
-        type=int,
-        required=True,
-        metavar="L0",
-        help="base depth a0 = j_{L0,1}/rho (first zero of J_L0)",
-    )
+    def add(name: str, spec, summary: str) -> _Parser:
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(spec=spec)
+        return p
+
+    p_track = add("track", TrackSpec, "follow a resonance along a depth family")
+    p_track.add_argument("--l", dest="ell", type=int, required=True, help="angular mode")
+    p_track.add_argument("--a0sq-from-zero", dest="l0", type=int, required=True, metavar="L0",
+                         help="base depth a0 = j_{L0,1}/rho (first zero of J_L0)")
     p_track.add_argument("--rho", type=float, default=1.0)
-    p_track.add_argument("--eps-grid", required=True)
+    p_track.add_argument("--eps-grid", type=parse_eps_grid, required=True)
     p_track.add_argument("--branch", type=int, default=None)
 
-    p_phase = sub.add_parser("phase", parents=[common], help="total scattering phase derivative table")
-    p_phase.add_argument("--a0sq-from-zero", type=int, required=True, metavar="L0")
+    p_phase = add("phase", PhaseSpec, "total scattering phase derivative table")
+    p_phase.add_argument("--a0sq-from-zero", dest="l0", type=int, required=True, metavar="L0")
     p_phase.add_argument("--rho", type=float, default=1.0)
-    p_phase.add_argument("--eps", required=True, help="offset e or list 0,e,-e")
-    p_phase.add_argument("--lambda-min", type=float, default=None)
+    p_phase.add_argument(
+        "--eps", type=parse_eps_offsets, required=True, help="offset e or list 0,e,-e"
+    )
+    p_phase.add_argument("--lambda-min", type=float, default=0.0)
     p_phase.add_argument("--lambda-max", type=float, required=True)
     p_phase.add_argument("--steps", type=int, required=True)
     p_phase.add_argument("--per-mode", action="store_true")
 
-    p_cls = sub.add_parser("classify", parents=[common], help="zero-energy behaviour per mode")
+    p_cls = add("classify", ClassifySpec, "zero-energy behaviour per mode")
     p_cls.add_argument("--a", type=float, required=True)
     p_cls.add_argument("--rho", type=float, default=1.0)
-    p_cls.add_argument("--lmax", type=int, required=True)
+    p_cls.add_argument("--lmax", dest="l_max", type=int, required=True)
 
-    p_delta = sub.add_parser("delta1d", parents=[common], help="1d delta-well benchmark")
+    p_delta = add("delta1d", Delta1dSpec, "1d delta-well benchmark")
     p_delta.add_argument("--a", type=float, required=True)
     p_delta.add_argument("--k-max", type=int, required=True)
-    p_delta.add_argument("--lambda-min", type=float, default=None)
+    p_delta.add_argument("--lambda-min", type=float, default=0.0)
     p_delta.add_argument("--lambda-max", type=float, required=True)
     p_delta.add_argument("--steps", type=int, required=True)
 
-    p_bessel = sub.add_parser("bessel-eval", parents=[common], help="evaluate one cylinder function")
+    p_bessel = add("bessel-eval", BesselEvalSpec, "evaluate one cylinder function")
     p_bessel.add_argument("kind", choices=["j", "y", "h1", "h2"])
     p_bessel.add_argument("ell", type=int)
     p_bessel.add_argument("abs_z", type=float)
     p_bessel.add_argument("arg_z", type=float)
 
-    p_lambert = sub.add_parser("lambert-eval", parents=[common], help="evaluate one Lambert W branch")
+    p_lambert = add("lambert-eval", LambertEvalSpec, "evaluate one Lambert W branch")
     p_lambert.add_argument("n", type=int)
     p_lambert.add_argument("re", type=float)
     p_lambert.add_argument("im", type=float)
@@ -122,74 +137,23 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    common = dict(
-        subcommand=args.subcommand,
-        output_dir=args.output,
-        format_version=args.format_version,
-        output_name=getattr(args, "name", None),
-    )
-    if args.subcommand == "track":
-        return RunConfig(
-            **common,
-            ell=args.l,
-            a0_zero_order=args.a0sq_from_zero,
-            rho=args.rho,
-            eps_grid=parse_eps_grid(args.eps_grid),
-            branch=args.branch,
-        )
-    if args.subcommand == "phase":
-        return RunConfig(
-            **common,
-            a0_zero_order=args.a0sq_from_zero,
-            rho=args.rho,
-            eps_offsets=parse_eps_offsets(args.eps),
-            lambda_min=args.lambda_min,
-            lambda_max=args.lambda_max,
-            steps=args.steps,
-            per_mode=args.per_mode,
-        )
-    if args.subcommand == "classify":
-        return RunConfig(**common, a=args.a, rho=args.rho, l_max=args.lmax)
-    if args.subcommand == "delta1d":
-        return RunConfig(
-            **common,
-            a=args.a,
-            k_max=args.k_max,
-            lambda_min=args.lambda_min,
-            lambda_max=args.lambda_max,
-            steps=args.steps,
-        )
-    if args.subcommand == "bessel-eval":
-        return RunConfig(
-            **common,
-            kind=args.kind,
-            order=args.ell,
-            abs_z=args.abs_z,
-            arg_z=args.arg_z,
-        )
-    if args.subcommand == "lambert-eval":
-        return RunConfig(**common, branch_n=args.n, x_re=args.re, x_im=args.im)
-    raise ConfigError("one of the subcommands or --figure is required")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.figure is not None:
             if args.subcommand is not None:
                 raise ConfigError("--figure and a subcommand are mutually exclusive")
-            result = run_figure(
-                args.figure,
-                panel=args.panel,
-                output_dir=args.output,
-                format_version=args.format_version,
-            )
+            result = run_figure(args.figure, panel=args.panel, output_dir=args.output)
+        elif args.panel is not None:
+            raise ConfigError("--panel only applies to --figure runs")
+        elif args.subcommand is None:
+            raise ConfigError("one of the subcommands or --figure is required")
         else:
-            if args.panel is not None:
-                raise ConfigError("--panel only applies to --figure runs")
-            result = run(_config_from(args))
+            fields = dataclasses.fields(args.spec)
+            spec = args.spec(**{f.name: getattr(args, f.name) for f in fields})
+            # outputs are named after the subcommand unless --name is given
+            result = run(spec, args.output, args.name or args.subcommand.replace("-", "_"))
     except ConfigError as exc:
         print(f"resonance-lab: error: {exc}", file=sys.stderr)
         return 1

@@ -283,6 +283,8 @@ def _validate_eps_grid(eps_list: tuple[float, ...]) -> None:
         raise DomainError("eps grid is empty")
     if any(e == 0 for e in eps_list):
         raise DomainError("eps grid contains 0, the degenerate family point")
+    if not all(math.isfinite(e) for e in eps_list):
+        raise DomainError(f"eps grid contains a non-finite value: {list(eps_list)}")
     diffs = [b - a for a, b in zip(eps_list, eps_list[1:])]
     if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
         raise DomainError("eps grid must be strictly monotone")

@@ -1,36 +1,37 @@
-"""Run orchestration: validated configs, deterministic CSVs, figure presets.
+"""Run orchestration: one frozen spec per subcommand, deterministic CSVs,
+figure presets.
 
+A spec (TrackSpec, PhaseSpec, ClassifySpec, Delta1dSpec, BesselEvalSpec,
+LambertEvalSpec) holds only its own parameters and checks only what no
+library call below it checks; `run(spec, output_dir, name)` executes it.
 Every run writes flat CSV files stamped with the format comment
 `# resonance-lab v1`.  Floats are serialized with 9 significant digits and
-LF line endings, so identical configs produce byte-identical files.  Exit
+LF line endings, so identical specs produce byte-identical files.  Exit
 codes: 0 success, 2 partial results (some track points NotFound), 1
 configuration error (raised here as ConfigError, mapped by the CLI).
 
-The numbered figure presets bundle the grids and parameters of the six
-standard experiment configurations; each also emits a gnuplot-dialect
-script referencing the CSVs it wrote.
+The figure presets are a table of specs per figure and panel; each preset
+also emits a gnuplot-dialect script referencing the CSVs it wrote.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .cylinder import SurfacePoint, bessel_j, bessel_y, bessel_zero, hankel
 from .delta1d import delta_phase_derivative, delta_resonance
-from .errors import ConfigError, DomainError, MissingInput, RangeError
-from .finder import Classification, GuessKind, track
+from .errors import ConfigError, DomainError, MissingInput, RangeError, StructureError
+from .finder import Classification, GuessKind, initial_guess, refine, track
 from .lambert import lambert_w
-from .phase import PhaseTable, total_phase_derivative
+from .phase import PhaseTable, breit_wigner_overlay, total_phase_derivative
 from .well import CouplingFamily, Well, classify_zero_energy
 
 FORMAT_VERSION = "1"
 FORMAT_STAMP = "# resonance-lab v1"
-
-SUBCOMMANDS = ("track", "phase", "classify", "delta1d", "bessel-eval", "lambert-eval")
 
 # eps grids of the standard experiment presets
 QUAD_EPS = tuple(
@@ -100,131 +101,16 @@ class RunResult:
     paths: tuple[Path, ...]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated description of one CLI run.
-
-    Families are specified by the index l0 of the Bessel zero fixing the
-    base depth: a0 = j_{l0,1}/rho, so that J_{l0}(rho a0) = 0.
-    """
-
-    subcommand: str
-    output_dir: str = "."
-    output_name: str | None = None
-    format_version: str = FORMAT_VERSION
-    rho: float = 1.0
-    # track
-    ell: int | None = None
-    a0_zero_order: int | None = None
-    branch: int | None = None
-    eps_grid: tuple[float, ...] | None = None
-    # phase
-    eps_offsets: tuple[float, ...] | None = None
-    lambda_min: float | None = None
-    lambda_max: float | None = None
-    steps: int | None = None
-    per_mode: bool = False
-    # classify / delta1d
-    a: float | None = None
-    l_max: int | None = None
-    k_max: int | None = None
-    # bessel-eval / lambert-eval
-    kind: str | None = None
-    order: int | None = None
-    abs_z: float | None = None
-    arg_z: float | None = None
-    branch_n: int | None = None
-    x_re: float | None = None
-    x_im: float | None = None
-
-    def validate(self) -> None:
-        if self.subcommand not in SUBCOMMANDS:
-            raise ConfigError(f"unknown subcommand {self.subcommand!r}")
-        if self.format_version != FORMAT_VERSION:
-            raise ConfigError(
-                f"unsupported format version {self.format_version!r}; only "
-                f"{FORMAT_VERSION!r} exists"
-            )
-        if not (self.rho > 0 and math.isfinite(self.rho)):
-            raise ConfigError(f"rho must be positive and finite, got {self.rho}")
-        checker = getattr(self, f"_check_{self.subcommand.replace('-', '_')}")
-        checker()
-
-    def _check_track(self) -> None:
-        if self.ell is None or self.a0_zero_order is None:
-            raise ConfigError("track needs --l and --a0sq-from-zero")
-        if self.eps_grid is None or len(self.eps_grid) == 0:
-            raise ConfigError("track needs a nonempty --eps-grid")
-        for e in self.eps_grid:
-            if e == 0:
-                raise ConfigError(
-                    "eps grid contains the value 0, the degenerate family point"
-                )
-            if not math.isfinite(e):
-                raise ConfigError(f"eps grid contains the non-finite value {e}")
-        diffs = [b - a for a, b in zip(self.eps_grid, self.eps_grid[1:])]
-        if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
-            raise ConfigError("eps grid must be strictly monotone")
-        if abs(self.ell) == 1 and self.branch == 0:
-            raise ConfigError("branch index 0 is not a valid mode-1 branch")
-
-    def _check_phase(self) -> None:
-        if self.a0_zero_order is None:
-            raise ConfigError("phase needs --a0sq-from-zero")
-        self._grid_check()
-        offsets = self.eps_offsets
-        if offsets is None or len(offsets) not in (1, 3):
-            raise ConfigError("phase needs --eps with one value e or the list 0,e,-e")
-        if len(offsets) == 1:
-            if not (offsets[0] > 0):
-                raise ConfigError(f"single eps offset must be > 0, got {offsets[0]}")
-        else:
-            srt = sorted(offsets)
-            if not (srt[1] == 0 and srt[2] > 0 and srt[0] == -srt[2]):
-                raise ConfigError(
-                    f"eps offsets must form {{0, +e, -e}}, got {list(offsets)}"
-                )
-
-    def _grid_check(self) -> None:
-        if self.lambda_max is None or self.steps is None:
-            raise ConfigError("a lambda grid needs --lambda-max and --steps")
-        lo = 0.0 if self.lambda_min is None else self.lambda_min
-        if not (self.lambda_max > lo >= 0):
-            raise ConfigError(
-                f"need 0 <= lambda-min < lambda-max, got {lo}, {self.lambda_max}"
-            )
-        if self.steps < 2:
-            raise ConfigError(f"steps must be >= 2, got {self.steps}")
-
-    def _check_classify(self) -> None:
-        if self.a is None or not (self.a > 0):
-            raise ConfigError("classify needs --a > 0")
-        if self.l_max is None or self.l_max < 2:
-            raise ConfigError("classify needs --lmax >= 2")
-
-    def _check_delta1d(self) -> None:
-        if self.a is None or not (self.a > 0):
-            raise ConfigError("delta1d needs --a > 0")
-        if self.k_max is None or self.k_max < 1:
-            raise ConfigError("delta1d needs --k-max >= 1")
-        self._grid_check()
-
-    def _check_bessel_eval(self) -> None:
-        if self.kind not in ("j", "y", "h1", "h2"):
-            raise ConfigError(f"kind must be one of j, y, h1, h2, got {self.kind!r}")
-        if self.order is None or self.abs_z is None or self.arg_z is None:
-            raise ConfigError("bessel-eval needs order, |z| and arg z")
-        if not (self.abs_z > 0):
-            raise ConfigError(f"|z| must be positive, got {self.abs_z}")
-
-    def _check_lambert_eval(self) -> None:
-        if self.branch_n is None or self.x_re is None or self.x_im is None:
-            raise ConfigError("lambert-eval needs n, re x and im x")
+def _write(header, rows, out_dir: Path, filename: str) -> Path:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return CsvDocument(tuple(header), tuple(rows)).write(out_dir / filename)
 
 
-def _family(config: RunConfig) -> CouplingFamily:
-    a0 = bessel_zero(config.a0_zero_order, 1) / config.rho
-    return CouplingFamily(a0, config.rho)
+def _family(l0: int, rho: float) -> CouplingFamily:
+    """The family of base depth a0 = j_{l0,1}/rho, so that J_{l0}(rho a0) = 0."""
+    if not (rho > 0 and math.isfinite(rho)):
+        raise ConfigError(f"rho must be positive and finite, got {rho}")
+    return CouplingFamily(bessel_zero(l0, 1) / rho, rho)
 
 
 def _guess_kind(ell: int, branch: int | None) -> GuessKind:
@@ -236,18 +122,15 @@ def _guess_kind(ell: int, branch: int | None) -> GuessKind:
     return GuessKind.persist_sqrt(0 if branch is None else branch)
 
 
-def _lambda_grid(config: RunConfig) -> np.ndarray:
-    lo = 0.0 if config.lambda_min is None else config.lambda_min
+def _lambda_grid(lo: float, hi: float, steps: int) -> np.ndarray:
+    if not (math.isfinite(hi) and hi > lo >= 0):
+        raise ConfigError(f"need 0 <= lambda-min < lambda-max, got {lo}, {hi}")
+    if steps < 2:
+        raise ConfigError(f"steps must be >= 2, got {steps}")
     if lo == 0.0:
         # lambda = 0 is excluded; start one step in
-        return config.lambda_max * np.arange(1, config.steps + 1) / config.steps
-    return np.linspace(lo, config.lambda_max, config.steps)
-
-
-def _out_path(config: RunConfig, name: str) -> Path:
-    outdir = Path(config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir / name
+        return hi * np.arange(1, steps + 1) / steps
+    return np.linspace(lo, hi, steps)
 
 
 TRACK_HEADER = (
@@ -261,162 +144,164 @@ TRACK_HEADER = (
 )
 
 
-def _run_track(config: RunConfig) -> RunResult:
-    family = _family(config)
-    kind = _guess_kind(config.ell, config.branch)
-    trk = track(config.ell, family, config.eps_grid, kind)
-    rows = []
-    for rec in trk.records:
-        g = rec.guess.value
-        r = rec.refined.value
-        rows.append(
-            (
-                rec.epsilon,
-                g.real,
-                g.imag,
-                r.real,
-                r.imag,
-                rec.residual,
-                rec.classification.value,
-            )
-        )
-    doc = CsvDocument(TRACK_HEADER, tuple(rows))
-    path = doc.write(_out_path(config, f"{config.output_name or 'track'}.csv"))
-    partial = any(
-        rec.classification is Classification.NOT_FOUND for rec in trk.records
-    )
-    return RunResult(2 if partial else 0, (path,))
+@dataclass(frozen=True)
+class TrackSpec:
+    """`track`: the eps-track of the mode-ell family with a0 = j_{l0,1}/rho."""
+
+    ell: int
+    l0: int
+    eps_grid: tuple[float, ...]
+    rho: float = 1.0
+    branch: int | None = None
+
+    def run(self, out_dir: Path, name: str) -> RunResult:
+        family = _family(self.l0, self.rho)
+        trk = track(self.ell, family, self.eps_grid, _guess_kind(self.ell, self.branch))
+        rows = []
+        for rec in trk.records:
+            g, r = rec.guess.value, rec.refined.value
+            rows.append((rec.epsilon, g.real, g.imag, r.real, r.imag, rec.residual,
+                         rec.classification.value))
+        path = _write(TRACK_HEADER, rows, out_dir, f"{name}.csv")
+        partial = any(rec.classification is Classification.NOT_FOUND for rec in trk.records)
+        return RunResult(2 if partial else 0, (path,))
 
 
-def _run_phase(config: RunConfig) -> RunResult:
-    family = _family(config)
-    offsets = config.eps_offsets
-    if len(offsets) == 1:
-        e = offsets[0]
-    else:
-        e = max(offsets)
-    grid = _lambda_grid(config)
-    curves = {
-        "res": family.well(0.0),
-        "above": family.well(e),
-        "below": family.well(-e),
-    }
-    include = None
-    if config.per_mode:
-        include = total_phase_derivative(float(grid[-1]), curves["res"]).l_max
-    tables = {
-        name: PhaseTable.build(grid, well, include_modes=include)
-        for name, well in curves.items()
-    }
-    header = ["lambda", "res", "above", "below"]
-    columns = [grid] + [tables[name].total for name in ("res", "above", "below")]
-    if config.per_mode:
-        for name in ("res", "above", "below"):
-            for ell_idx in range(include + 1):
-                header.append(f"{name}_l{ell_idx}")
-                columns.append(tables[name].per_mode[ell_idx])
-    rows = tuple(tuple(col[i] for col in columns) for i in range(len(grid)))
-    doc = CsvDocument(tuple(header), rows)
-    path = doc.write(_out_path(config, f"{config.output_name or 'phase'}.csv"))
-    return RunResult(0, (path,))
+@dataclass(frozen=True)
+class PhaseSpec:
+    """`phase`: sigma' of the eps = 0, +e, -e wells of one family.
+
+    eps is (e,) with e > 0, or the three offsets {0, e, -e} in any order.
+    """
+
+    l0: int
+    eps: tuple[float, ...]
+    lambda_max: float
+    steps: int
+    rho: float = 1.0
+    lambda_min: float = 0.0
+    per_mode: bool = False
+
+    def run(self, out_dir: Path, name: str) -> RunResult:
+        offsets = sorted(self.eps)
+        single = len(offsets) == 1 and offsets[0] > 0
+        triple = len(offsets) == 3 and offsets[1] == 0 < offsets[2] == -offsets[0]
+        if not (single or triple):
+            raise ConfigError(f"phase needs --eps with one value e > 0 or the list "
+                              f"0,e,-e, got {list(self.eps)}")
+        e = offsets[-1]
+        grid = _lambda_grid(self.lambda_min, self.lambda_max, self.steps)
+        family = _family(self.l0, self.rho)
+        wells = {"res": family.well(0.0), "above": family.well(e), "below": family.well(-e)}
+        include = None
+        if self.per_mode:
+            include = total_phase_derivative(float(grid[-1]), wells["res"]).l_max
+        tables = {key: PhaseTable.build(grid, well, include_modes=include)
+                  for key, well in wells.items()}
+        header = ["lambda", *tables]
+        columns = [grid] + [table.total for table in tables.values()]
+        if self.per_mode:
+            for key, table in tables.items():
+                for ell in range(include + 1):
+                    header.append(f"{key}_l{ell}")
+                    columns.append(table.per_mode[ell])
+        return RunResult(0, (_write(header, zip(*columns), out_dir, f"{name}.csv"),))
 
 
-def _run_classify(config: RunConfig) -> RunResult:
-    classes = classify_zero_energy(Well(config.a, config.rho), config.l_max)
-    rows = tuple((c.mode, c.kind.value) for c in classes)
-    doc = CsvDocument(("mode", "kind"), rows)
-    path = doc.write(_out_path(config, f"{config.output_name or 'classify'}.csv"))
-    return RunResult(0, (path,))
+@dataclass(frozen=True)
+class ClassifySpec:
+    """`classify`: the zero-energy structure of modes 0..l_max."""
+
+    a: float
+    l_max: int
+    rho: float = 1.0
+
+    def run(self, out_dir: Path, name: str) -> RunResult:
+        classes = classify_zero_energy(Well(self.a, self.rho), self.l_max)
+        rows = [(c.mode, c.kind.value) for c in classes]
+        return RunResult(0, (_write(("mode", "kind"), rows, out_dir, f"{name}.csv"),))
 
 
-def _run_delta1d(config: RunConfig) -> RunResult:
-    name = config.output_name or "delta1d"
-    ks = range(1, config.k_max + 1)
-    res = {k: delta_resonance(config.a, k) for k in ks}
-    res_doc = CsvDocument(
-        ("k", "re", "im"),
-        tuple((k, res[k].real, res[k].imag) for k in ks),
-    )
-    res_path = res_doc.write(_out_path(config, f"{name}_resonances.csv"))
+@dataclass(frozen=True)
+class Delta1dSpec:
+    """`delta1d`: the first k_max delta-potential resonances and sigma'."""
 
-    grid = _lambda_grid(config)
-    poles = [res[k] for k in ks] + [-res[k].conjugate() for k in ks]
-    bw = -1.0 / math.pi + sum(
-        (-p.imag) / (math.pi * np.abs(grid - p) ** 2) for p in poles
-    )
-    rows = tuple(
-        (lam, delta_phase_derivative(config.a, lam), bw[i])
-        for i, lam in enumerate(grid)
-    )
-    phase_doc = CsvDocument(("lambda", "sigma_prime", "bw_approx"), rows)
-    phase_path = phase_doc.write(_out_path(config, f"{name}_phase.csv"))
-    return RunResult(0, (res_path, phase_path))
+    a: float
+    k_max: int
+    lambda_max: float
+    steps: int
+    lambda_min: float = 0.0
 
-
-def _run_bessel_eval(config: RunConfig) -> RunResult:
-    pt = SurfacePoint.from_polar(config.abs_z, config.arg_z)
-    if config.kind == "j":
-        cv = bessel_j(config.order, pt.value)
-    elif config.kind == "y":
-        cv = bessel_y(config.order, pt.value)
-    else:
-        cv = hankel(1 if config.kind == "h1" else 2, config.order, pt)
-    doc = CsvDocument(
-        (
-            "kind",
-            "ell",
-            "abs_z",
-            "arg_z",
-            "re_value",
-            "im_value",
-            "re_derivative",
-            "im_derivative",
-        ),
-        (
-            (
-                config.kind,
-                config.order,
-                config.abs_z,
-                config.arg_z,
-                cv.value.real,
-                cv.value.imag,
-                cv.derivative.real,
-                cv.derivative.imag,
-            ),
-        ),
-    )
-    path = doc.write(_out_path(config, f"{config.output_name or 'bessel_eval'}.csv"))
-    return RunResult(0, (path,))
+    def run(self, out_dir: Path, name: str) -> RunResult:
+        if self.k_max < 1:
+            raise ConfigError("delta1d needs --k-max >= 1")
+        grid = _lambda_grid(self.lambda_min, self.lambda_max, self.steps)
+        ks = range(1, self.k_max + 1)
+        res = [delta_resonance(self.a, k) for k in ks]
+        bw = breit_wigner_overlay(grid, res + [-p.conjugate() for p in res]) - 1.0 / math.pi
+        phase_rows = [(lam, delta_phase_derivative(self.a, lam), b) for lam, b in zip(grid, bw)]
+        res_rows = [(k, p.real, p.imag) for k, p in zip(ks, res)]
+        res_path = _write(("k", "re", "im"), res_rows, out_dir, f"{name}_resonances.csv")
+        header = ("lambda", "sigma_prime", "bw_approx")
+        return RunResult(0, (res_path, _write(header, phase_rows, out_dir, f"{name}_phase.csv")))
 
 
-def _run_lambert_eval(config: RunConfig) -> RunResult:
-    x = complex(config.x_re, config.x_im)
-    w = lambert_w(config.branch_n, x)
-    residual = abs(w * np.exp(w) - x)
-    doc = CsvDocument(
-        ("n", "x_re", "x_im", "w_re", "w_im", "residual"),
-        ((config.branch_n, x.real, x.imag, w.real, w.imag, residual),),
-    )
-    path = doc.write(_out_path(config, f"{config.output_name or 'lambert_eval'}.csv"))
-    return RunResult(0, (path,))
+@dataclass(frozen=True)
+class BesselEvalSpec:
+    """`bessel-eval`: one cylinder value and derivative at |z| e^{i arg z}."""
+
+    kind: str
+    ell: int
+    abs_z: float
+    arg_z: float
+
+    def run(self, out_dir: Path, name: str) -> RunResult:
+        if self.kind not in ("j", "y", "h1", "h2"):
+            raise ConfigError(f"kind must be one of j, y, h1, h2, got {self.kind!r}")
+        if not (self.abs_z > 0):
+            raise ConfigError(f"|z| must be positive, got {self.abs_z}")
+        pt = SurfacePoint.from_polar(self.abs_z, self.arg_z)
+        if self.kind == "j":
+            cv = bessel_j(self.ell, pt.value)
+        elif self.kind == "y":
+            cv = bessel_y(self.ell, pt.value)
+        else:
+            cv = hankel(1 if self.kind == "h1" else 2, self.ell, pt)
+        header = ("kind", "ell", "abs_z", "arg_z", "re_value", "im_value",
+                  "re_derivative", "im_derivative")
+        row = (self.kind, self.ell, self.abs_z, self.arg_z, cv.value.real,
+               cv.value.imag, cv.derivative.real, cv.derivative.imag)
+        return RunResult(0, (_write(header, [row], out_dir, f"{name}.csv"),))
 
 
-_RUNNERS = {
-    "track": _run_track,
-    "phase": _run_phase,
-    "classify": _run_classify,
-    "delta1d": _run_delta1d,
-    "bessel-eval": _run_bessel_eval,
-    "lambert-eval": _run_lambert_eval,
-}
+@dataclass(frozen=True)
+class LambertEvalSpec:
+    """`lambert-eval`: W_n(re + i im) with its defining-equation residual."""
+
+    n: int
+    re: float
+    im: float
+
+    def run(self, out_dir: Path, name: str) -> RunResult:
+        x = complex(self.re, self.im)
+        w = lambert_w(self.n, x)
+        row = (self.n, x.real, x.imag, w.real, w.imag, abs(w * np.exp(w) - x))
+        header = ("n", "x_re", "x_im", "w_re", "w_im", "residual")
+        return RunResult(0, (_write(header, [row], out_dir, f"{name}.csv"),))
 
 
-def run(config: RunConfig) -> RunResult:
-    """Validate and execute one run; returns exit code and written paths."""
-    config.validate()
+Spec = TrackSpec | PhaseSpec | ClassifySpec | Delta1dSpec | BesselEvalSpec | LambertEvalSpec
+
+
+def run(spec: Spec, output_dir: str | Path, name: str) -> RunResult:
+    """Execute one spec; returns exit code and written paths.
+
+    The CSVs go to output_dir as <name>.csv (delta1d: <name>_resonances.csv
+    and <name>_phase.csv).
+    """
     try:
-        return _RUNNERS[config.subcommand](config)
-    except (DomainError, RangeError) as exc:
+        return spec.run(Path(output_dir), name)
+    except (DomainError, RangeError, StructureError) as exc:
         # parameter combinations the library rejects are config errors
         raise ConfigError(str(exc)) from exc
 
@@ -425,134 +310,96 @@ def run(config: RunConfig) -> RunResult:
 # figure presets
 # ---------------------------------------------------------------------------
 
-FIGURE_PANELS = {
-    1: ("left", "middle", "right"),
-    2: (),
-    3: ("left", "right"),
-    4: (),
-    5: ("n-1", "n-2"),
-    6: ("left", "right"),
+# figure -> panel -> spec; the panel None marks a figure without panels
+FIGURES: dict[int, dict[str | None, Spec]] = {
+    1: {
+        "left": TrackSpec(ell=1, l0=0, eps_grid=QUAD_EPS, branch=-1),
+        "middle": TrackSpec(ell=2, l0=1, eps_grid=QUAD_EPS, branch=0),
+        "right": TrackSpec(ell=3, l0=2, eps_grid=QUAD_EPS, branch=0),
+    },
+    2: {None: TrackSpec(ell=0, l0=1, eps_grid=DEEPENING_EPS)},
+    3: {
+        "left": PhaseSpec(l0=1, eps=(0.09,), lambda_max=0.1, steps=200),
+        "right": PhaseSpec(l0=0, eps=(0.09,), lambda_max=0.15, steps=200),
+    },
+    4: {None: Delta1dSpec(a=10.0, k_max=3, lambda_max=11.0, steps=440)},
+    5: {
+        "n-1": TrackSpec(ell=1, l0=0, eps_grid=QUAD_EPS, branch=-1),
+        "n-2": TrackSpec(ell=1, l0=0, eps_grid=QUAD_EPS, branch=-2),
+    },
+    6: {
+        "left": PhaseSpec(l0=1, eps=(0.09,), lambda_max=1.0, steps=400),
+        "right": PhaseSpec(l0=0, eps=(0.09,), lambda_max=1.0, steps=400),
+    },
 }
 
 
-def figure_jobs(figure: int, panel: str | None = None) -> list[RunConfig]:
-    """The preset RunConfigs of one numbered figure (optionally one panel)."""
-    if figure not in FIGURE_PANELS:
+def figure_jobs(figure: int, panel: str | None = None) -> list[tuple[str, Spec]]:
+    """The (output name, spec) jobs of one numbered figure (optionally one panel)."""
+    if figure not in FIGURES:
         raise ConfigError(f"--figure must be 1..6, got {figure}")
-    panels = FIGURE_PANELS[figure]
-    if panel is not None:
-        if panel not in panels:
-            raise ConfigError(
-                f"figure {figure} has panels {list(panels) or 'none'}, got {panel!r}"
-            )
-        panels = (panel,)
-
-    if figure == 1:
-        modes = {
-            "left": (1, 0, -1),
-            "middle": (2, 1, 0),
-            "right": (3, 2, 0),
-        }
-        return [
-            RunConfig(
-                subcommand="track",
-                output_name=f"figure1_{p}",
-                ell=modes[p][0],
-                a0_zero_order=modes[p][1],
-                branch=modes[p][2],
-                eps_grid=QUAD_EPS,
-            )
-            for p in panels
-        ]
-    if figure == 2:
-        return [
-            RunConfig(
-                subcommand="track",
-                output_name="figure2",
-                ell=0,
-                a0_zero_order=1,
-                eps_grid=DEEPENING_EPS,
-            )
-        ]
-    if figure == 3:
-        lam_max = {"left": 0.1, "right": 0.15}
-        order = {"left": 1, "right": 0}
-        return [
-            RunConfig(
-                subcommand="phase",
-                output_name=f"figure3_{p}",
-                a0_zero_order=order[p],
-                eps_offsets=(0.09,),
-                lambda_max=lam_max[p],
-                steps=200,
-            )
-            for p in panels
-        ]
-    if figure == 4:
-        return [
-            RunConfig(
-                subcommand="delta1d",
-                output_name="figure4",
-                a=10.0,
-                k_max=3,
-                lambda_max=11.0,
-                steps=440,
-            )
-        ]
-    if figure == 5:
-        return [
-            RunConfig(
-                subcommand="track",
-                output_name=f"figure5_{p}",
-                ell=1,
-                a0_zero_order=0,
-                branch=int(p.replace("n", "")),
-                eps_grid=QUAD_EPS,
-            )
-            for p in panels
-        ]
-    # figure 6
-    order = {"left": 1, "right": 0}
-    return [
-        RunConfig(
-            subcommand="phase",
-            output_name=f"figure6_{p}",
-            a0_zero_order=order[p],
-            eps_offsets=(0.09,),
-            lambda_max=1.0,
-            steps=400,
-        )
-        for p in panels
+    jobs = [
+        (f"figure{figure}_{p}" if p else f"figure{figure}", spec)
+        for p, spec in FIGURES[figure].items()
+        if panel in (None, p)
     ]
+    if not jobs:
+        panels = [p for p in FIGURES[figure] if p]
+        raise ConfigError(f"figure {figure} has panels {panels or 'none'}, got {panel!r}")
+    return jobs
 
 
-def run_figure(
-    figure: int,
-    panel: str | None = None,
-    output_dir: str = ".",
-    format_version: str = FORMAT_VERSION,
-) -> RunResult:
+def run_figure(figure: int, panel: str | None = None, output_dir: str = ".") -> RunResult:
     """Run all jobs of a figure preset and emit its plot script."""
-    jobs = figure_jobs(figure, panel)
     code = 0
     paths: list[Path] = []
-    for job in jobs:
-        result = run(replace(job, output_dir=output_dir, format_version=format_version))
+    for name, spec in figure_jobs(figure, panel):
+        result = run(spec, output_dir, name)
         code = max(code, result.exit_code)
         paths.extend(result.paths)
-    script = emit_plot_script(
-        paths, figure, Path(output_dir) / f"figure{figure}.gp"
-    )
-    paths.append(script)
+    paths.append(emit_plot_script(paths, figure, Path(output_dir) / f"figure{figure}.gp"))
     return RunResult(code, tuple(paths))
 
 
-# dashed overlay parameters of the figure 6 preset (resonance of the
-# eps = +0.09 member of each family, plot convention without the 1/pi)
-_FIG6_OVERLAYS = {
-    "figure6_left": "0.0017315/((x-0.2100356)**2 + 0.0017315**2) - 0.8*sqrt(x)",
-    "figure6_right": "0.0344571/((x-0.1119944)**2 + 0.0344571**2) + log(x)",
+_TRACK_PLOT = (
+    "using 're_guess':'im_guess' with points pt 6 title 'guess'",
+    "using 're_exact':'im_exact' with points pt 7 title 'exact'",
+)
+_PHASE_PLOT = tuple(f"using 'lambda':'{col}' with lines" for col in ("res", "above", "below"))
+
+# figure -> (preamble lines, {CSV name suffix: plot clauses}); each CSV is
+# plotted with the clauses of the first suffix its stem ends with
+PLOT_LAYOUTS = {
+    1: (("set size ratio -1",), {"": _TRACK_PLOT}),
+    2: ((), {"": ("using 'epsilon':'im_guess' with points pt 6",
+                  "using 'epsilon':'im_exact' with points pt 7")}),
+    3: ((), {"": _PHASE_PLOT}),
+    4: ((), {"_resonances": ("using 're':'im' with points pt 7 title 'resonances'",),
+             "": ("using 'lambda':'sigma_prime' with lines",
+                  "using 'lambda':'bw_approx' with lines dashtype 2")}),
+    5: (("set size ratio -1",), {"": _TRACK_PLOT}),
+    6: ((), {"": _PHASE_PLOT}),
 }
+
+# dashed Breit-Wigner overlays, by CSV stem: the refined resonance
+# x0 - ig of a one-point track spec, drawn as g/((x-x0)**2 + g**2) plus a
+# background (plot convention without the 1/pi)
+_BW_OVERLAYS = {
+    # figure 1 middle's node
+    "figure6_left": (TrackSpec(ell=2, l0=1, eps_grid=(0.09,)), "- 0.8*sqrt(x)"),
+    # figure 1 left's node
+    "figure6_right": (TrackSpec(ell=1, l0=0, eps_grid=(0.09,), branch=-1), "+ log(x)"),
+}
+
+
+def _bw_clause(spec: TrackSpec, background: str) -> str:
+    eps = spec.eps_grid[0]
+    family = _family(spec.l0, spec.rho)
+    guess = initial_guess(spec.ell, eps, family, _guess_kind(spec.ell, spec.branch))
+    lam = refine(spec.ell, guess, family.well(eps), epsilon=eps).refined.value
+    g = -lam.imag
+    curve = f"{g:.7f}/((x-{lam.real:.7f})**2 + {g:.7f}**2) {background}"
+    return curve + " with lines dashtype 2 title 'bw'"
 
 
 def emit_plot_script(
@@ -560,67 +407,26 @@ def emit_plot_script(
 ) -> Path:
     """Write a gnuplot-dialect script laying out one figure's CSVs.
 
-    Purely a convenience for eyeballing results; no test depends on the
-    rendered output.
+    Each CSV gets one plot: its clauses from PLOT_LAYOUTS, then its
+    Breit-Wigner overlay when _BW_OVERLAYS has one.  The script is a
+    convenience for eyeballing results, but its text is pinned by
+    test_plot_script_figure6_overlays and the preset golden hashes.
     """
     paths = [Path(p) for p in csv_paths]
     for p in paths:
         if p.suffix == ".csv" and not p.exists():
             raise MissingInput(f"plot input {p} does not exist")
-    csvs = [p for p in paths if p.suffix == ".csv"]
-
-    lines = [
-        f"# gnuplot layout for figure {figure_id}",
-        "set datafile separator ','",
-        "set key autotitle columnhead",
-    ]
-    if figure_id in (1, 5):
-        lines.append("set size ratio -1")
-        for p in csvs:
-            lines.append(
-                f"plot '{p.name}' using 're_guess':'im_guess' with points pt 6 title 'guess', \\"
-            )
-            lines.append(
-                f"     '{p.name}' using 're_exact':'im_exact' with points pt 7 title 'exact'"
-            )
-            lines.append("pause -1")
-    elif figure_id == 2:
-        for p in csvs:
-            lines.append(
-                f"plot '{p.name}' using 'epsilon':'im_guess' with points pt 6, \\"
-            )
-            lines.append(
-                f"     '{p.name}' using 'epsilon':'im_exact' with points pt 7"
-            )
-            lines.append("pause -1")
-    elif figure_id == 4:
-        for p in csvs:
-            if p.name.endswith("_resonances.csv"):
-                lines.append(
-                    f"plot '{p.name}' using 're':'im' with points pt 7 title 'resonances'"
-                )
-            else:
-                lines.append(
-                    f"plot '{p.name}' using 'lambda':'sigma_prime' with lines, \\"
-                )
-                lines.append(
-                    f"     '{p.name}' using 'lambda':'bw_approx' with lines dashtype 2"
-                )
-            lines.append("pause -1")
-    else:
-        for p in csvs:
-            overlay = _FIG6_OVERLAYS.get(p.stem) if figure_id == 6 else None
-            tail = f", \\\n     {overlay} with lines dashtype 2 title 'bw'" if overlay else ""
-            lines.append(
-                f"plot '{p.name}' using 'lambda':'res' with lines, \\"
-            )
-            lines.append(
-                f"     '{p.name}' using 'lambda':'above' with lines, \\"
-            )
-            lines.append(
-                f"     '{p.name}' using 'lambda':'below' with lines" + tail
-            )
-            lines.append("pause -1")
+    preamble, layout = PLOT_LAYOUTS[figure_id]
+    lines = [f"# gnuplot layout for figure {figure_id}", "set datafile separator ','",
+             "set key autotitle columnhead", *preamble]
+    for p in paths:
+        if p.suffix != ".csv":
+            continue
+        suffix = next(s for s in layout if p.stem.endswith(s))
+        clauses = [f"'{p.name}' {clause}" for clause in layout[suffix]]
+        if p.stem in _BW_OVERLAYS:
+            clauses.append(_bw_clause(*_BW_OVERLAYS[p.stem]))
+        lines += ["plot " + ", \\\n     ".join(clauses), "pause -1"]
 
     out_path = Path(out_path)
     out_path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")

@@ -208,6 +208,14 @@ def test_track_validates_grid():
         track(2, FAM_S, (0.04, 0.09, 0.02), GuessKind.persist_sqrt(0))
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+def test_track_rejects_non_finite_eps(eps):
+    with pytest.raises(DomainError):
+        track(2, FAM_S, (0.04, eps), GuessKind.persist_sqrt(0))
+    with pytest.raises(DomainError):
+        track(2, FAM_S, (eps,), GuessKind.persist_sqrt(0))
+
+
 def test_track_continuation_survives_bad_guess_point():
     # the ell=3 family has shallow basins at large eps; continuation from
     # the neighbor keeps the chain intact

@@ -1,11 +1,13 @@
 """CSV contracts, figure presets, CLI exit codes."""
 
+import hashlib
 import math
 
 import pytest
 
 from resonance_lab import (
     FORMAT_STAMP,
+    ClassifySpec,
     ConfigError,
     CsvDocument,
     DomainError,
@@ -14,7 +16,9 @@ from resonance_lab import (
     bessel_zero,
     delta_resonance,
     emit_plot_script,
+    figure_jobs,
     lambert_w,
+    run,
     run_figure,
 )
 from resonance_lab.cli import main, parse_eps_grid
@@ -128,6 +132,56 @@ def test_figure_runs_are_deterministic(tmp_path, monkeypatch):
     for p1, p2 in zip(first.paths, second.paths):
         assert p1.name == p2.name
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# SHA-256 of every file the six presets write; CSVs are hashed with their
+# `residual` cells masked, since that column may move at round-off level
+PRESET_SHA256 = {
+    "figure1.gp": "d3ed3d2aae1d84048896808db025a2a51c7312b612217d75f2a23b42ee7745ff",
+    "figure1_left.csv": "7009674b367457cb1d6a1dedaa5150608833d9ef27eba1522aa733fd3460d99e",
+    "figure1_middle.csv": "b74ce402b2cde867215b94ece98da2fd5ee3b021a25cc414c49d49849ef7a1f9",
+    "figure1_right.csv": "eb0834f6e157d2fd0189cf343c9dd777199269df74ec768b2cdb71d7f582f1f1",
+    "figure2.csv": "9e44d081e5aff7742007c35dac7302c8ed3a9e5a094124885807e6c730da1095",
+    "figure2.gp": "b0deb3bba89ef125216fe9cee4c9e8e01655c07a2ec49891c145ed874ff97483",
+    "figure3.gp": "74d8cc5332ceee5939d4c299f52953598a4aa51c8d5e1b22315aa12c76336e2e",
+    "figure3_left.csv": "d6d1e43feaa2094bbcd1529b94edf71849b33768a26b28f052f924b35126d440",
+    "figure3_right.csv": "0ea6d64e85148aa48609a6dfe1e0a32c22c4364c7303c65f1c35b52b1d3e4abc",
+    "figure4.gp": "037a104c523ed51b6f713adf2fa7ef032dcead0ae51655eccbf564d4d5521818",
+    "figure4_phase.csv": "ea524a92054d9fe7ca22db21ef467bf57ed1a4ef864b0a8cc58ba5bdc7cbead7",
+    "figure4_resonances.csv": "ccaee8c1149f7acdbc65e08e9f64daa3c4238fca1e169e19fb0411420f32836c",
+    "figure5.gp": "379f6441b948976f897c389cb9566ff1b949a2cd6c0225380ee693fc7675bf63",
+    "figure5_n-1.csv": "7009674b367457cb1d6a1dedaa5150608833d9ef27eba1522aa733fd3460d99e",
+    "figure5_n-2.csv": "ec62954d559f41e0150fa8d61b841521ac412dff401a9887b1ff8b4282ce0898",
+    "figure6.gp": "a3df354e9b8797ace8706f86080911dea71c77de14fb234e3346539ebb91f3a3",
+    "figure6_left.csv": "af61f19e583c2f9c0a74a7902777134280ed675eecff6b094238b578dd9f5ce1",
+    "figure6_right.csv": "ee99b306f0e28f54cb85ea5e2a2c11d494e133b4a31947cf8f73ba74483ef2dc",
+}
+
+
+def _masked_bytes(path):
+    data = path.read_bytes()
+    if path.suffix != ".csv":
+        return data
+    lines = data.split(b"\n")
+    header = lines[1].split(b",")
+    if b"residual" in header:
+        col = header.index(b"residual")
+        for i, line in enumerate(lines[2:], start=2):
+            if line:
+                cells = line.split(b",")
+                cells[col] = b"*"
+                lines[i] = b",".join(cells)
+    return b"\n".join(lines)
+
+
+def test_presets_match_golden_hashes(tmp_path):
+    for figure in range(1, 7):
+        assert main(["--figure", str(figure), "--output", str(tmp_path)]) == 0
+    got = {
+        p.name: hashlib.sha256(_masked_bytes(p)).hexdigest()
+        for p in tmp_path.iterdir()
+    }
+    assert got == PRESET_SHA256
 
 
 def test_unknown_figure_and_panel(tmp_path):
@@ -318,6 +372,90 @@ def test_output_name_override(tmp_path):
     )
     assert rc == 0
     assert (tmp_path / "custom.csv").exists()
+
+
+_TRACK = ["track", "--l", "2", "--a0sq-from-zero", "1"]
+_PHASE = ["phase", "--a0sq-from-zero", "1", "--lambda-max", "0.3", "--steps", "4"]
+_DELTA = ["delta1d", "--a", "10", "--k-max", "3"]
+_CLASSIFY = ["classify", "--a", f"{J11:.12f}"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(_TRACK + ["--eps-grid", "nan"], id="track-eps-nan"),
+        pytest.param(_TRACK + ["--eps-grid", "inf"], id="track-eps-inf"),
+        pytest.param(_TRACK + ["--eps-grid=-inf"], id="track-eps-minus-inf"),
+        pytest.param(_TRACK + ["--eps-grid", "0.09", "--rho", "0"], id="track-rho-0"),
+        pytest.param(_TRACK + ["--eps-grid", "0.09", "--rho", "nan"], id="track-rho-nan"),
+        pytest.param(_TRACK + ["--eps-grid", "0.09", "--rho", "inf"], id="track-rho-inf"),
+        pytest.param(_PHASE + ["--eps", "0.09", "--rho", "0"], id="phase-rho-0"),
+        pytest.param(_PHASE + ["--eps", "0.09", "--rho", "nan"], id="phase-rho-nan"),
+        pytest.param(_PHASE + ["--eps", "0.09", "--rho", "inf"], id="phase-rho-inf"),
+        pytest.param(_CLASSIFY + ["--lmax", "4", "--rho", "0"], id="classify-rho-0"),
+        pytest.param(_CLASSIFY + ["--lmax", "4", "--rho", "nan"], id="classify-rho-nan"),
+        pytest.param(_CLASSIFY + ["--lmax", "4", "--rho", "inf"], id="classify-rho-inf"),
+        pytest.param(
+            _DELTA[:-1] + ["0", "--lambda-max", "4", "--steps", "8"], id="delta1d-kmax-0"
+        ),
+        pytest.param(["bessel-eval", "j", "0", "nan", "0"], id="bessel-abs-z-nan"),
+        pytest.param(_PHASE + ["--eps=-0.09"], id="phase-eps-negative"),
+        pytest.param(_PHASE + ["--eps", "0.09,0.1"], id="phase-eps-two-values"),
+        pytest.param(_PHASE + ["--eps", "0,0.09,-0.1"], id="phase-eps-asymmetric"),
+        pytest.param(
+            _PHASE[:-1] + ["1", "--eps", "0.09"], id="phase-steps-1"
+        ),
+        pytest.param(
+            _DELTA + ["--lambda-max", "4", "--steps", "1"], id="delta1d-steps-1"
+        ),
+        pytest.param(
+            _PHASE + ["--eps", "0.09", "--lambda-min", "0.3"], id="phase-lambda-min-eq-max"
+        ),
+        pytest.param(
+            _PHASE + ["--eps", "0.09", "--lambda-min", "0.5"], id="phase-lambda-min-gt-max"
+        ),
+        pytest.param(
+            _DELTA + ["--lambda-min", "4", "--lambda-max", "4", "--steps", "8"],
+            id="delta1d-lambda-min-eq-max",
+        ),
+        pytest.param(_CLASSIFY + ["--lmax", "1"], id="classify-lmax-1"),
+    ],
+)
+def test_config_errors_exit_one_without_output(argv, tmp_path, capsys):
+    assert main(argv + ["--output", str(tmp_path)]) == 1
+    assert list(tmp_path.iterdir()) == []
+    assert "resonance-lab: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # initial_guess raises StructureError: J_4(j_{1,1}) != 0
+        pytest.param(
+            ["track", "--l", "5", "--a0sq-from-zero", "1", "--eps-grid", "0.09"],
+            id="track-no-zero-energy-structure",
+        ),
+        pytest.param(
+            _DELTA + ["--lambda-max", "inf", "--steps", "8"], id="delta1d-lambda-max-inf"
+        ),
+    ],
+)
+def test_library_rejections_exit_one_without_output(argv, tmp_path):
+    assert main(argv + ["--output", str(tmp_path)]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_specs_run_through_the_python_api(tmp_path):
+    result = run(ClassifySpec(a=J11, l_max=4), tmp_path, "named")
+    assert result.exit_code == 0
+    assert result.paths == (tmp_path / "named.csv",)
+    assert main(["classify", "--a", f"{J11:.12f}", "--lmax", "4", "--output", str(tmp_path)]) == 0
+    assert (tmp_path / "classify.csv").read_bytes() == result.paths[0].read_bytes()
+    with pytest.raises(ConfigError):
+        run(ClassifySpec(a=J11, l_max=1), tmp_path, "rejected")
+    jobs = figure_jobs(1)
+    assert [name for name, _ in jobs] == ["figure1_left", "figure1_middle", "figure1_right"]
+    assert figure_jobs(2, None)[0][0] == "figure2"
 
 
 def test_malformed_flags_exit_one():
