@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 
 from .errors import ConfigError
@@ -23,6 +22,8 @@ from .runs import (
     LambertEvalSpec,
     PhaseSpec,
     TrackSpec,
+    neg_eps_grid,
+    quad_eps_grid,
     run,
     run_figure,
 )
@@ -39,14 +40,10 @@ def parse_eps_grid(text: str) -> tuple[float, ...]:
     try:
         if text.startswith("quad:"):
             _, n_s, delta_s = text.split(":")
-            n, delta = int(n_s), float(delta_s)
-            return tuple(
-                math.copysign(k * k * delta, k) for k in range(-n, n + 1) if k != 0
-            )
+            return quad_eps_grid(int(n_s), float(delta_s))
         if text.startswith("neg:"):
             _, kmin_s, kmax_s, delta_s = text.split(":")
-            kmin, kmax, delta = int(kmin_s), int(kmax_s), float(delta_s)
-            return tuple(-k * delta for k in range(kmin, kmax + 1))
+            return neg_eps_grid(int(kmin_s), int(kmax_s), float(delta_s))
         return tuple(float(tok) for tok in text.split(","))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"cannot parse eps grid {text!r}: {exc}") from exc

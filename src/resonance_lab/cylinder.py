@@ -22,12 +22,13 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import jn_zeros, jv, yv
 
 from .errors import DomainError, RangeError
 
-# gamma = -Gamma'(1), stored as a literal
-EULER_GAMMA = 0.57721566490153286
+# gamma = -Gamma'(1)
+EULER_GAMMA = np.euler_gamma
 
 # validated evaluation box; scipy is accurate well beyond, but nothing in
 # the problem needs more and the tests only certify this range
@@ -49,16 +50,20 @@ class SurfacePoint:
 
     @classmethod
     def from_complex(cls, z: complex) -> "SurfacePoint":
-        """Lift a nonzero complex number using its principal argument."""
+        """Lift a nonzero finite complex number using its principal argument."""
         z = complex(z)
         if z == 0:
             raise DomainError("lambda = 0 cannot be represented on the cover")
+        if not cmath.isfinite(z):
+            raise DomainError(f"lambda = {z} is not finite")
         return cls(cmath.log(z))
 
     @classmethod
     def from_polar(cls, modulus: float, argument: float) -> "SurfacePoint":
-        if modulus <= 0:
+        if not (modulus > 0):
             raise DomainError("modulus must be positive")
+        if not (math.isfinite(modulus) and math.isfinite(argument)):
+            raise DomainError(f"modulus {modulus} and argument {argument} must be finite")
         return cls(complex(math.log(modulus), argument))
 
     @property

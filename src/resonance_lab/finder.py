@@ -20,11 +20,10 @@ observable (warned) event rather than a silent wraparound.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .cylinder import EULER_GAMMA, SurfacePoint, bessel_j
@@ -36,7 +35,7 @@ from .errors import (
     StructureError,
 )
 from .lambert import lambert_w
-from .well import CouplingFamily, Well, char_q, char_q_scale
+from .well import ZERO_J_TOL, CouplingFamily, Well, char_q, char_q_scale
 
 # Newton stays honest only if the guess is in the small-|lambda| regime the
 # asymptotics cover; outside it we record NotFound instead of wandering
@@ -44,6 +43,10 @@ GUESS_BASIN = 3.0
 RESIDUAL_TOL = 1e-9
 EIGEN_ARG_TOL = 1e-6
 FD_STEP = 1e-7
+# Newton stops once a step in log lambda is this small
+STEP_TOL = 1e-12
+# sector_scan reports a zero where |Q_0| dips below this share of its median
+SCAN_DEPTH_TOL = 1e-3
 
 
 class Classification(enum.Enum):
@@ -122,21 +125,19 @@ class SectorScan:
 
 
 def thread_budget() -> int:
-    """Worker count for parallel passes; RESONANCE_LAB_THREADS caps it."""
-    raw = os.environ.get("RESONANCE_LAB_THREADS", "")
-    try:
-        n = int(raw)
-        if n >= 1:
-            return n
-    except ValueError:
-        pass
-    return min(8, os.cpu_count() or 1)
+    """Always 1: tracks run on the calling thread.
+
+    Not part of the public API.  It remains only because perfbench/worker.py
+    records finder.thread_budget() in its run environment; it goes when the
+    benchmark stops reading it.
+    """
+    return 1
 
 
 def _check_structure(ell: int, family: CouplingFamily) -> None:
     order = 1 if ell == 0 else abs(ell) - 1
     j_edge = abs(bessel_j(order, family.rho * family.a0).value)
-    if j_edge > 1e-9:
+    if j_edge > ZERO_J_TOL:
         raise StructureError(
             f"family a0 = {family.a0:.12g} has |J_{order}(rho a0)| = {j_edge:.3e}; "
             "no zero-energy structure for this mode"
@@ -213,14 +214,13 @@ def refine(
     guess: SurfacePoint,
     well: Well,
     max_iter: int = 20,
-    tol: float = 1e-12,
     epsilon: float = math.nan,
 ) -> ResonanceRecord:
     """Newton refinement of char_q in the log(lambda) coordinate.
 
     Runs at most max_iter steps with central-difference derivatives (step
     1e-7 in log lambda, i.e. 1e-7*|lambda| in lambda), stopping when the
-    step drops below tol.  The record is NotFound when the normalized
+    step drops below STEP_TOL.  The record is NotFound when the normalized
     residual |Q|/(|t1|+|t2|) stays above 1e-9, when evaluation leaves the
     kernel's validated range, or when the guess is outside the small-energy
     basin |lambda| <= 3.  A SheetDriftWarning is issued when the refined
@@ -243,7 +243,7 @@ def refine(
                 return _not_found(epsilon, guess, SurfacePoint(w))
             dw = f / fp
             w = w - dw
-            if abs(dw) <= tol:
+            if abs(dw) <= STEP_TOL:
                 break
         scale = char_q_scale(n, SurfacePoint(w), well)
         residual = abs(q_at(w)) / scale if scale > 0 else math.inf
@@ -298,39 +298,26 @@ def track(
 ) -> ResonanceTrack:
     """Refine the mode-ell family over an ordered eps grid.
 
-    A parallel pass refines every point from its asymptotic guess; a
-    sequential sweep then re-refines each point from the previous kept
-    zero (continuation) and keeps whichever result has the smaller
-    residual.  NotFound points are recorded and the track continues.
+    Each point is refined from its asymptotic guess and, once a zero has
+    been kept, again from the previous kept zero (continuation); the result
+    with the smaller residual is kept, recorded against the asymptotic
+    guess.  NotFound points are recorded and the track continues.
     """
     eps_tuple = tuple(float(e) for e in eps_list)
     _validate_eps_grid(eps_tuple)
+    # every well and guess is built before any refinement, so a bad grid
+    # point raises before work is done
     wells = [family.well(e) for e in eps_tuple]
     guesses = [initial_guess(ell, e, family, kind) for e in eps_tuple]
 
-    with ThreadPoolExecutor(max_workers=thread_budget()) as pool:
-        base = list(
-            pool.map(
-                lambda item: refine(ell, item[0], item[1], epsilon=item[2]),
-                zip(guesses, wells, eps_tuple),
-            )
-        )
-
     records: list[ResonanceRecord] = []
     prev: SurfacePoint | None = None
-    for rec, well in zip(base, wells):
-        best = rec
+    for eps, guess, well in zip(eps_tuple, guesses, wells):
+        best = refine(ell, guess, well, epsilon=eps)
         if prev is not None:
-            alt = refine(ell, prev, well, epsilon=rec.epsilon)
+            alt = refine(ell, prev, well, epsilon=eps)
             if alt.residual < best.residual:
-                best = ResonanceRecord(
-                    epsilon=best.epsilon,
-                    guess=rec.guess,
-                    refined=alt.refined,
-                    residual=alt.residual,
-                    classification=alt.classification,
-                    energy=alt.energy,
-                )
+                best = dataclasses.replace(alt, guess=guess)
         records.append(best)
         if best.classification is not Classification.NOT_FOUND:
             prev = best.refined
@@ -342,12 +329,11 @@ def sector_scan(
     radius: float = 0.3,
     n_radii: int = 200,
     n_angles: int = 60,
-    depth_tol: float = 1e-3,
 ) -> SectorScan:
     """Scan |Q_0| over {0 < |lambda| <= radius, |arg lambda| <= pi/2}.
 
-    found_zero is True when some grid point dips below depth_tol times the
-    grid median, the signature of a zero inside the sector.
+    found_zero is True when some grid point dips below SCAN_DEPTH_TOL times
+    the grid median, the signature of a zero inside the sector.
     """
     values: list[float] = []
     best = math.inf
@@ -367,7 +353,7 @@ def sector_scan(
         minimum=best,
         median=median,
         location=best_at,
-        found_zero=best < depth_tol * median,
+        found_zero=best < SCAN_DEPTH_TOL * median,
     )
 
 

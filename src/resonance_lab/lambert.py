@@ -13,6 +13,7 @@ used by the tests as an oracle for the branch layout.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from scipy.special import lambertw as _lambertw
@@ -33,13 +34,16 @@ def lambert_w(n: int, x: complex) -> complex:
     n : int
         Branch index.
     x : complex
-        Argument; x = 0 is valid only on the principal branch (W_0(0) = 0).
+        Finite argument; x = 0 is valid only on the principal branch
+        (W_0(0) = 0).
 
     Returns
     -------
     complex
     """
     x = complex(x)
+    if not cmath.isfinite(x):
+        raise DomainError(f"W_n needs a finite argument, got {x}")
     if x == 0:
         if n == 0:
             return 0j

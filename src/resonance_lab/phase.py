@@ -30,11 +30,12 @@ from scipy.integrate import quad
 
 from .cylinder import EULER_GAMMA, bessel_j, bessel_y
 from .errors import CaseMismatch, DomainError, QuadratureError, RangeError
-from .well import Well
+from .well import ZERO_J_TOL, Well
 
 LAMBDA_MAX = 5.0
 SIGMA_SPLIT = 1e-6
-CASE_TOL = 1e-9
+# the mode sum stops once 100x the certified tail bound is below this
+TAIL_TOL = 1e-14
 
 
 class CaseKind(enum.Enum):
@@ -80,9 +81,9 @@ def _j(ell: int, x: float) -> float:
 
 def _case_kind_of(well: Well) -> CaseKind:
     x = well.rho * well.a
-    if abs(_j(0, x)) <= CASE_TOL:
+    if abs(_j(0, x)) <= ZERO_J_TOL:
         return CaseKind.P_RESONANCE_AT_ZERO
-    if abs(_j(1, x)) <= CASE_TOL:
+    if abs(_j(1, x)) <= ZERO_J_TOL:
         return CaseKind.S_RESONANCE_AT_ZERO
     return CaseKind.GENERIC
 
@@ -157,10 +158,8 @@ def mode_tail_bound(ell: int, lam: float, well: Well) -> float:
     return (ell**3 / (mu_sq * lam)) * math.exp(2.0 * ell * math.log(base))
 
 
-def total_phase_derivative(
-    lam: float, well: Well, tail_tol: float = 1e-14
-) -> TotalPhaseDerivative:
-    """sigma'(lambda) summed until the certified tail drops below tail_tol.
+def total_phase_derivative(lam: float, well: Well) -> TotalPhaseDerivative:
+    """sigma'(lambda) summed until the certified tail drops below TAIL_TOL.
 
     Returns the value and the largest mode index actually summed.
     """
@@ -170,7 +169,7 @@ def total_phase_derivative(
     ell_start = max(2, math.ceil(math.e * lam * well.rho / 2.0) + 1)
     ell = 1
     while True:
-        if ell >= ell_start and 100.0 * mode_tail_bound(ell, lam, well) < tail_tol:
+        if ell >= ell_start and 100.0 * mode_tail_bound(ell, lam, well) < TAIL_TOL:
             return TotalPhaseDerivative(total, ell - 1)
         total += 2.0 * phase_shift_derivative(ell, lam, well)
         ell += 1
@@ -255,9 +254,7 @@ def _sigma_analytic(case: AsymptoticCase, lam: float, well: Well) -> float:
     return piece1 + (_j(2, x) / _j(0, x)) * rho * rho * lam * lam / 2.0
 
 
-def scattering_phase(
-    lam: float, well: Well, tail_tol: float = 1e-14
-) -> float:
+def scattering_phase(lam: float, well: Well) -> float:
     """sigma(lambda) = integral of sigma' from 0, normalized to sigma(0) = 0.
 
     Below the split point 1e-6 the case law is integrated in closed form
@@ -281,7 +278,7 @@ def scattering_phase(
     err_budget = 0.0
     for lo, hi in zip(edges, edges[1:]):
         res = quad(
-            lambda t: total_phase_derivative(t, well, tail_tol).value,
+            lambda t: total_phase_derivative(t, well).value,
             lo,
             hi,
             epsabs=1e-10,
@@ -300,31 +297,22 @@ def scattering_phase(
 
 @dataclass(frozen=True)
 class PhaseTable:
-    """sigma' sampled on a lambda grid, with optional extras.
+    """sigma' sampled on a lambda grid, optionally with per-mode rows.
 
     total[i] is sigma'(lambda_grid[i]) and l_max[i] the certified mode
     cutoff used there.  per_mode maps ell to the sampled sigma'_ell row.
+    Small-lambda laws and Breit-Wigner overlays on the same grid come from
+    asymptotic_phase_derivative and breit_wigner_overlay.
     """
 
     lambda_grid: np.ndarray
     total: np.ndarray
     l_max: np.ndarray
     per_mode: dict[int, np.ndarray] | None = None
-    asymptotic: np.ndarray | None = None
-    breit_wigner: np.ndarray | None = None
 
     @classmethod
     def build(
-        cls,
-        lambda_grid,
-        well: Well,
-        include_modes: int | None = None,
-        with_asymptotic: bool = False,
-        tail_tol: float = 1e-14,
-        overlay_resonances=None,
-        background: str = "none",
-        coefficient: float = 0.0,
-        omit_pi: bool = False,
+        cls, lambda_grid, well: Well, include_modes: int | None = None
     ) -> "PhaseTable":
         grid = np.asarray(lambda_grid, dtype=float)
         if grid.ndim != 1 or len(grid) == 0:
@@ -334,7 +322,7 @@ class PhaseTable:
         totals = np.empty_like(grid)
         lmaxes = np.empty(len(grid), dtype=int)
         for i, lam in enumerate(grid):
-            totals[i], lmaxes[i] = total_phase_derivative(lam, well, tail_tol)
+            totals[i], lmaxes[i] = total_phase_derivative(lam, well)
         per_mode = None
         if include_modes is not None:
             per_mode = {
@@ -343,22 +331,4 @@ class PhaseTable:
                 )
                 for ell in range(include_modes + 1)
             }
-        asym = None
-        if with_asymptotic:
-            case = asymptotic_case_for(well)
-            asym = np.array(
-                [asymptotic_phase_derivative(case, lam, well) for lam in grid]
-            )
-        overlay = None
-        if overlay_resonances is not None:
-            overlay = breit_wigner_overlay(
-                grid, overlay_resonances, background, coefficient, omit_pi
-            )
-        return cls(
-            lambda_grid=grid,
-            total=totals,
-            l_max=lmaxes,
-            per_mode=per_mode,
-            asymptotic=asym,
-            breit_wigner=overlay,
-        )
+        return cls(lambda_grid=grid, total=totals, l_max=lmaxes, per_mode=per_mode)

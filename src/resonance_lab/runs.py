@@ -33,11 +33,20 @@ from .well import CouplingFamily, Well, classify_zero_energy
 FORMAT_VERSION = "1"
 FORMAT_STAMP = "# resonance-lab v1"
 
+
+def quad_eps_grid(n: int, delta: float) -> tuple[float, ...]:
+    """The `quad:N:delta` grid: sign(k) k^2 delta for k = -N..N, k != 0."""
+    return tuple(math.copysign(k * k * delta, k) for k in range(-n, n + 1) if k != 0)
+
+
+def neg_eps_grid(kmin: int, kmax: int, delta: float) -> tuple[float, ...]:
+    """The `neg:kmin:kmax:delta` grid: -k delta for k = kmin..kmax."""
+    return tuple(-k * delta for k in range(kmin, kmax + 1))
+
+
 # eps grids of the standard experiment presets
-QUAD_EPS = tuple(
-    math.copysign(k * k * 0.0036, k) for k in range(-15, 16) if k != 0
-)
-DEEPENING_EPS = tuple(-0.1 * k for k in range(2, 26))
+QUAD_EPS = quad_eps_grid(15, 0.0036)
+DEEPENING_EPS = neg_eps_grid(2, 25, 0.1)
 
 
 def _format_cell(v) -> str:

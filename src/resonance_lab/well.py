@@ -25,6 +25,10 @@ from dataclasses import dataclass
 from .cylinder import CylinderValue, SurfacePoint, bessel_j, hankel
 from .errors import BranchError, DomainError, MatchError, SingularityError
 
+# |J_{|ell|-1}(rho a)| at or below this counts as J vanishing: the well then
+# carries zero-energy structure in mode ell
+ZERO_J_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Well:
@@ -144,10 +148,8 @@ def char_q_scale(
     return abs(t1) + abs(t2)
 
 
-def classify_zero_energy(
-    well: Well, l_max: int, tol: float = 1e-9
-) -> list[ZeroEnergyClass]:
-    """Zero-energy structures of modes 0..l_max, by |J_{ell-1}(rho a)| <= tol.
+def classify_zero_energy(well: Well, l_max: int) -> list[ZeroEnergyClass]:
+    """Zero-energy structures of modes 0..l_max, by |J_{ell-1}(rho a)| <= ZERO_J_TOL.
 
     Mode 0 carries an s-resonance when J_1(rho a) = 0, mode 1 a p-resonance
     when J_0(rho a) = 0, and mode ell >= 2 a zero eigenvalue when
@@ -159,7 +161,7 @@ def classify_zero_energy(
     out: list[ZeroEnergyClass] = []
     for ell in range(l_max + 1):
         order = 1 if ell == 0 else ell - 1
-        hit = abs(bessel_j(order, x).value) <= tol
+        hit = abs(bessel_j(order, x).value) <= ZERO_J_TOL
         if not hit:
             kind = ZeroEnergyKind.NONE
         elif ell == 0:

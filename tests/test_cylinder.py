@@ -49,6 +49,16 @@ def test_surface_point_zero_rejected():
         SurfacePoint.from_polar(0.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf)])
+def test_surface_point_rejects_non_finite(bad):
+    with pytest.raises(DomainError):
+        SurfacePoint.from_complex(bad)
+    with pytest.raises(DomainError):
+        SurfacePoint.from_polar(abs(bad), 0.0)
+    with pytest.raises(DomainError):
+        SurfacePoint.from_polar(1.0, abs(bad))
+
+
 def test_surface_point_scaled_keeps_argument():
     p = SurfacePoint.from_polar(0.5, 5.0)
     q = p.scaled(3.0)

@@ -24,7 +24,6 @@ from resonance_lab import (
     persistence_verdict,
     refine,
     sector_scan,
-    thread_budget,
     track,
 )
 
@@ -297,12 +296,3 @@ def test_fit_first_correction_needs_two_points():
     trk = track(2, FAM_S, (0.09,), GuessKind.persist_sqrt(0))
     with pytest.raises(DomainError):
         fit_first_correction(trk)
-
-
-def test_thread_budget_env_override(monkeypatch):
-    monkeypatch.setenv("RESONANCE_LAB_THREADS", "3")
-    assert thread_budget() == 3
-    monkeypatch.setenv("RESONANCE_LAB_THREADS", "garbage")
-    assert thread_budget() >= 1
-    monkeypatch.setenv("RESONANCE_LAB_THREADS", "0")
-    assert thread_budget() >= 1

@@ -135,7 +135,7 @@ def test_total_at_broad_resonance_peak():
 def test_total_truncation_is_honest():
     for order, lam in ((1, 0.2100356), (0, 0.1119944)):
         well = CouplingFamily(a0=bessel_zero(order, 1), rho=1.0).well(0.09)
-        out = total_phase_derivative(lam, well, tail_tol=1e-14)
+        out = total_phase_derivative(lam, well)
         extra = sum(
             phase_shift_derivative(ell, lam, well)
             for ell in range(out.l_max + 1, out.l_max + 6)
@@ -307,19 +307,12 @@ def test_sigma_range_validation():
 
 def test_phase_table_build():
     grid = np.array([0.05, 0.1, 0.2, 0.4])
-    table = PhaseTable.build(
-        grid,
-        WELL_G,
-        include_modes=1,
-        with_asymptotic=True,
-        overlay_resonances=(0.21 - 0.0017j,),
-    )
+    table = PhaseTable.build(grid, WELL_G, include_modes=1)
     assert table.total.shape == grid.shape
     assert set(table.per_mode) == {0, 1}
     for ell, row in table.per_mode.items():
         for x, v in zip(grid, row):
             assert v == pytest.approx(phase_shift_derivative(ell, x, WELL_G))
-    assert table.asymptotic is not None and table.breit_wigner is not None
     # mode sum dominated by the listed modes at the smallest lambdas
     partial = table.per_mode[0] + 2 * table.per_mode[1]
     assert np.allclose(partial[:2], table.total[:2], atol=1e-4)

@@ -124,10 +124,8 @@ def test_figure2_deepening_grid(tmp_path):
     assert all(abs(r[3]) <= 1e-9 for r in doc.rows)
 
 
-def test_figure_runs_are_deterministic(tmp_path, monkeypatch):
-    monkeypatch.setenv("RESONANCE_LAB_THREADS", "1")
+def test_figure_runs_are_deterministic(tmp_path):
     first = run_figure(1, panel="middle", output_dir=tmp_path / "one")
-    monkeypatch.setenv("RESONANCE_LAB_THREADS", "5")
     second = run_figure(1, panel="middle", output_dir=tmp_path / "two")
     for p1, p2 in zip(first.paths, second.paths):
         assert p1.name == p2.name
@@ -438,11 +436,20 @@ def test_config_errors_exit_one_without_output(argv, tmp_path, capsys):
         pytest.param(
             _DELTA + ["--lambda-max", "inf", "--steps", "8"], id="delta1d-lambda-max-inf"
         ),
+        # SurfacePoint.from_polar and lambert_w reject non-finite input
+        pytest.param(["bessel-eval", "j", "0", "1", "nan"], id="bessel-j-arg-nan"),
+        pytest.param(["bessel-eval", "j", "0", "1", "inf"], id="bessel-j-arg-inf"),
+        pytest.param(["bessel-eval", "h1", "0", "1", "nan"], id="bessel-h1-arg-nan"),
+        pytest.param(["bessel-eval", "h2", "0", "1", "inf"], id="bessel-h2-arg-inf"),
+        pytest.param(["lambert-eval", "0", "nan", "0"], id="lambert-re-nan"),
+        pytest.param(["lambert-eval", "1", "0", "nan"], id="lambert-im-nan"),
+        pytest.param(["lambert-eval", "--", "-1", "inf", "0"], id="lambert-re-inf"),
     ],
 )
-def test_library_rejections_exit_one_without_output(argv, tmp_path):
-    assert main(argv + ["--output", str(tmp_path)]) == 1
+def test_library_rejections_exit_one_without_output(argv, tmp_path, capsys):
+    assert main(["--output", str(tmp_path)] + argv) == 1
     assert list(tmp_path.iterdir()) == []
+    assert "resonance-lab: error:" in capsys.readouterr().err
 
 
 def test_specs_run_through_the_python_api(tmp_path):
