@@ -85,10 +85,6 @@ class SurfacePoint:
             raise DomainError("scaling factor must be positive")
         return SurfacePoint(self.log_value + math.log(factor))
 
-    def displaced(self, dw: complex) -> "SurfacePoint":
-        """The point with logarithm w + dw."""
-        return SurfacePoint(self.log_value + dw)
-
 
 @dataclass(frozen=True)
 class CylinderValue:
@@ -98,50 +94,42 @@ class CylinderValue:
     derivative: complex
 
 
-def _check_order(ell: int) -> None:
-    if abs(ell) > MAX_ORDER:
-        raise RangeError(f"order {ell} outside validated range |ell| <= {MAX_ORDER}")
+def _checked_order(ell: int, modulus: float) -> int:
+    """|ell|, once order and argument modulus are inside the validated range.
 
-
-def _check_argument(z: complex) -> None:
-    if z == 0:
-        raise DomainError("cylinder functions are singular or trivial at z = 0")
-    if abs(z) > MAX_ABS_ARGUMENT:
+    Written as `not modulus <= ...` so that a NaN modulus is rejected too.
+    """
+    if not modulus <= MAX_ABS_ARGUMENT:
         raise RangeError(
-            f"|z| = {abs(z):.3g} outside validated range <= {MAX_ABS_ARGUMENT}"
+            f"|z| = {modulus:.3g} outside validated range <= {MAX_ABS_ARGUMENT}"
         )
-
-
-def _pair(kind, ell: int, z: complex, real_path: bool):
-    """Principal values of (C_ell, C_{ell-1}) for C in {J, Y}, ell >= 0."""
-    if real_path:
-        x = z.real
-        c0 = complex(kind(ell, x))
-        c1 = complex(kind(1, x)) if ell == 0 else complex(kind(ell - 1, x))
-    else:
-        c0 = complex(kind(ell, z))
-        c1 = complex(kind(1, z)) if ell == 0 else complex(kind(ell - 1, z))
-    return c0, c1
-
-
-def _with_derivative(ell: int, z: complex, c0: complex, c_adj: complex) -> CylinderValue:
-    # ell = 0 uses the reflection C_{-1} = -C_1, so C'_0 = -C_1
-    if ell == 0:
-        return CylinderValue(c0, -c_adj)
-    return CylinderValue(c0, c_adj - (ell / z) * c0)
-
-
-def _principal(kind, ell: int, z: complex) -> CylinderValue:
-    """J or Y with derivative at principal phase, negative orders reflected."""
-    _check_argument(z)
     n = abs(ell)
-    _check_order(n)
-    real_path = z.imag == 0.0 and z.real > 0.0
-    c0, c_adj = _pair(kind, n, z, real_path)
-    out = _with_derivative(n, z, c0, c_adj)
+    if n > MAX_ORDER:
+        raise RangeError(f"order {n} outside validated range |ell| <= {MAX_ORDER}")
+    return n
+
+
+def _with_derivative(ell: int, z: complex, c0: complex, c_low: complex) -> CylinderValue:
+    """C_ell and C'_ell from C_n, C_{n-1} at n = |ell|, negative orders reflected.
+
+    The derivative is the recurrence C'_n = C_{n-1} - (n/z) C_n; scipy
+    supplies C_{-1} = -C_1, so n = 0 needs no special case.
+    """
+    n = abs(ell)
+    out = CylinderValue(c0, c_low - (n / z) * c0)
     if ell < 0 and n % 2 == 1:
         out = CylinderValue(-out.value, -out.derivative)
     return out
+
+
+def _principal(kind, ell: int, z: complex) -> CylinderValue:
+    """J or Y with derivative at principal phase."""
+    if z == 0:
+        raise DomainError("cylinder functions are singular or trivial at z = 0")
+    n = _checked_order(ell, abs(z))
+    # real positive z is evaluated as a float, which keeps Im exactly 0
+    x = z.real if z.imag == 0.0 and z.real > 0.0 else z
+    return _with_derivative(ell, z, complex(kind(n, x)), complex(kind(n - 1, x)))
 
 
 def bessel_j(ell: int, z: complex) -> CylinderValue:
@@ -179,7 +167,7 @@ def _reduce_argument(theta: float) -> tuple[float, int]:
 
 
 def _continued_jy(n: int, point: SurfacePoint) -> tuple[complex, complex]:
-    """(J_n, Y_n) at a surface point, n >= 0, continued across sheets."""
+    """(J_n, Y_n) at a surface point, n >= -1, continued across sheets."""
     theta0, m = _reduce_argument(point.argument)
     z0 = cmath.exp(complex(point.log_value.real, theta0))
     j0 = complex(jv(n, z0))
@@ -211,23 +199,15 @@ def hankel(kind: int, ell: int, point: SurfacePoint | complex) -> CylinderValue:
         raise DomainError("kind must be 1 or 2")
     if not isinstance(point, SurfacePoint):
         point = SurfacePoint.from_complex(point)
-    if point.modulus > MAX_ABS_ARGUMENT:
-        raise RangeError(
-            f"|z| = {point.modulus:.3g} outside validated range <= {MAX_ABS_ARGUMENT}"
-        )
-    n = abs(ell)
-    _check_order(n)
+    n = _checked_order(ell, point.modulus)
 
     j0, y0 = _continued_jy(n, point)
-    j1, y1 = _continued_jy(1 if n == 0 else n - 1, point)
+    j1, y1 = _continued_jy(n - 1, point)
     if kind == 1:
-        h0, h_adj = j0 + 1j * y0, j1 + 1j * y1
+        h0, h_low = j0 + 1j * y0, j1 + 1j * y1
     else:
-        h0, h_adj = j0 - 1j * y0, j1 - 1j * y1
-    out = _with_derivative(n, point.value, h0, h_adj)
-    if ell < 0 and n % 2 == 1:
-        out = CylinderValue(-out.value, -out.derivative)
-    return out
+        h0, h_low = j0 - 1j * y0, j1 - 1j * y1
+    return _with_derivative(ell, point.value, h0, h_low)
 
 
 def bessel_zero(ell: int, k: int) -> float:

@@ -14,25 +14,12 @@ be a sum of Lorentzians at the lambda_k plus a flat -L/pi background.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, RangeError
 from .lambert import lambert_w
 
 # a e^a must stay finite in double precision
 MAX_STRENGTH = 300.0
-
-
-@dataclass(frozen=True)
-class DeltaSystem:
-    """Delta barrier of strength a > 0 at x = 1; convex-hull length L = 1."""
-
-    a: float
-    length: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (self.a > 0):
-            raise DomainError("delta strength a must be positive")
 
 
 def delta_resonance(a: float, k: int) -> complex:

@@ -31,10 +31,6 @@ class MatchError(ResonanceLabError):
     """Interior and exterior pieces fail to match smoothly at the well edge."""
 
 
-class CaseMismatch(ResonanceLabError):
-    """A small-energy case was requested for a well in a different case."""
-
-
 class QuadratureError(ResonanceLabError):
     """Numerical integration exceeded its budget or accuracy target."""
 

@@ -26,7 +26,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .cylinder import EULER_GAMMA, SurfacePoint, bessel_j
+from .cylinder import EULER_GAMMA, SurfacePoint
 from .errors import (
     DomainError,
     Inconclusive,
@@ -35,7 +35,14 @@ from .errors import (
     StructureError,
 )
 from .lambert import lambert_w
-from .well import ZERO_J_TOL, CouplingFamily, Well, char_q, char_q_scale
+from .well import (
+    CouplingFamily,
+    Well,
+    ZeroEnergyKind,
+    char_q,
+    char_q_scale,
+    zero_energy_kind,
+)
 
 # Newton stays honest only if the guess is in the small-|lambda| regime the
 # asymptotics cover; outside it we record NotFound instead of wandering
@@ -135,12 +142,11 @@ def thread_budget() -> int:
 
 
 def _check_structure(ell: int, family: CouplingFamily) -> None:
-    order = 1 if ell == 0 else abs(ell) - 1
-    j_edge = abs(bessel_j(order, family.rho * family.a0).value)
-    if j_edge > ZERO_J_TOL:
+    # Well(a0, rho), not family.well(0.0): sqrt(a0^2) may differ from a0
+    if zero_energy_kind(ell, Well(family.a0, family.rho)) is ZeroEnergyKind.NONE:
         raise StructureError(
-            f"family a0 = {family.a0:.12g} has |J_{order}(rho a0)| = {j_edge:.3e}; "
-            "no zero-energy structure for this mode"
+            f"family a0 = {family.a0:.12g} has no zero-energy structure in mode "
+            f"{ell}: J_{abs(ell) - 1}(rho a0) does not vanish"
         )
 
 

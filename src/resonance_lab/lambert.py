@@ -62,8 +62,8 @@ def branch_limit_check(n: int, sign: str) -> float:
     n : int
         Branch index, n != 0.
     sign : str
-        "-" (alias "up") for eps increasing to 0 from below,
-        "+" (alias "down") for eps decreasing to 0 from above.
+        "up" for eps increasing to 0 from below, "down" for eps decreasing
+        to 0 from above.
 
     Returns
     -------
@@ -73,8 +73,8 @@ def branch_limit_check(n: int, sign: str) -> float:
     if n == 0:
         raise DomainError("branch limits are defined for n != 0 only")
     sgn = 1 if n > 0 else -1
-    if sign in ("-", "up"):
+    if sign == "up":
         return math.pi * (1 + 2 * n - sgn)
-    if sign in ("+", "down"):
+    if sign == "down":
         return math.pi * (2 * n - sgn)
-    raise DomainError(f"sign must be '+', '-', 'up' or 'down', got {sign!r}")
+    raise DomainError(f"sign must be 'up' or 'down', got {sign!r}")

@@ -20,7 +20,6 @@ Everything here is real arithmetic; sigma'_ell values are floats.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -29,45 +28,13 @@ import numpy as np
 from scipy.integrate import quad
 
 from .cylinder import EULER_GAMMA, bessel_j, bessel_y
-from .errors import CaseMismatch, DomainError, QuadratureError, RangeError
-from .well import ZERO_J_TOL, Well
+from .errors import DomainError, QuadratureError, RangeError
+from .well import Well, ZeroEnergyKind, zero_energy_kind
 
 LAMBDA_MAX = 5.0
 SIGMA_SPLIT = 1e-6
 # the mode sum stops once 100x the certified tail bound is below this
 TAIL_TOL = 1e-14
-
-
-class CaseKind(enum.Enum):
-    P_RESONANCE_AT_ZERO = "p-resonance-at-zero"
-    S_RESONANCE_AT_ZERO = "s-resonance-at-zero"
-    GENERIC = "generic"
-
-
-@dataclass(frozen=True)
-class AsymptoticCase:
-    """Small-lambda case selector; the generic case carries C(rho, a)."""
-
-    kind: CaseKind
-    c_constant: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind is CaseKind.GENERIC and self.c_constant is None:
-            raise DomainError("the generic case requires its constant C(rho, a)")
-        if self.kind is not CaseKind.GENERIC and self.c_constant is not None:
-            raise DomainError("only the generic case carries a constant")
-
-    @classmethod
-    def p_resonance_at_zero(cls) -> "AsymptoticCase":
-        return cls(CaseKind.P_RESONANCE_AT_ZERO)
-
-    @classmethod
-    def s_resonance_at_zero(cls) -> "AsymptoticCase":
-        return cls(CaseKind.S_RESONANCE_AT_ZERO)
-
-    @classmethod
-    def generic(cls, c_constant: float) -> "AsymptoticCase":
-        return cls(CaseKind.GENERIC, float(c_constant))
 
 
 class TotalPhaseDerivative(NamedTuple):
@@ -79,23 +46,19 @@ def _j(ell: int, x: float) -> float:
     return bessel_j(ell, x).value.real
 
 
-def _case_kind_of(well: Well) -> CaseKind:
+def _small_lambda_kind(well: Well) -> ZeroEnergyKind:
+    """The structure that sets the small-lambda law: P_RESONANCE (mode 1)
+    before S_RESONANCE (mode 0); NONE is the generic law."""
+    if zero_energy_kind(1, well) is ZeroEnergyKind.P_RESONANCE:
+        return ZeroEnergyKind.P_RESONANCE
+    return zero_energy_kind(0, well)
+
+
+def _generic_log(lam: float, well: Well) -> float:
+    """log(lambda/2) + C(rho, a) + gamma, with C = log rho + J_0(x)/(x J_1(x))."""
     x = well.rho * well.a
-    if abs(_j(0, x)) <= ZERO_J_TOL:
-        return CaseKind.P_RESONANCE_AT_ZERO
-    if abs(_j(1, x)) <= ZERO_J_TOL:
-        return CaseKind.S_RESONANCE_AT_ZERO
-    return CaseKind.GENERIC
-
-
-def asymptotic_case_for(well: Well) -> AsymptoticCase:
-    """The small-lambda case of a well, with C(rho, a) filled in if generic."""
-    kind = _case_kind_of(well)
-    if kind is CaseKind.GENERIC:
-        x = well.rho * well.a
-        c = math.log(well.rho) + _j(0, x) / (x * _j(1, x))
-        return AsymptoticCase.generic(c)
-    return AsymptoticCase(kind)
+    c = math.log(well.rho) + _j(0, x) / (x * _j(1, x))
+    return math.log(lam / 2.0) + c + EULER_GAMMA
 
 
 def phase_shift_derivative(
@@ -177,30 +140,22 @@ def total_phase_derivative(lam: float, well: Well) -> TotalPhaseDerivative:
             raise RangeError("mode sum failed to certify truncation by ell = 200")
 
 
-def asymptotic_phase_derivative(case: AsymptoticCase, lam: float, well: Well) -> float:
-    """The small-lambda law of sigma'(lambda) for the well's case.
-
-    Raises CaseMismatch when the supplied case is not the well's actual
-    zero-energy case.
-    """
+def asymptotic_phase_derivative(lam: float, well: Well) -> float:
+    """The small-lambda law of sigma'(lambda) for the well's zero-energy case."""
     if not (lam > 0):
         raise DomainError("asymptotic sigma' is defined for lambda > 0")
-    actual = _case_kind_of(well)
-    if case.kind is not actual:
-        raise CaseMismatch(
-            f"supplied case {case.kind.value} but the well is {actual.value}"
-        )
+    kind = _small_lambda_kind(well)
     rho = well.rho
-    if case.kind is CaseKind.P_RESONANCE_AT_ZERO:
+    if kind is ZeroEnergyKind.P_RESONANCE:
         u = math.log(lam * rho / 2.0) + EULER_GAMMA
         v = u - 0.5
         return -(2.0 / lam) / (4.0 * u * u + math.pi**2) + (-4.0 / lam) / (
             4.0 * v * v + math.pi**2
         )
-    if case.kind is CaseKind.S_RESONANCE_AT_ZERO:
+    if kind is ZeroEnergyKind.S_RESONANCE:
         return -1.5 * rho * rho * lam
     x = well.rho * well.a
-    u = math.log(lam / 2.0) + case.c_constant + EULER_GAMMA
+    u = _generic_log(lam, well)
     return -(2.0 / lam) / (4.0 * u * u + math.pi**2) + (
         _j(2, x) / _j(0, x)
     ) * rho * rho * lam
@@ -237,19 +192,20 @@ def breit_wigner_overlay(
     raise DomainError(f"unknown background form {background!r}")
 
 
-def _sigma_analytic(case: AsymptoticCase, lam: float, well: Well) -> float:
-    """Closed-form integral of the case law over (0, lam]."""
+def _sigma_analytic(lam: float, well: Well) -> float:
+    """Closed-form integral of the small-lambda law over (0, lam]."""
+    kind = _small_lambda_kind(well)
     rho = well.rho
-    if case.kind is CaseKind.P_RESONANCE_AT_ZERO:
+    if kind is ZeroEnergyKind.P_RESONANCE:
         u = math.log(lam * rho / 2.0) + EULER_GAMMA
         v = u - 0.5
         piece1 = -math.atan(2.0 * u / math.pi) / math.pi - 0.5
         piece2 = -2.0 * math.atan(2.0 * v / math.pi) / math.pi - 1.0
         return piece1 + piece2
-    if case.kind is CaseKind.S_RESONANCE_AT_ZERO:
+    if kind is ZeroEnergyKind.S_RESONANCE:
         return -0.75 * rho * rho * lam * lam
     x = well.rho * well.a
-    u = math.log(lam / 2.0) + case.c_constant + EULER_GAMMA
+    u = _generic_log(lam, well)
     piece1 = -math.atan(2.0 * u / math.pi) / math.pi - 0.5
     return piece1 + (_j(2, x) / _j(0, x)) * rho * rho * lam * lam / 2.0
 
@@ -257,7 +213,7 @@ def _sigma_analytic(case: AsymptoticCase, lam: float, well: Well) -> float:
 def scattering_phase(lam: float, well: Well) -> float:
     """sigma(lambda) = integral of sigma' from 0, normalized to sigma(0) = 0.
 
-    Below the split point 1e-6 the case law is integrated in closed form
+    Below the split point 1e-6 the small-lambda law is integrated in closed form
     (sigma' there behaves like -1/(lambda log^2 lambda), integrable but
     stiff); above it, adaptive quadrature runs over a fixed doubling panel
     grid.  Absolute error target 1e-6; QuadratureError when the estimates
@@ -265,11 +221,10 @@ def scattering_phase(lam: float, well: Well) -> float:
     """
     if not (0 < lam <= LAMBDA_MAX):
         raise RangeError(f"lambda = {lam} outside validated range (0, {LAMBDA_MAX}]")
-    case = asymptotic_case_for(well)
     if lam <= SIGMA_SPLIT:
-        return _sigma_analytic(case, lam, well)
+        return _sigma_analytic(lam, well)
 
-    total = _sigma_analytic(case, SIGMA_SPLIT, well)
+    total = _sigma_analytic(SIGMA_SPLIT, well)
     edges = [SIGMA_SPLIT]
     step = 0.01
     while edges[-1] < lam:

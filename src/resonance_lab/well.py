@@ -108,11 +108,8 @@ def _q_terms(
     m = mu(point, well.a)
     edge = point.scaled(well.rho)
     if form == "wronskian":
-        # order ell-1 at ell=0 goes through the reflection C_{-1} = -C_1
-        sign = -1.0 if n == 0 else 1.0
-        low = 1 if n == 0 else n - 1
-        j_low = sign * bessel_j(low, well.rho * m).value
-        h_low = sign * hankel(1, low, edge).value
+        j_low = bessel_j(n - 1, well.rho * m).value
+        h_low = hankel(1, n - 1, edge).value
         j_n = bessel_j(n, well.rho * m).value
         h_n = hankel(1, n, edge).value
         return m * j_low * h_n, lam * j_n * h_low
@@ -148,30 +145,27 @@ def char_q_scale(
     return abs(t1) + abs(t2)
 
 
-def classify_zero_energy(well: Well, l_max: int) -> list[ZeroEnergyClass]:
-    """Zero-energy structures of modes 0..l_max, by |J_{ell-1}(rho a)| <= ZERO_J_TOL.
+def zero_energy_kind(ell: int, well: Well) -> ZeroEnergyKind:
+    """Zero-energy structure of mode ell, present when |J_{|ell|-1}(rho a)| <= ZERO_J_TOL.
 
-    Mode 0 carries an s-resonance when J_1(rho a) = 0, mode 1 a p-resonance
-    when J_0(rho a) = 0, and mode ell >= 2 a zero eigenvalue when
-    J_{ell-1}(rho a) = 0.
+    Mode 0 then carries an s-resonance (J_{-1} = -J_1), mode +-1 a
+    p-resonance (J_0), and |ell| >= 2 a zero eigenvalue.
     """
+    n = abs(ell)
+    if not abs(bessel_j(n - 1, well.rho * well.a).value) <= ZERO_J_TOL:
+        return ZeroEnergyKind.NONE
+    if n == 0:
+        return ZeroEnergyKind.S_RESONANCE
+    if n == 1:
+        return ZeroEnergyKind.P_RESONANCE
+    return ZeroEnergyKind.ZERO_EIGENVALUE
+
+
+def classify_zero_energy(well: Well, l_max: int) -> list[ZeroEnergyClass]:
+    """zero_energy_kind of every mode 0..l_max, l_max >= 2."""
     if l_max < 2:
         raise DomainError("l_max must be at least 2")
-    x = well.rho * well.a
-    out: list[ZeroEnergyClass] = []
-    for ell in range(l_max + 1):
-        order = 1 if ell == 0 else ell - 1
-        hit = abs(bessel_j(order, x).value) <= ZERO_J_TOL
-        if not hit:
-            kind = ZeroEnergyKind.NONE
-        elif ell == 0:
-            kind = ZeroEnergyKind.S_RESONANCE
-        elif ell == 1:
-            kind = ZeroEnergyKind.P_RESONANCE
-        else:
-            kind = ZeroEnergyKind.ZERO_EIGENVALUE
-        out.append(ZeroEnergyClass(ell, kind))
-    return out
+    return [ZeroEnergyClass(ell, zero_energy_kind(ell, well)) for ell in range(l_max + 1)]
 
 
 def s_matrix_eigenvalue(ell: int, lam: float, well: Well) -> complex:

@@ -1,10 +1,4 @@
-import sys
-from pathlib import Path
-
 from hypothesis import HealthCheck, settings
-
-# the oracle helpers live next to the tests, not in the package
-sys.path.insert(0, str(Path(__file__).parent))
 
 settings.register_profile(
     "default",

@@ -15,7 +15,6 @@ from resonance_lab import (
     GuessKind,
     SurfacePoint,
     Well,
-    asymptotic_case_for,
     asymptotic_phase_derivative,
     bessel_j,
     bessel_y,
@@ -154,11 +153,10 @@ def test_criterion_6_low_energy_asymptotics():
     ok = True
     worst = 0.0
     for well, budget in cases:
-        case = asymptotic_case_for(well)
         for lam in (0.02, 0.01, 0.005):
             d = abs(
                 total_phase_derivative(lam, well).value
-                - asymptotic_phase_derivative(case, lam, well)
+                - asymptotic_phase_derivative(lam, well)
             )
             ok = ok and d <= budget
             worst = max(worst, d / budget)

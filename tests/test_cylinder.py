@@ -279,6 +279,21 @@ def test_zeros_are_zeros_and_interlace():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: bessel_j(0, math.nan), id="bessel_j-real-nan"),
+        pytest.param(lambda: bessel_y(1, complex(math.nan, 1)), id="bessel_y-complex-nan"),
+        pytest.param(
+            lambda: hankel(1, 0, SurfacePoint(complex(math.nan, 0))), id="hankel-nan-modulus"
+        ),
+    ],
+)
+def test_nan_argument_is_a_range_error(call):
+    with pytest.raises(RangeError):
+        call()
+
+
 def test_domain_and_range_errors():
     with pytest.raises(DomainError):
         bessel_j(0, 0)

@@ -8,19 +8,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from resonance_lab import (
-    DeltaSystem,
     DomainError,
     RangeError,
     delta_phase_derivative,
     delta_resonance,
 )
 from oracles import delta_fd_phase_derivative
-
-
-def test_system_validation():
-    assert DeltaSystem(a=10.0).a == 10.0
-    with pytest.raises(DomainError):
-        DeltaSystem(a=0.0)
 
 
 def test_golden_resonances_at_strength_ten():

@@ -126,5 +126,6 @@ def test_branch_limit_check_examples():
     assert branch_limit_check(1, "down") == pytest.approx(PI)
     with pytest.raises(DomainError):
         branch_limit_check(0, "up")
-    with pytest.raises(DomainError):
-        branch_limit_check(1, "sideways")
+    for side in ("sideways", "+"):
+        with pytest.raises(DomainError):
+            branch_limit_check(1, side)

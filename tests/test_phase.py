@@ -7,15 +7,12 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from resonance_lab import (
-    AsymptoticCase,
-    CaseKind,
-    CaseMismatch,
     CouplingFamily,
+    EULER_GAMMA,
     DomainError,
     PhaseTable,
     RangeError,
     Well,
-    asymptotic_case_for,
     asymptotic_phase_derivative,
     bessel_j,
     bessel_zero,
@@ -184,52 +181,39 @@ def test_peak_sits_at_resonance_energy():
 
 
 def test_asymptotic_case_selection():
-    assert asymptotic_case_for(WELL_P).kind is CaseKind.P_RESONANCE_AT_ZERO
-    assert asymptotic_case_for(WELL_S).kind is CaseKind.S_RESONANCE_AT_ZERO
-    generic = asymptotic_case_for(WELL_G)
-    assert generic.kind is CaseKind.GENERIC
+    # WELL_G has no zero-energy structure, so the generic law applies
     expected_c = math.log(1.0) + j(0, 2.0) / (2.0 * j(1, 2.0))
-    assert generic.c_constant == pytest.approx(expected_c, rel=1e-12)
+    for lam in (0.02, 0.005):
+        u = math.log(lam / 2.0) + expected_c + EULER_GAMMA
+        generic = -(2.0 / lam) / (4.0 * u * u + math.pi**2) + (
+            j(2, 2.0) / j(0, 2.0)
+        ) * lam
+        assert asymptotic_phase_derivative(lam, WELL_G) == pytest.approx(
+            generic, rel=1e-12
+        )
 
 
 def test_asymptotic_s_case_is_linear():
-    case = asymptotic_case_for(WELL_S)
-    assert asymptotic_phase_derivative(case, 0.01, WELL_S) == pytest.approx(
+    assert asymptotic_phase_derivative(0.01, WELL_S) == pytest.approx(
         -0.015, rel=1e-12
     )
 
 
 def test_asymptotic_p_case_tracks_exact():
-    case = asymptotic_case_for(WELL_P)
-    asym = asymptotic_phase_derivative(case, 0.01, WELL_P)
+    asym = asymptotic_phase_derivative(0.01, WELL_P)
     exact = total_phase_derivative(0.01, WELL_P).value
     assert asym == pytest.approx(exact, rel=0.05)
 
 
 def test_asymptotic_generic_error_order():
-    case = asymptotic_case_for(WELL_G)
     # the defect is O(lambda / log^2 lambda); give the constant 3x headroom
     budget = 3.0 * 0.02 / math.log(0.02) ** 2
     for lam in (0.02, 0.01, 0.005):
         d = abs(
             total_phase_derivative(lam, WELL_G).value
-            - asymptotic_phase_derivative(case, lam, WELL_G)
+            - asymptotic_phase_derivative(lam, WELL_G)
         )
         assert d <= budget
-
-
-def test_asymptotic_case_mismatch_rejected():
-    with pytest.raises(CaseMismatch):
-        asymptotic_phase_derivative(AsymptoticCase.s_resonance_at_zero(), 0.01, WELL_G)
-    with pytest.raises(CaseMismatch):
-        asymptotic_phase_derivative(AsymptoticCase.p_resonance_at_zero(), 0.01, WELL_S)
-
-
-def test_asymptotic_case_construction_rules():
-    with pytest.raises(DomainError):
-        AsymptoticCase(CaseKind.GENERIC)
-    with pytest.raises(DomainError):
-        AsymptoticCase(CaseKind.S_RESONANCE_AT_ZERO, 1.0)
 
 
 # ------------------------------------------------------------ Breit-Wigner

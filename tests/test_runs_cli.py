@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import resonance_lab
 from resonance_lab import (
     FORMAT_STAMP,
     ClassifySpec,
@@ -463,6 +464,12 @@ def test_specs_run_through_the_python_api(tmp_path):
     jobs = figure_jobs(1)
     assert [name for name, _ in jobs] == ["figure1_left", "figure1_middle", "figure1_right"]
     assert figure_jobs(2, None)[0][0] == "figure2"
+
+
+def test_public_names_resolve():
+    names = resonance_lab.__all__
+    assert len(set(names)) == len(names)
+    assert [n for n in names if not hasattr(resonance_lab, n)] == []
 
 
 def test_malformed_flags_exit_one():

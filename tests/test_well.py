@@ -12,6 +12,7 @@ from resonance_lab import (
     DomainError,
     GuessKind,
     MatchError,
+    StructureError,
     SurfacePoint,
     Well,
     ZeroEnergyKind,
@@ -24,6 +25,7 @@ from resonance_lab import (
     refine,
     resonant_state,
     s_matrix_eigenvalue,
+    zero_energy_kind,
 )
 from oracles import mu_by_path, s_matrix_real_form
 
@@ -183,6 +185,34 @@ def test_classify_consistency_across_orders():
 def test_classify_requires_enough_modes():
     with pytest.raises(DomainError):
         classify_zero_energy(Well(a=1.0), 1)
+
+
+def _has_guess(ell, family):
+    """False when initial_guess finds no zero-energy structure for the mode."""
+    if ell == 0:
+        kind, eps = GuessKind.disappearing0(), -0.1
+    elif ell == 1:
+        kind, eps = GuessKind.persist_lw(-1), 0.09
+    else:
+        kind, eps = GuessKind.persist_sqrt(0), 0.09
+    try:
+        initial_guess(ell, eps, family, kind)
+    except StructureError:
+        return False
+    return True
+
+
+def test_zero_energy_kind_is_the_structure_check():
+    for a in [bessel_zero(k, 1) for k in range(5)] + [2.0]:
+        well = Well(a=a)
+        family = CouplingFamily(a0=a, rho=1.0)
+        kinds = [zero_energy_kind(ell, well) for ell in range(6)]
+        for ell, kind in enumerate(kinds):
+            assert (kind is ZeroEnergyKind.NONE) == (not _has_guess(ell, family))
+        assert [c.kind for c in classify_zero_energy(well, 5)] == kinds
+    # a = j_{k,1} carries structure in mode k + 1
+    for k in range(5):
+        assert zero_energy_kind(k + 1, Well(a=bessel_zero(k, 1))) is not ZeroEnergyKind.NONE
 
 
 # ---------------------------------------------------------------- S-matrix
