@@ -88,16 +88,17 @@ class SurfacePoint:
 
 @dataclass(frozen=True)
 class CylinderValue:
-    """A cylinder-function value and its derivative in the argument."""
+    """A cylinder-function value and its argument derivative (complex, or float arrays)."""
 
     value: complex
     derivative: complex
 
 
-def _checked_order(ell: int, modulus: float) -> int:
+def _checked_order(ell, modulus: float):
     """|ell|, once order and argument modulus are inside the validated range.
 
-    Written as `not modulus <= ...` so that a NaN modulus is rejected too.
+    Written as `not modulus <= ...` so that a NaN modulus is rejected too;
+    array calls pass their largest |ell| and modulus, NaN if any element is.
     """
     if not modulus <= MAX_ABS_ARGUMENT:
         raise RangeError(
@@ -109,51 +110,64 @@ def _checked_order(ell: int, modulus: float) -> int:
     return n
 
 
-def _with_derivative(ell: int, z: complex, c0: complex, c_low: complex) -> CylinderValue:
+def _with_derivative(ell, z, c0, c_low) -> CylinderValue:
     """C_ell and C'_ell from C_n, C_{n-1} at n = |ell|, negative orders reflected.
 
     The derivative is the recurrence C'_n = C_{n-1} - (n/z) C_n; scipy
     supplies C_{-1} = -C_1, so n = 0 needs no special case.
     """
     n = abs(ell)
-    out = CylinderValue(c0, c_low - (n / z) * c0)
+    derivative = c_low - (n / z) * c0
+    if isinstance(ell, np.ndarray):
+        sign = np.where(ell < 0, (-1) ** n, 1)
+        return CylinderValue(sign * c0, sign * derivative)
     if ell < 0 and n % 2 == 1:
-        out = CylinderValue(-out.value, -out.derivative)
-    return out
+        return CylinderValue(-c0, -derivative)
+    return CylinderValue(c0, derivative)
 
 
-def _principal(kind, ell: int, z: complex) -> CylinderValue:
-    """J or Y with derivative at principal phase."""
-    if z == 0:
-        raise DomainError("cylinder functions are singular or trivial at z = 0")
-    n = _checked_order(ell, abs(z))
-    # real positive z is evaluated as a float, which keeps Im exactly 0
-    x = z.real if z.imag == 0.0 and z.real > 0.0 else z
-    return _with_derivative(ell, z, complex(kind(n, x)), complex(kind(n - 1, x)))
+def _principal(kind, ell, z) -> CylinderValue:
+    """J or Y with derivative at principal phase: scalars in complex
+    arithmetic (real positive z as a float, which keeps Im exactly 0), arrays
+    elementwise in floats, equal to the real parts of the scalar calls."""
+    if not (isinstance(ell, np.ndarray) or isinstance(z, np.ndarray)):
+        z = complex(z)
+        if z == 0:
+            raise DomainError("cylinder functions are singular or trivial at z = 0")
+        n = _checked_order(ell, abs(z))
+        x = z.real if z.imag == 0.0 and z.real > 0.0 else z
+        return _with_derivative(ell, z, complex(kind(n, x)), complex(kind(n - 1, x)))
+    ell, x = np.asarray(ell), np.asarray(z)
+    n = np.abs(ell)
+    _checked_order(n.max(initial=0), x.max(initial=0.0))
+    if x.dtype.kind == "c" or not x.min(initial=1.0) > 0:
+        raise DomainError("array arguments must be real and positive")
+    return _with_derivative(ell, x, kind(n, x), kind(n - 1, x))
 
 
-def bessel_j(ell: int, z: complex) -> CylinderValue:
+def bessel_j(ell, z) -> CylinderValue:
     """J_ell(z) and J'_ell(z) at principal phase.
 
     Parameters
     ----------
-    ell : int
+    ell : int or array of int
         Order; negative orders are reflected via J_{-ell} = (-1)^ell J_ell.
-    z : complex
-        Nonzero argument with |z| <= 100.
+    z : complex or array of float
+        Nonzero argument with |z| <= 100; arrays must be real and positive.
 
     Returns
     -------
     CylinderValue
-        Value and derivative.  Real positive z takes a real evaluation path,
-        so the imaginary parts are exactly zero there.
+        Python complex value and derivative; real positive z takes a real
+        path, so their imaginary parts are exactly 0.  If ell or z is an
+        array: float arrays, broadcast over both.
     """
-    return _principal(jv, ell, complex(z))
+    return _principal(jv, ell, z)
 
 
-def bessel_y(ell: int, z: complex) -> CylinderValue:
+def bessel_y(ell, z) -> CylinderValue:
     """Y_ell(z) and Y'_ell(z) at principal phase; conventions as bessel_j."""
-    return _principal(yv, ell, complex(z))
+    return _principal(yv, ell, z)
 
 
 def _reduce_argument(theta: float) -> tuple[float, int]:
@@ -162,14 +176,14 @@ def _reduce_argument(theta: float) -> tuple[float, int]:
     The tiny guard keeps exact boundary values (theta = pi/2 + k*pi) on the
     sheet below instead of flipping on rounding noise.
     """
+    if not math.isfinite(theta):
+        raise DomainError(f"argument {theta} must be finite")
     m = math.ceil((theta - math.pi / 2) / math.pi - 1e-15)
     return theta - m * math.pi, m
 
 
-def _continued_jy(n: int, point: SurfacePoint) -> tuple[complex, complex]:
-    """(J_n, Y_n) at a surface point, n >= -1, continued across sheets."""
-    theta0, m = _reduce_argument(point.argument)
-    z0 = cmath.exp(complex(point.log_value.real, theta0))
+def _continued_jy(n: int, z0: complex, m: int) -> tuple[complex, complex]:
+    """(J_n, Y_n) at z0 e^{i m pi}, n >= -1, continued from principal-phase z0."""
     j0 = complex(jv(n, z0))
     y0 = complex(yv(n, z0))
     if m == 0:
@@ -200,9 +214,10 @@ def hankel(kind: int, ell: int, point: SurfacePoint | complex) -> CylinderValue:
     if not isinstance(point, SurfacePoint):
         point = SurfacePoint.from_complex(point)
     n = _checked_order(ell, point.modulus)
-
-    j0, y0 = _continued_jy(n, point)
-    j1, y1 = _continued_jy(n - 1, point)
+    theta0, m = _reduce_argument(point.argument)
+    z0 = cmath.exp(complex(point.log_value.real, theta0))
+    j0, y0 = _continued_jy(n, z0, m)
+    j1, y1 = _continued_jy(n - 1, z0, m)
     if kind == 1:
         h0, h_low = j0 + 1j * y0, j1 + 1j * y1
     else:

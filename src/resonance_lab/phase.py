@@ -15,7 +15,8 @@ resonance (J_1(a rho) = 0), or neither (generic).  The matching closed-form
 small-lambda laws and their integrals are provided, as are Breit-Wigner
 peak overlays for comparing sigma' with nearby resonances.
 
-Everything here is real arithmetic; sigma'_ell values are floats.
+Everything here is real arithmetic.  sigma'_ell has one evaluation, over
+arrays of (ell, lambda) pairs; the scalar calls are its one-point case.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .cylinder import EULER_GAMMA, bessel_j, bessel_y
 from .errors import DomainError, QuadratureError, RangeError
@@ -42,10 +42,6 @@ class TotalPhaseDerivative(NamedTuple):
     l_max: int
 
 
-def _j(ell: int, x: float) -> float:
-    return bessel_j(ell, x).value.real
-
-
 def _small_lambda_kind(well: Well) -> ZeroEnergyKind:
     """The structure that sets the small-lambda law: P_RESONANCE (mode 1)
     before S_RESONANCE (mode 0); NONE is the generic law."""
@@ -54,16 +50,50 @@ def _small_lambda_kind(well: Well) -> ZeroEnergyKind:
     return zero_energy_kind(0, well)
 
 
-def _generic_log(lam: float, well: Well) -> float:
-    """log(lambda/2) + C(rho, a) + gamma, with C = log rho + J_0(x)/(x J_1(x))."""
+def _generic_law(lam: float, well: Well) -> tuple[float, float]:
+    """u = log(lambda/2) + C + gamma, C = log rho + J_0(x)/(x J_1(x)), and
+    J_2(x)/J_0(x) at x = rho a: the pieces of the generic small-lambda law."""
     x = well.rho * well.a
-    c = math.log(well.rho) + _j(0, x) / (x * _j(1, x))
-    return math.log(lam / 2.0) + c + EULER_GAMMA
+    j0, j1, j2 = bessel_j(np.arange(3), x).value
+    c = math.log(well.rho) + float(j0 / (x * j1))
+    return math.log(lam / 2.0) + c + EULER_GAMMA, float(j2 / j0)
 
 
-def phase_shift_derivative(
-    ell: int, lam: float, well: Well, form: str = "auto"
-) -> float:
+def _mode_values(n: np.ndarray, lam: np.ndarray, well: Well, form: str = "auto") -> np.ndarray:
+    """sigma'_n(lambda) elementwise over 1-d arrays of orders n >= 0 and real
+    lambda > 0, the form chosen per element as phase_shift_derivative says."""
+    a, rho = well.a, well.rho
+    m = np.sqrt(lam * lam + a * a)
+    # J_n(mu rho), J_{n-1}(mu rho) and J_n(lambda rho) in one call
+    j = bessel_j(n - np.array([[0], [1], [0]]), np.array([m * rho, m * rho, lam * rho]))
+    (jm, j_low, ej), (jmp, _, ejp) = j.value, j.derivative
+    if form == "auto":
+        primary = np.abs(jmp) > 1e-6 * (np.abs(jm) + np.abs(j_low))
+    elif form in ("primary", "alternate"):
+        primary = np.full(n.shape, form == "primary")
+    else:
+        raise DomainError(f"unknown sigma'_ell form {form!r}")
+
+    y = bessel_y(n, lam * rho)
+    # evaluated everywhere; where J'_n(mu rho) ~ 0 the value is not selected
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        amp = -(lam / m) * jm / jmp
+        num = 1.0 - (n * n) / (lam * rho) ** 2 * amp * amp
+        u = ej + amp * ejp
+        v = y.value + amp * y.derivative
+        out = -(a * a) / (m * m) * (2.0 / (math.pi**2 * lam)) * num / (u * u + v * v)
+
+    alt = ~primary
+    if alt.any():
+        n, lam, m, jm, j_low = n[alt], lam[alt], m[alt], jm[alt], j_low[alt]
+        j_high = bessel_j(n + 1, m * rho).value
+        u = m * j_low * ej[alt] - lam * jm * bessel_j(n - 1, lam * rho).value
+        v = m * j_low * y.value[alt] - lam * jm * bessel_y(n - 1, lam * rho).value
+        out[alt] = (2.0 * a * a) / (math.pi**2 * lam) * j_low * j_high / (u * u + v * v)
+    return out
+
+
+def phase_shift_derivative(ell: int, lam: float, well: Well, form: str = "auto") -> float:
     """Exact sigma'_ell(lambda) for real lambda > 0.
 
     The primary form divides by J'_ell(mu rho); when that is small relative
@@ -73,52 +103,54 @@ def phase_shift_derivative(
     """
     if not (lam > 0):
         raise DomainError("sigma'_ell is defined for real lambda > 0")
-    n = abs(ell)
-    a, rho = well.a, well.rho
-    m = math.sqrt(lam * lam + a * a)
-    j_in = bessel_j(n, m * rho)
-    jm = j_in.value.real
-    jmp = j_in.derivative.real
-    j_low = _j(n - 1, m * rho)
-
-    if form == "auto":
-        form = "primary" if abs(jmp) > 1e-6 * (abs(jm) + abs(j_low)) else "alternate"
-
-    if form == "primary":
-        edge_j = bessel_j(n, lam * rho)
-        edge_y = bessel_y(n, lam * rho)
-        amp = -(lam / m) * jm / jmp
-        num = 1.0
-        if n >= 1:
-            num -= (n * n) / (lam * rho) ** 2 * amp * amp
-        u = edge_j.value.real + amp * edge_j.derivative.real
-        v = edge_y.value.real + amp * edge_y.derivative.real
-        return -(a * a) / (m * m) * (2.0 / (math.pi**2 * lam)) * num / (u * u + v * v)
-
-    if form == "alternate":
-        j_high = _j(n + 1, m * rho)
-        ej = _j(n, lam * rho)
-        ey = bessel_y(n, lam * rho).value.real
-        ej_low = _j(n - 1, lam * rho)
-        ey_low = bessel_y(n - 1, lam * rho).value.real
-        u = m * j_low * ej - lam * jm * ej_low
-        v = m * j_low * ey - lam * jm * ey_low
-        return (2.0 * a * a) / (math.pi**2 * lam) * j_low * j_high / (u * u + v * v)
-
-    raise DomainError(f"unknown sigma'_ell form {form!r}")
+    return float(_mode_values(np.array([abs(ell)]), np.array([lam], dtype=float), well, form)[0])
 
 
-def mode_tail_bound(ell: int, lam: float, well: Well) -> float:
+def mode_tail_bound(ell, lam, well: Well):
     """Tail majorant (ell^3/(mu^2 lambda)) (lambda rho e/(2 ell))^{2 ell}.
 
     Valid (with a 100x safety margin) for ell beyond e*lambda*rho/2; the
-    measured |sigma'_ell| stays below 100 times this value there.
+    measured |sigma'_ell| stays below 100 times this value there.  ell and
+    lambda broadcast; scalars give a float.
     """
-    if not (lam > 0) or ell < 1:
+    ell, lam = np.asarray(ell), np.asarray(lam, dtype=float)
+    if not (lam.min(initial=1.0) > 0 and ell.min(initial=1) >= 1):
         raise DomainError("tail bound needs lambda > 0 and ell >= 1")
     mu_sq = lam * lam + well.a * well.a
-    base = lam * well.rho * math.e / (2.0 * ell)
-    return (ell**3 / (mu_sq * lam)) * math.exp(2.0 * ell * math.log(base))
+    two_ell = 2.0 * ell
+    out = (ell**3 / (mu_sq * lam)) * np.exp(two_ell * np.log(lam * well.rho * math.e / two_ell))
+    return out if out.ndim else float(out)
+
+
+def _mode_cutoff(lam: np.ndarray, well: Well) -> np.ndarray:
+    """The certified l_max at each lambda of a 1-d array: one less than the first
+    ell >= max(2, ceil(e lambda rho/2) + 1), and <= 200, with 100 x mode_tail_bound
+    below TAIL_TOL, searched in blocks from there that double until all are found."""
+    start = np.maximum(2, np.ceil(math.e * lam * well.rho / 2.0).astype(int) + 1)
+    for span in (16, 32, 64, 128, 256):
+        ell = start + np.arange(span)[:, None]
+        ok = (ell <= 200) & (100.0 * mode_tail_bound(ell, lam, well) < TAIL_TOL)
+        if ok.any(axis=0).all():
+            return start + ok.argmax(axis=0) - 1
+    raise RangeError("mode sum failed to certify truncation by ell = 200")
+
+
+def _phase_table(lam: np.ndarray, well: Well, modes: int = 0):
+    """sigma'_ell over ell = 0..max(l_max, modes) at each lambda of a 1-d array
+    (0 past both, unevaluated), the totals sigma' and the cutoffs l_max."""
+    if not (lam.min() > 0 and lam.max() <= LAMBDA_MAX):
+        raise RangeError(f"lambda in [{lam.min()}, {lam.max()}] outside (0, {LAMBDA_MAX}]")
+    l_max = _mode_cutoff(lam, well)
+    need = np.maximum(l_max, modes)
+    ell, col = np.nonzero(np.arange(need.max() + 1)[:, None] <= need)
+    table = np.zeros((need.max() + 1, len(lam)))
+    table[ell, col] = _mode_values(ell, lam[col], well)
+    # sigma'_0 + 2 sigma'_1 + ... added mode by mode, in that order (an
+    # accumulate, not a pairwise sum), and each total read at its l_max
+    terms = 2.0 * table
+    terms[0] = table[0]
+    totals = np.add.accumulate(terms)[l_max, np.arange(len(lam))]
+    return table, totals, l_max
 
 
 def total_phase_derivative(lam: float, well: Well) -> TotalPhaseDerivative:
@@ -126,18 +158,8 @@ def total_phase_derivative(lam: float, well: Well) -> TotalPhaseDerivative:
 
     Returns the value and the largest mode index actually summed.
     """
-    if not (0 < lam <= LAMBDA_MAX):
-        raise RangeError(f"lambda = {lam} outside validated range (0, {LAMBDA_MAX}]")
-    total = phase_shift_derivative(0, lam, well)
-    ell_start = max(2, math.ceil(math.e * lam * well.rho / 2.0) + 1)
-    ell = 1
-    while True:
-        if ell >= ell_start and 100.0 * mode_tail_bound(ell, lam, well) < TAIL_TOL:
-            return TotalPhaseDerivative(total, ell - 1)
-        total += 2.0 * phase_shift_derivative(ell, lam, well)
-        ell += 1
-        if ell > 200:
-            raise RangeError("mode sum failed to certify truncation by ell = 200")
+    _, totals, l_max = _phase_table(np.array([lam], dtype=float), well)
+    return TotalPhaseDerivative(float(totals[0]), int(l_max[0]))
 
 
 def asymptotic_phase_derivative(lam: float, well: Well) -> float:
@@ -154,42 +176,23 @@ def asymptotic_phase_derivative(lam: float, well: Well) -> float:
         )
     if kind is ZeroEnergyKind.S_RESONANCE:
         return -1.5 * rho * rho * lam
-    x = well.rho * well.a
-    u = _generic_log(lam, well)
-    return -(2.0 / lam) / (4.0 * u * u + math.pi**2) + (
-        _j(2, x) / _j(0, x)
-    ) * rho * rho * lam
+    u, ratio = _generic_law(lam, well)
+    return -(2.0 / lam) / (4.0 * u * u + math.pi**2) + ratio * rho * rho * lam
 
 
-def breit_wigner_overlay(
-    lambda_grid,
-    resonances,
-    background: str = "none",
-    coefficient: float = 0.0,
-    omit_pi: bool = False,
-) -> np.ndarray:
-    """Sum of resonance peaks (-Im k)/(pi |lambda - k|^2) plus a background.
+def breit_wigner_overlay(lambda_grid, resonances) -> np.ndarray:
+    """Sum of resonance peaks (-Im k)/(pi |lambda - k|^2) over the grid.
 
-    Backgrounds: "none", "sqrt" (coefficient*sqrt(lambda)), "log"
-    (coefficient*log(lambda)).  omit_pi drops the 1/pi factor, matching
-    plot conventions that fold it into the peak height.  Every resonance
-    must have Im < 0.
+    Every resonance must have Im < 0.
     """
     grid = np.asarray(lambda_grid, dtype=float)
     out = np.zeros_like(grid)
-    norm = 1.0 if omit_pi else math.pi
     for k in resonances:
         k = complex(k)
         if k.imag >= 0:
             raise DomainError(f"resonance {k} has Im >= 0")
-        out += (-k.imag) / (norm * np.abs(grid - k) ** 2)
-    if background == "none":
-        return out
-    if background == "sqrt":
-        return out + coefficient * np.sqrt(grid)
-    if background == "log":
-        return out + coefficient * np.log(grid)
-    raise DomainError(f"unknown background form {background!r}")
+        out += (-k.imag) / (math.pi * np.abs(grid - k) ** 2)
+    return out
 
 
 def _sigma_analytic(lam: float, well: Well) -> float:
@@ -204,10 +207,9 @@ def _sigma_analytic(lam: float, well: Well) -> float:
         return piece1 + piece2
     if kind is ZeroEnergyKind.S_RESONANCE:
         return -0.75 * rho * rho * lam * lam
-    x = well.rho * well.a
-    u = _generic_log(lam, well)
+    u, ratio = _generic_law(lam, well)
     piece1 = -math.atan(2.0 * u / math.pi) / math.pi - 0.5
-    return piece1 + (_j(2, x) / _j(0, x)) * rho * rho * lam * lam / 2.0
+    return piece1 + ratio * rho * rho * lam * lam / 2.0
 
 
 def scattering_phase(lam: float, well: Well) -> float:
@@ -223,6 +225,8 @@ def scattering_phase(lam: float, well: Well) -> float:
         raise RangeError(f"lambda = {lam} outside validated range (0, {LAMBDA_MAX}]")
     if lam <= SIGMA_SPLIT:
         return _sigma_analytic(lam, well)
+    # imported here: scipy.integrate is a third of the package's import time
+    from scipy.integrate import quad
 
     total = _sigma_analytic(SIGMA_SPLIT, well)
     edges = [SIGMA_SPLIT]
@@ -232,15 +236,8 @@ def scattering_phase(lam: float, well: Well) -> float:
         step *= 2.0
     err_budget = 0.0
     for lo, hi in zip(edges, edges[1:]):
-        res = quad(
-            lambda t: total_phase_derivative(t, well).value,
-            lo,
-            hi,
-            epsabs=1e-10,
-            epsrel=1e-10,
-            limit=200,
-            full_output=1,
-        )
+        res = quad(lambda t: total_phase_derivative(t, well).value, lo, hi,
+                   epsabs=1e-10, epsrel=1e-10, limit=200, full_output=1)
         if len(res) > 3:
             raise QuadratureError(f"quadrature trouble on [{lo}, {hi}]: {res[3]}")
         total += res[0]
@@ -266,24 +263,10 @@ class PhaseTable:
     per_mode: dict[int, np.ndarray] | None = None
 
     @classmethod
-    def build(
-        cls, lambda_grid, well: Well, include_modes: int | None = None
-    ) -> "PhaseTable":
+    def build(cls, lambda_grid, well: Well, include_modes: int | None = None) -> "PhaseTable":
         grid = np.asarray(lambda_grid, dtype=float)
-        if grid.ndim != 1 or len(grid) == 0:
-            raise DomainError("lambda grid must be a nonempty 1-d array")
-        if not (np.all(grid > 0) and np.all(np.diff(grid) > 0)):
-            raise DomainError("lambda grid must be positive and increasing")
-        totals = np.empty_like(grid)
-        lmaxes = np.empty(len(grid), dtype=int)
-        for i, lam in enumerate(grid):
-            totals[i], lmaxes[i] = total_phase_derivative(lam, well)
-        per_mode = None
-        if include_modes is not None:
-            per_mode = {
-                ell: np.array(
-                    [phase_shift_derivative(ell, lam, well) for lam in grid]
-                )
-                for ell in range(include_modes + 1)
-            }
-        return cls(lambda_grid=grid, total=totals, l_max=lmaxes, per_mode=per_mode)
+        if grid.ndim != 1 or len(grid) == 0 or not (grid[0] > 0 and np.all(np.diff(grid) > 0)):
+            raise DomainError("lambda grid must be a nonempty 1-d array, positive and increasing")
+        table, totals, l_max = _phase_table(grid, well, include_modes or 0)
+        per_mode = None if include_modes is None else dict(enumerate(table[: include_modes + 1]))
+        return cls(lambda_grid=grid, total=totals, l_max=l_max, per_mode=per_mode)

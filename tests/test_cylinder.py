@@ -294,6 +294,37 @@ def test_nan_argument_is_a_range_error(call):
         call()
 
 
+@pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+def test_hankel_rejects_non_finite_phase(phase):
+    with pytest.raises(DomainError):
+        hankel(1, 0, SurfacePoint(complex(0.0, phase)))
+
+
+def test_array_orders_and_arguments_match_scalar_calls():
+    orders = np.arange(-3, 9)[:, None]
+    xs = np.array([1e-3, 0.4, 1.0, 2.5, 7.3, 40.0, 99.0])
+    for fn in (bessel_j, bessel_y):
+        table = fn(orders, xs)
+        assert table.value.shape == table.derivative.shape == (12, 7)
+        for i, ell in enumerate(orders[:, 0]):
+            for k, x in enumerate(xs):
+                one = fn(int(ell), float(x))
+                assert type(one.value) is complex and type(one.derivative) is complex
+                assert one.value.imag == one.derivative.imag == 0.0
+                assert table.value[i, k] == one.value.real
+                assert table.derivative[i, k] == one.derivative.real
+        with pytest.raises(RangeError):
+            fn(orders, np.append(xs, 100.5))
+        with pytest.raises(RangeError):
+            fn(np.append(orders, 81), 1.0)
+        with pytest.raises(RangeError):
+            fn(orders, np.append(xs, math.nan))
+        with pytest.raises(DomainError):
+            fn(orders, np.append(xs, 0.0))
+        with pytest.raises(DomainError):
+            fn(orders, xs + 0j)
+
+
 def test_domain_and_range_errors():
     with pytest.raises(DomainError):
         bessel_j(0, 0)

@@ -1,11 +1,16 @@
 """Phase-shift derivatives, mode sums, low-energy laws, Breit-Wigner."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import resonance_lab
 from resonance_lab import (
     CouplingFamily,
     EULER_GAMMA,
@@ -225,24 +230,6 @@ def test_overlay_peak_height():
     assert peak == pytest.approx(1.0 / (math.pi * 0.002), rel=1e-12)
 
 
-def test_overlay_matches_drawn_curve_formula():
-    # the drawn curves fold 1/pi into the height and add the eyeballed
-    # background: 0.0017315/((x-0.2100356)^2+0.0017315^2) - 0.8 sqrt(x)
-    lam = 0.5
-    res = 0.2100356 - 0.0017315j
-    drawn = 0.0017315 / ((lam - 0.2100356) ** 2 + 0.0017315**2) - 0.8 * math.sqrt(lam)
-    out = breit_wigner_overlay(
-        [lam], [res], background="sqrt", coefficient=-0.8, omit_pi=True
-    )
-    assert out[0] == pytest.approx(drawn, rel=1e-12)
-    with_pi = breit_wigner_overlay([lam], [res], background="sqrt", coefficient=-0.8)
-    assert with_pi[0] == pytest.approx(
-        0.0017315 / math.pi / ((lam - 0.2100356) ** 2 + 0.0017315**2)
-        - 0.8 * math.sqrt(lam),
-        rel=1e-12,
-    )
-
-
 def test_overlay_empty_is_zero():
     out = breit_wigner_overlay(np.linspace(0.1, 1.0, 7), [])
     assert np.all(out == 0.0)
@@ -251,8 +238,6 @@ def test_overlay_empty_is_zero():
 def test_overlay_rejects_upper_half_resonances():
     with pytest.raises(DomainError):
         breit_wigner_overlay([0.5], [0.2 + 0.001j])
-    with pytest.raises(DomainError):
-        breit_wigner_overlay([0.5], [0.2 - 0.001j], background="tanh")
 
 
 # ------------------------------------------------------- integrated sigma
@@ -281,6 +266,17 @@ def test_sigma_decreases_where_derivative_negative():
     assert all(v < 0 for v in values)
 
 
+def test_import_leaves_scipy_integrate_unloaded():
+    # scattering_phase, its only user, imports it on first call
+    src = str(Path(resonance_lab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, resonance_lab; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_sigma_range_validation():
     with pytest.raises(RangeError):
         scattering_phase(6.0, WELL_G)
@@ -289,17 +285,40 @@ def test_sigma_range_validation():
 # ------------------------------------------------------------- PhaseTable
 
 
+TABLE_GRID = np.linspace(0.01, 4.5, 37)
+# J'_1(mu rho) = 0 at TABLE_GRID[4]: the auto switch takes the alternate form there
+WELL_ALT = Well(a=math.sqrt(1.8411837813406593**2 - TABLE_GRID[4] ** 2))
+
+
+def test_alternate_form_is_taken_where_inner_derivative_vanishes():
+    lam = TABLE_GRID[4]
+    auto = phase_shift_derivative(1, lam, WELL_ALT)
+    assert auto == phase_shift_derivative(1, lam, WELL_ALT, form="alternate")
+    assert auto != phase_shift_derivative(1, lam, WELL_ALT, form="primary")
+
+
 def test_phase_table_build():
     grid = np.array([0.05, 0.1, 0.2, 0.4])
     table = PhaseTable.build(grid, WELL_G, include_modes=1)
     assert table.total.shape == grid.shape
     assert set(table.per_mode) == {0, 1}
-    for ell, row in table.per_mode.items():
-        for x, v in zip(grid, row):
-            assert v == pytest.approx(phase_shift_derivative(ell, x, WELL_G))
     # mode sum dominated by the listed modes at the smallest lambdas
     partial = table.per_mode[0] + 2 * table.per_mode[1]
     assert np.allclose(partial[:2], table.total[:2], atol=1e-4)
+    # one evaluation path: the table rows, totals and cutoffs are the
+    # scalar calls' values bit for bit, and each total is the mode-by-mode
+    # sum sigma'_0 + 2 sigma'_1 + ... in that order
+    for well in (WELL_G, WELL_P, Well(a=2.4, rho=1.5), WELL_ALT):
+        table = PhaseTable.build(TABLE_GRID, well, include_modes=6)
+        for i, lam in enumerate(TABLE_GRID):
+            modes = [phase_shift_derivative(ell, lam, well) for ell in range(7)]
+            assert [table.per_mode[ell][i] for ell in range(7)] == modes
+            total = total_phase_derivative(lam, well)
+            assert (table.total[i], table.l_max[i]) == (total.value, total.l_max)
+            by_hand = phase_shift_derivative(0, lam, well)
+            for ell in range(1, total.l_max + 1):
+                by_hand += 2.0 * phase_shift_derivative(ell, lam, well)
+            assert table.total[i] == by_hand
 
 
 def test_phase_table_grid_validation():
