@@ -45,10 +45,10 @@ def delta_phase_derivative(a: float, lam: float) -> float:
     + lambda^2) is multiplied through by sin^2(lambda), removing the
     cot/csc singularities (they are removable in the combination).
     """
-    if not (a > 0):
-        raise DomainError("delta strength a must be positive")
-    if not (lam > 0):
-        raise DomainError("sigma' is defined for real lambda > 0")
+    if not (0 < a < math.inf):
+        raise DomainError("delta strength a must be positive and finite")
+    if not (0 < lam < math.inf):
+        raise DomainError("sigma' is defined for real finite lambda > 0")
     s = math.sin(lam)
     c = math.cos(lam)
     num = a * s * s + lam * lam

@@ -339,8 +339,11 @@ def sector_scan(
     """Scan |Q_0| over {0 < |lambda| <= radius, |arg lambda| <= pi/2}.
 
     found_zero is True when some grid point dips below SCAN_DEPTH_TOL times
-    the grid median, the signature of a zero inside the sector.
+    the grid median, the signature of a zero inside the sector.  The grid
+    needs n_radii >= 1 and n_angles >= 2.
     """
+    if not (n_radii >= 1 and n_angles >= 2):
+        raise DomainError(f"sector grid {n_radii} x {n_angles} needs n_radii >= 1, n_angles >= 2")
     values: list[float] = []
     best = math.inf
     best_at = SurfacePoint.from_polar(radius, 0.0)
@@ -402,25 +405,3 @@ def persistence_verdict(
                 f"jump {jump:.3e} between eps = {a.epsilon} and {b.epsilon}"
             )
     return Verdict.PERSISTS
-
-
-def fit_first_correction(trk: ResonanceTrack) -> complex:
-    """Least-squares estimate of c in lambda_eps ~ guess * (1 + c*eps).
-
-    A post-hoc diagnostic of the next-order coefficient; guesses never use
-    it.  Needs at least two found records.
-    """
-    num = 0j
-    den = 0.0
-    count = 0
-    for rec in trk.records:
-        if rec.classification is Classification.NOT_FOUND:
-            continue
-        g = rec.guess.value
-        r = rec.refined.value
-        num += rec.epsilon * g.conjugate() * (r - g)
-        den += rec.epsilon ** 2 * abs(g) ** 2
-        count += 1
-    if count < 2 or den == 0:
-        raise DomainError("need at least two found records to fit a correction")
-    return num / den

@@ -35,6 +35,13 @@ LAMBDA_MAX = 5.0
 SIGMA_SPLIT = 1e-6
 # the mode sum stops once 100x the certified tail bound is below this
 TAIL_TOL = 1e-14
+# scattering_phase's panels; SIGMA_NOISE is a rounding allowance, since
+# sigma' itself carries about 1e-10 relative noise on a narrow peak
+SIGMA_PANELS = 16
+SIGMA_TARGET = 1e-9
+SIGMA_NOISE = 1e-9
+SIGMA_MAX_OPEN = 256
+SIGMA_ERROR = 1e-6
 
 
 class TotalPhaseDerivative(NamedTuple):
@@ -183,14 +190,14 @@ def asymptotic_phase_derivative(lam: float, well: Well) -> float:
 def breit_wigner_overlay(lambda_grid, resonances) -> np.ndarray:
     """Sum of resonance peaks (-Im k)/(pi |lambda - k|^2) over the grid.
 
-    Every resonance must have Im < 0.
+    Every resonance must be finite with Im < 0.
     """
     grid = np.asarray(lambda_grid, dtype=float)
     out = np.zeros_like(grid)
     for k in resonances:
         k = complex(k)
-        if k.imag >= 0:
-            raise DomainError(f"resonance {k} has Im >= 0")
+        if not (np.isfinite(k) and k.imag < 0):
+            raise DomainError(f"resonance {k} is not finite with Im < 0")
         out += (-k.imag) / (math.pi * np.abs(grid - k) ** 2)
     return out
 
@@ -217,33 +224,42 @@ def scattering_phase(lam: float, well: Well) -> float:
 
     Below the split point 1e-6 the small-lambda law is integrated in closed form
     (sigma' there behaves like -1/(lambda log^2 lambda), integrable but
-    stiff); above it, adaptive quadrature runs over a fixed doubling panel
-    grid.  Absolute error target 1e-6; QuadratureError when the estimates
-    cannot certify it.
+    stiff).  Above it, 8-point Gauss-Legendre on SIGMA_PANELS equal panels in
+    t = log lambda integrates lambda sigma', each round sending every open
+    panel, whole and halved, to one array call.  A panel is accepted once the
+    two agree to its share of SIGMA_TARGET plus SIGMA_NOISE of its integral
+    of |lambda sigma'|; QuadratureError when more than SIGMA_MAX_OPEN panels
+    are open or the accepted differences add up to more than SIGMA_ERROR.
     """
     if not (0 < lam <= LAMBDA_MAX):
         raise RangeError(f"lambda = {lam} outside validated range (0, {LAMBDA_MAX}]")
     if lam <= SIGMA_SPLIT:
         return _sigma_analytic(lam, well)
-    # imported here: scipy.integrate is a third of the package's import time
-    from scipy.integrate import quad
-
-    total = _sigma_analytic(SIGMA_SPLIT, well)
-    edges = [SIGMA_SPLIT]
-    step = 0.01
-    while edges[-1] < lam:
-        edges.append(min(step, lam) if step > edges[-1] else lam)
-        step *= 2.0
-    err_budget = 0.0
-    for lo, hi in zip(edges, edges[1:]):
-        res = quad(lambda t: total_phase_derivative(t, well).value, lo, hi,
-                   epsabs=1e-10, epsrel=1e-10, limit=200, full_output=1)
-        if len(res) > 3:
-            raise QuadratureError(f"quadrature trouble on [{lo}, {hi}]: {res[3]}")
-        total += res[0]
-        err_budget += res[1]
-    if err_budget > 1e-6:
-        raise QuadratureError(f"accumulated quadrature error {err_budget:.2e} > 1e-6")
+    # computed here, not at import: the eigenvalue solve costs about 1 MB of RSS
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    t0, t1 = math.log(SIGMA_SPLIT), math.log(lam)
+    edges = np.linspace(t0, t1, SIGMA_PANELS + 1)
+    lo, hi = edges[:-1], edges[1:]
+    total, err = _sigma_analytic(SIGMA_SPLIT, well), 0.0
+    while len(lo):
+        if len(lo) > SIGMA_MAX_OPEN:
+            raise QuadratureError(f"{len(lo)} panels open from lambda = {math.exp(lo.min()):.3g}")
+        mid = 0.5 * (lo + hi)
+        # rows: every open panel whole, then its lower and its upper half
+        start, stop = np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi])
+        half = 0.5 * (stop - start)
+        x = np.exp((start + half)[:, None] + half[:, None] * nodes)
+        f = x * _phase_table(x.ravel(), well)[1].reshape(x.shape)
+        whole, low, high = np.split(half * (f @ weights), 3)
+        size = (half * (np.abs(f) @ weights))[: len(lo)]
+        halves = low + high
+        diff = np.abs(whole - halves)
+        done = diff <= SIGMA_TARGET * (hi - lo) / (t1 - t0) + SIGMA_NOISE * size
+        total += float(halves[done].sum())
+        err += float(diff[done].sum())
+        lo, hi = np.concatenate([lo[~done], mid[~done]]), np.concatenate([mid[~done], hi[~done]])
+    if err > SIGMA_ERROR:
+        raise QuadratureError(f"quadrature error estimate {err:.2e} > {SIGMA_ERROR}")
     return total
 
 

@@ -104,3 +104,11 @@ def test_phase_derivative_validation():
         delta_phase_derivative(0.0, 1.0)
     with pytest.raises(DomainError):
         delta_phase_derivative(10.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "a, lam", [(1.0, math.inf), (math.inf, 0.5), (math.nan, 0.5), (1.0, math.nan)]
+)
+def test_phase_derivative_rejects_non_finite(a, lam):
+    with pytest.raises(DomainError):
+        delta_phase_derivative(a, lam)

@@ -18,8 +18,8 @@ from resonance_lab import (
     StructureError,
     SurfacePoint,
     Verdict,
+    Well,
     bessel_zero,
-    fit_first_correction,
     initial_guess,
     persistence_verdict,
     refine,
@@ -281,18 +281,7 @@ def test_sector_scan_sees_mode0_zero_when_deepened():
     assert scan.location.modulus == pytest.approx(0.0206, abs=0.001)
 
 
-# ------------------------------------------------------------- diagnostics
-
-
-def test_fit_first_correction_smoke():
-    trk = track(2, FAM_S, (0.02, 0.04, 0.08, 0.16), GuessKind.persist_sqrt(0))
-    c = fit_first_correction(trk)
-    assert cmath.isfinite(c)
-    # correction is a genuine next-order effect, not noise
-    assert 1e-4 < abs(c) < 10.0
-
-
-def test_fit_first_correction_needs_two_points():
-    trk = track(2, FAM_S, (0.09,), GuessKind.persist_sqrt(0))
+@pytest.mark.parametrize("n_radii, n_angles", [(200, 1), (0, 60), (200, 0)])
+def test_sector_scan_rejects_degenerate_grid(n_radii, n_angles):
     with pytest.raises(DomainError):
-        fit_first_correction(trk)
+        sector_scan(Well(3.0), n_radii=n_radii, n_angles=n_angles)

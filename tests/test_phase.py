@@ -28,7 +28,7 @@ from resonance_lab import (
     scattering_phase,
     total_phase_derivative,
 )
-from oracles import fd_phase_derivative
+from oracles import fd_phase_derivative, s_matrix_real_form
 
 WELL_P = Well(a=bessel_zero(0, 1))  # J_0 zero at the edge
 WELL_S = Well(a=bessel_zero(1, 1))  # J_1 zero at the edge
@@ -240,6 +240,13 @@ def test_overlay_rejects_upper_half_resonances():
         breit_wigner_overlay([0.5], [0.2 + 0.001j])
 
 
+@pytest.mark.parametrize("k", [complex(0.3, math.nan), complex(math.nan, -0.01),
+                               complex(math.inf, -1), complex(0.3, -math.inf)])
+def test_overlay_rejects_non_finite_resonances(k):
+    with pytest.raises(DomainError):
+        breit_wigner_overlay([0.5], [k])
+
+
 # ------------------------------------------------------- integrated sigma
 
 
@@ -266,11 +273,28 @@ def test_sigma_decreases_where_derivative_negative():
     assert all(v < 0 for v in values)
 
 
+@pytest.mark.parametrize("a", [3.1, math.sqrt(bessel_zero(1, 1) ** 2 - 0.09)])
+def test_sigma_matches_phase_shift_sum(a):
+    # sigma(1.5) - sigma(0.5) as the unwrapped phase of each S_ell on a grid
+    # fine enough that no step turns it by pi, S_ell in real J/Y arithmetic
+    well = Well(a)
+    grid = np.linspace(0.5, 1.5, 2001)
+    want = 0.0
+    for ell in range(total_phase_derivative(1.5, well).l_max + 1):
+        s = np.array([s_matrix_real_form(ell, lam, a) for lam in grid])
+        want += (1.0 if ell == 0 else 2.0) * np.angle(s[1:] / s[:-1]).sum() / (2.0 * math.pi)
+    got = scattering_phase(1.5, well) - scattering_phase(0.5, well)
+    assert abs(got - want) <= 1e-9
+
+
 def test_import_leaves_scipy_integrate_unloaded():
-    # scattering_phase, its only user, imports it on first call
+    # neither importing the package nor integrating sigma loads it
     src = str(Path(resonance_lab.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, resonance_lab; print('scipy.integrate' in sys.modules)"
+    code = (
+        "import sys, resonance_lab as rl; rl.scattering_phase(1.0, rl.Well(3.1)); "
+        "print('scipy.integrate' in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
