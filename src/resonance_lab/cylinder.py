@@ -80,18 +80,19 @@ class SurfacePoint:
         return self.log_value.imag
 
     def scaled(self, factor: float) -> "SurfacePoint":
-        """The point factor*lambda for a positive real factor (phase kept)."""
-        if factor <= 0:
-            raise DomainError("scaling factor must be positive")
+        """The point factor*lambda for a positive finite factor (phase kept)."""
+        if not (0 < factor < math.inf):
+            raise DomainError(f"scaling factor {factor} must be positive and finite")
         return SurfacePoint(self.log_value + math.log(factor))
 
 
 @dataclass(frozen=True)
 class CylinderValue:
-    """A cylinder-function value and its argument derivative (complex, or float arrays)."""
+    """C_ell(z), C'_ell(z) and low = C_{|ell|-1}(z), unreflected (complex, or float arrays)."""
 
     value: complex
     derivative: complex
+    low: complex
 
 
 def _checked_order(ell, modulus: float):
@@ -120,10 +121,10 @@ def _with_derivative(ell, z, c0, c_low) -> CylinderValue:
     derivative = c_low - (n / z) * c0
     if isinstance(ell, np.ndarray):
         sign = np.where(ell < 0, (-1) ** n, 1)
-        return CylinderValue(sign * c0, sign * derivative)
+        return CylinderValue(sign * c0, sign * derivative, c_low)
     if ell < 0 and n % 2 == 1:
-        return CylinderValue(-c0, -derivative)
-    return CylinderValue(c0, derivative)
+        return CylinderValue(-c0, -derivative, c_low)
+    return CylinderValue(c0, derivative, c_low)
 
 
 def _principal(kind, ell, z) -> CylinderValue:
@@ -159,8 +160,8 @@ def bessel_j(ell, z) -> CylinderValue:
     -------
     CylinderValue
         Python complex value and derivative; real positive z takes a real
-        path, so their imaginary parts are exactly 0.  If ell or z is an
-        array: float arrays, broadcast over both.
+        path, so their imaginary parts are exactly 0.  low is J_{|ell|-1}(z).
+        If ell or z is an array: float arrays, broadcast over both.
     """
     return _principal(jv, ell, z)
 
@@ -207,7 +208,7 @@ def hankel(kind: int, ell: int, point: SurfacePoint | complex) -> CylinderValue:
     Returns
     -------
     CylinderValue
-        Continuous in the phase across sheet boundaries.
+        Continuous in the phase across sheet boundaries; low is H_{|ell|-1}.
     """
     if kind not in (1, 2):
         raise DomainError("kind must be 1 or 2")

@@ -39,8 +39,8 @@ from .well import (
     CouplingFamily,
     Well,
     ZeroEnergyKind,
+    _q_terms,
     char_q,
-    char_q_scale,
     zero_energy_kind,
 )
 
@@ -50,8 +50,9 @@ GUESS_BASIN = 3.0
 RESIDUAL_TOL = 1e-9
 EIGEN_ARG_TOL = 1e-6
 FD_STEP = 1e-7
-# Newton stops once a step in log lambda is this small
+# Newton stops once a step in log lambda is this small, or after MAX_ITER steps
 STEP_TOL = 1e-12
+MAX_ITER = 20
 # sector_scan reports a zero where |Q_0| dips below this share of its median
 SCAN_DEPTH_TOL = 1e-3
 
@@ -156,11 +157,11 @@ def initial_guess(
     """Leading-order location of the mode-ell zero at coupling offset eps.
 
     Raises StructureError when the family has no zero-energy structure in
-    this mode at eps = 0, and DomainError for a disappearing0 guess with
-    eps > 0 (the zero has left every small sector).
+    this mode at eps = 0, and DomainError for eps = 0, a non-finite eps, or
+    a disappearing0 guess with eps > 0 (the zero has left every small sector).
     """
-    if eps == 0:
-        raise DomainError("eps = 0 is the degenerate family point")
+    if eps == 0 or not math.isfinite(eps):
+        raise DomainError(f"eps = {eps} must be finite and nonzero (0 is the degenerate point)")
     n = abs(ell)
     rho = family.rho
     if kind.family == "disappearing0":
@@ -219,12 +220,11 @@ def refine(
     ell: int,
     guess: SurfacePoint,
     well: Well,
-    max_iter: int = 20,
     epsilon: float = math.nan,
 ) -> ResonanceRecord:
     """Newton refinement of char_q in the log(lambda) coordinate.
 
-    Runs at most max_iter steps with central-difference derivatives (step
+    Runs at most MAX_ITER steps with central-difference derivatives (step
     1e-7 in log lambda, i.e. 1e-7*|lambda| in lambda), stopping when the
     step drops below STEP_TOL.  The record is NotFound when the normalized
     residual |Q|/(|t1|+|t2|) stays above 1e-9, when evaluation leaves the
@@ -242,7 +242,7 @@ def refine(
         return char_q(n, SurfacePoint(wv), well)
 
     try:
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             f = q_at(w)
             fp = (q_at(w + FD_STEP) - q_at(w - FD_STEP)) / (2 * FD_STEP)
             if fp == 0 or not (abs(f) < math.inf and abs(fp) < math.inf):
@@ -251,8 +251,9 @@ def refine(
             w = w - dw
             if abs(dw) <= STEP_TOL:
                 break
-        scale = char_q_scale(n, SurfacePoint(w), well)
-        residual = abs(q_at(w)) / scale if scale > 0 else math.inf
+        t1, t2 = _q_terms(n, SurfacePoint(w), well, "wronskian")
+        scale = abs(t1) + abs(t2)
+        residual = abs(t1 - t2) / scale if scale > 0 else math.inf
     except (RangeError, OverflowError):
         return _not_found(epsilon, guess, SurfacePoint(w))
 
@@ -366,15 +367,14 @@ def sector_scan(
     )
 
 
-def persistence_verdict(
-    trk: ResonanceTrack, scan_eps: tuple[float, ...] | None = None
-) -> Verdict:
+def persistence_verdict(trk: ResonanceTrack) -> Verdict:
     """Decide whether the zero-energy family persists through eps = 0.
 
     Persist-type tracks must span both signs of eps with a gap-free,
     jump-bounded chain of found zeros; broken chains raise Inconclusive.
     Disappearing0 tracks (eps < 0 only) are judged by sector scans on the
-    shallow side: no dip of |Q_0| anywhere in the sector means Disappears.
+    shallow side, at the two smallest |eps| of the track: no dip of |Q_0|
+    anywhere in the sector means Disappears.
     """
     recs = trk.records
     for i, rec in enumerate(recs):
@@ -385,12 +385,9 @@ def persistence_verdict(
         raise Inconclusive("no refined zeros in the track")
 
     if trk.kind.family == "disappearing0":
-        if scan_eps is None:
-            mags = sorted(abs(r.epsilon) for r in recs)
-            scan_eps = tuple(dict.fromkeys(mags[:2]))
-        for e in scan_eps:
-            scan = sector_scan(trk.family.well(abs(e)))
-            if scan.found_zero:
+        mags = sorted(abs(r.epsilon) for r in recs)
+        for e in dict.fromkeys(mags[:2]):
+            if sector_scan(trk.family.well(e)).found_zero:
                 return Verdict.PERSISTS
         return Verdict.DISAPPEARS
 

@@ -71,9 +71,9 @@ def _mode_values(n: np.ndarray, lam: np.ndarray, well: Well, form: str = "auto")
     lambda > 0, the form chosen per element as phase_shift_derivative says."""
     a, rho = well.a, well.rho
     m = np.sqrt(lam * lam + a * a)
-    # J_n(mu rho), J_{n-1}(mu rho) and J_n(lambda rho) in one call
-    j = bessel_j(n - np.array([[0], [1], [0]]), np.array([m * rho, m * rho, lam * rho]))
-    (jm, j_low, ej), (jmp, _, ejp) = j.value, j.derivative
+    # J_n (and J_{n-1} as low) at mu rho and lambda rho in one call
+    j = bessel_j(n, np.array([m * rho, lam * rho]))
+    (jm, ej), (jmp, ejp), (j_low, ej_low) = j.value, j.derivative, j.low
     if form == "auto":
         primary = np.abs(jmp) > 1e-6 * (np.abs(jm) + np.abs(j_low))
     elif form in ("primary", "alternate"):
@@ -94,8 +94,8 @@ def _mode_values(n: np.ndarray, lam: np.ndarray, well: Well, form: str = "auto")
     if alt.any():
         n, lam, m, jm, j_low = n[alt], lam[alt], m[alt], jm[alt], j_low[alt]
         j_high = bessel_j(n + 1, m * rho).value
-        u = m * j_low * ej[alt] - lam * jm * bessel_j(n - 1, lam * rho).value
-        v = m * j_low * y.value[alt] - lam * jm * bessel_y(n - 1, lam * rho).value
+        u = m * j_low * ej[alt] - lam * jm * ej_low[alt]
+        v = m * j_low * y.value[alt] - lam * jm * y.low[alt]
         out[alt] = (2.0 * a * a) / (math.pi**2 * lam) * j_low * j_high / (u * u + v * v)
     return out
 

@@ -22,7 +22,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .cylinder import CylinderValue, SurfacePoint, bessel_j, hankel
+from .cylinder import SurfacePoint, bessel_j, hankel
 from .errors import BranchError, DomainError, MatchError, SingularityError
 
 # |J_{|ell|-1}(rho a)| at or below this counts as J vanishing: the well then
@@ -102,22 +102,19 @@ def _as_point(lam: SurfacePoint | complex) -> SurfacePoint:
 def _q_terms(
     ell: int, point: SurfacePoint, well: Well, form: str
 ) -> tuple[complex, complex]:
-    """The two terms whose difference is Q_ell; |t1| + |t2| is the scale."""
+    """The two terms whose difference is Q_ell; |t1| + |t2| is the scale.
+    One J and one H^(1) call at order |ell| serve both forms."""
     n = abs(ell)
     lam = point.value
     m = mu(point, well.a)
     edge = point.scaled(well.rho)
+    if form not in ("wronskian", "derivative"):
+        raise DomainError(f"unknown char_q form {form!r}")
+    j = bessel_j(n, well.rho * m)
+    h = hankel(1, n, edge)
     if form == "wronskian":
-        j_low = bessel_j(n - 1, well.rho * m).value
-        h_low = hankel(1, n - 1, edge).value
-        j_n = bessel_j(n, well.rho * m).value
-        h_n = hankel(1, n, edge).value
-        return m * j_low * h_n, lam * j_n * h_low
-    if form == "derivative":
-        j_in = bessel_j(n, well.rho * m)
-        h = hankel(1, n, edge)
-        return m * j_in.derivative * h.value, lam * j_in.value * h.derivative
-    raise DomainError(f"unknown char_q form {form!r}")
+        return m * j.low * h.value, lam * j.value * h.low
+    return m * j.derivative * h.value, lam * j.value * h.derivative
 
 
 def char_q(

@@ -64,8 +64,9 @@ def test_surface_point_scaled_keeps_argument():
     q = p.scaled(3.0)
     assert q.argument == 5.0
     assert q.modulus == pytest.approx(1.5)
-    with pytest.raises(DomainError):
-        p.scaled(-1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            p.scaled(bad)
 
 
 def test_reduce_argument_half_open_convention():
@@ -160,6 +161,11 @@ def test_hankel_continuous_across_sheet_boundaries(boundary, ell):
     lo = hankel(1, ell, SurfacePoint.from_polar(2.0, boundary - delta)).value
     hi = hankel(1, ell, SurfacePoint.from_polar(2.0, boundary + delta)).value
     assert abs(hi - lo) <= 1e-6 * abs(lo)
+    # low is the order below at the same point, on every sheet and both kinds
+    for kind in (1, 2):
+        for arg in (boundary - delta, boundary + delta):
+            pt = SurfacePoint.from_polar(2.0, arg)
+            assert hankel(kind, ell, pt).low == hankel(kind, ell - 1, pt).value
 
 
 def test_hankel_asymptotics_decay_like_one_over_z():
@@ -183,6 +189,8 @@ def test_hankel_reflection_negative_order():
         direct = hankel(1, -ell, pt).value
         expected = (-1) ** ell * hankel(1, ell, pt).value
         assert direct == expected
+        # low is not reflected: H_{|ell|-1} for either sign of ell
+        assert hankel(1, -ell, pt).low == hankel(1, ell, pt).low
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +207,7 @@ def test_recurrence_residual(ell, mod, phase_idx):
     z = mod * cmath.exp(1j * (-PI + phase_idx * 2 * PI / 16))
     for fn in (bessel_j, bessel_y):
         lo = fn(ell - 1, z).value
+        assert fn(ell, z).low == lo
         mid = fn(ell, z).value
         hi = fn(ell + 1, z).value
         resid = lo + hi - (2 * ell / z) * mid
@@ -305,14 +314,15 @@ def test_array_orders_and_arguments_match_scalar_calls():
     xs = np.array([1e-3, 0.4, 1.0, 2.5, 7.3, 40.0, 99.0])
     for fn in (bessel_j, bessel_y):
         table = fn(orders, xs)
-        assert table.value.shape == table.derivative.shape == (12, 7)
+        assert table.value.shape == table.derivative.shape == table.low.shape == (12, 7)
         for i, ell in enumerate(orders[:, 0]):
             for k, x in enumerate(xs):
                 one = fn(int(ell), float(x))
                 assert type(one.value) is complex and type(one.derivative) is complex
-                assert one.value.imag == one.derivative.imag == 0.0
+                assert one.value.imag == one.derivative.imag == one.low.imag == 0.0
                 assert table.value[i, k] == one.value.real
                 assert table.derivative[i, k] == one.derivative.real
+                assert table.low[i, k] == one.low.real == fn(abs(int(ell)) - 1, float(x)).value
         with pytest.raises(RangeError):
             fn(orders, np.append(xs, 100.5))
         with pytest.raises(RangeError):

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from resonance_lab import finder
 from resonance_lab import (
     Classification,
     CouplingFamily,
@@ -83,6 +84,15 @@ def test_guess_domain_errors():
         initial_guess(1, 0.1, FAM_P, GuessKind.persist_sqrt(0))
     with pytest.raises(DomainError):
         initial_guess(3, 0.1, FAM_D, GuessKind.persist_lw(-1))
+    families = (
+        (0, FAM_S, GuessKind.disappearing0()),
+        (1, FAM_P, GuessKind.persist_lw(-1)),
+        (2, FAM_S, GuessKind.persist_sqrt(0)),
+    )
+    for ell, family, kind in families:
+        for eps in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                initial_guess(ell, eps, family, kind)
 
 
 def test_guess_kind_validation():
@@ -133,9 +143,10 @@ def test_refine_warns_on_sheet_drift():
     assert rec.refined.argument == pytest.approx(math.pi / 2, abs=1e-6)
 
 
-def test_refine_respects_iteration_budget():
+def test_refine_respects_iteration_budget(monkeypatch):
+    monkeypatch.setattr(finder, "MAX_ITER", 1)
     guess = initial_guess(2, 0.09, FAM_S, GuessKind.persist_sqrt(0))
-    rec = refine(2, guess, FAM_S.well(0.09), max_iter=1)
+    rec = refine(2, guess, FAM_S.well(0.09))
     # one Newton step from the sqrt guess cannot reach 1e-9 residual
     assert rec.classification is Classification.NOT_FOUND
 
@@ -229,7 +240,7 @@ def test_track_continuation_survives_bad_guess_point():
 
 def test_verdict_mode0_disappears():
     trk = track(0, FAM_S, (-0.2, -0.1), GuessKind.disappearing0())
-    assert persistence_verdict(trk, scan_eps=(0.1, 0.2)) is Verdict.DISAPPEARS
+    assert persistence_verdict(trk) is Verdict.DISAPPEARS
 
 
 def test_verdict_mode1_persists():

@@ -16,10 +16,12 @@ from resonance_lab import (
     SurfacePoint,
     Well,
     ZeroEnergyKind,
+    bessel_j,
     bessel_zero,
     char_q,
     char_q_scale,
     classify_zero_energy,
+    hankel,
     initial_guess,
     mu,
     refine,
@@ -114,7 +116,8 @@ def test_char_q_reflection_symmetry_at_zeros():
 
 
 def test_char_q_forms_agree_on_grid():
-    phases = [k * math.pi / 6 - math.pi + 0.05 for k in range(12)]
+    # the principal sheet and the two below it
+    phases = [k * math.pi / 6 - math.pi + 0.05 for k in range(-24, 12)]
     for a in (1.0, 2.4, 3.83):
         well = Well(a=a)
         for ell in range(7):
@@ -125,6 +128,11 @@ def test_char_q_forms_agree_on_grid():
                     qd = char_q(ell, pt, well, form="derivative")
                     scale = char_q_scale(ell, pt, well)
                     assert abs(qw - qd) <= 1e-10 * scale
+                    # bit for bit the four-call formula, each order asked for
+                    m, edge = mu(pt, a), pt.scaled(well.rho)
+                    j_low, j_n = (bessel_j(k, well.rho * m).value for k in (ell - 1, ell))
+                    h_low, h_n = (hankel(1, k, edge).value for k in (ell - 1, ell))
+                    assert qw == m * j_low * h_n - pt.value * j_n * h_low
 
 
 def test_char_q_negative_order_matches_positive():
