@@ -15,7 +15,6 @@ import sys
 
 from .errors import ConfigError
 from .runs import (
-    FORMAT_VERSION,
     BesselEvalSpec,
     ClassifySpec,
     Delta1dSpec,
@@ -61,12 +60,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="resonance-lab")
     parser.add_argument("--output", default=".", help="directory for CSV output")
     parser.add_argument(
-        "--format-version",
-        default=FORMAT_VERSION,
-        choices=[FORMAT_VERSION],
-        help="CSV format version tag",
-    )
-    parser.add_argument(
         "--figure", type=int, default=None, help="run a numbered figure preset (1..6)"
     )
     parser.add_argument(
@@ -77,9 +70,6 @@ def build_parser() -> _Parser:
     # so `resonance-lab track ... --output dir` works in either position
     common = _Parser(add_help=False)
     common.add_argument("--output", default=argparse.SUPPRESS)
-    common.add_argument(
-        "--format-version", choices=[FORMAT_VERSION], default=argparse.SUPPRESS
-    )
     common.add_argument("--name", default=None)
 
     sub = parser.add_subparsers(dest="subcommand", parser_class=_Parser)

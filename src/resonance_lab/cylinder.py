@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +96,15 @@ class CylinderValue:
     low: complex
 
 
+def _integer(value, what: str) -> None:
+    """DomainError unless value is an integer (int or numpy integer); a float
+    with an integral value is rejected too, as is an array's float dtype."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} {value} is not an integer") from None
+
+
 def _checked_order(ell, modulus: float):
     """|ell|, once order and argument modulus are inside the validated range.
 
@@ -105,6 +115,7 @@ def _checked_order(ell, modulus: float):
         raise RangeError(
             f"|z| = {modulus:.3g} outside validated range <= {MAX_ABS_ARGUMENT}"
         )
+    _integer(ell, "order")
     n = abs(ell)
     if n > MAX_ORDER:
         raise RangeError(f"order {n} outside validated range |ell| <= {MAX_ORDER}")
@@ -228,6 +239,8 @@ def hankel(kind: int, ell: int, point: SurfacePoint | complex) -> CylinderValue:
 
 def bessel_zero(ell: int, k: int) -> float:
     """The k-th positive zero j_{ell,k} of J_ell, ell >= 0, k >= 1."""
+    _integer(ell, "zero order")
+    _integer(k, "zero index")
     if ell < 0 or ell > MAX_ZERO_ORDER:
         raise RangeError(f"zero order must be in [0, {MAX_ZERO_ORDER}]")
     if k < 1 or k > MAX_ZERO_INDEX:

@@ -28,9 +28,8 @@ from .errors import ConfigError, DomainError, MissingInput, RangeError, Structur
 from .finder import Classification, GuessKind, initial_guess, refine, track
 from .lambert import lambert_w
 from .phase import PhaseTable, breit_wigner_overlay, total_phase_derivative
-from .well import CouplingFamily, Well, classify_zero_energy
+from .well import CouplingFamily, Well, zero_energy_kind
 
-FORMAT_VERSION = "1"
 FORMAT_STAMP = "# resonance-lab v1"
 
 
@@ -84,24 +83,6 @@ class CsvDocument:
         path = Path(path)
         path.write_text(self.to_text(), encoding="ascii", newline="\n")
         return path
-
-    @classmethod
-    def parse_text(cls, text: str) -> "CsvDocument":
-        """Read back an emitted document (comments skipped, floats parsed)."""
-        lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-        if not lines:
-            raise DomainError("no header line found")
-        header = tuple(lines[0].split(","))
-        rows = []
-        for ln in lines[1:]:
-            row = []
-            for cell in ln.split(","):
-                try:
-                    row.append(float(cell))
-                except ValueError:
-                    row.append(cell)
-            rows.append(tuple(row))
-        return cls(header=header, rows=tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -226,8 +207,10 @@ class ClassifySpec:
     rho: float = 1.0
 
     def run(self, out_dir: Path, name: str) -> RunResult:
-        classes = classify_zero_energy(Well(self.a, self.rho), self.l_max)
-        rows = [(c.mode, c.kind.value) for c in classes]
+        well = Well(self.a, self.rho)
+        if self.l_max < 2:
+            raise ConfigError("l_max must be at least 2")
+        rows = [(ell, zero_energy_kind(ell, well).value) for ell in range(self.l_max + 1)]
         return RunResult(0, (_write(("mode", "kind"), rows, out_dir, f"{name}.csv"),))
 
 

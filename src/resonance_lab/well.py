@@ -7,9 +7,10 @@ derivative at r = rho produces:
 
 * the characteristic function Q_ell(lambda), whose zeros on the logarithmic
   cover are the mode-ell eigenvalues (arg lambda = pi/2) and resonances;
-* the S-matrix eigenvalue S_ell(lambda) for real lambda > 0;
-* the zero-energy classification of a well (which modes carry a threshold
-  resonance or eigenvalue), controlled by J_{|ell|-1}(rho a) = 0.
+* the S-matrix eigenvalue S_ell(lambda) = -conj(Q_ell)/Q_ell for real
+  lambda > 0;
+* the zero-energy kind of a mode (threshold resonance or eigenvalue),
+  controlled by J_{|ell|-1}(rho a) = 0.
 
 Depth families are parameterized as a^2(eps) = a0^2 - eps, so eps < 0
 deepens the well and eps > 0 makes it shallower.
@@ -71,14 +72,6 @@ class ZeroEnergyKind(enum.Enum):
     ZERO_EIGENVALUE = "zero-eigenvalue"
 
 
-@dataclass(frozen=True)
-class ZeroEnergyClass:
-    """Zero-energy structure of one angular mode."""
-
-    mode: int
-    kind: ZeroEnergyKind
-
-
 def mu(lam: SurfacePoint | complex, a: float) -> complex:
     """sqrt(lambda^2 + a^2) on the branch that is positive for lambda > 0.
 
@@ -99,19 +92,25 @@ def _as_point(lam: SurfacePoint | complex) -> SurfacePoint:
     return lam if isinstance(lam, SurfacePoint) else SurfacePoint.from_complex(lam)
 
 
+def _edge(ell: int, point: SurfacePoint, well: Well):
+    """(mu, J_n(rho mu), H_n^(1)(lambda rho)) at n = |ell|: the edge values
+    that Q, S and the resonant state are built from.  hankel goes first, so
+    a non-finite phase or a non-integer order is rejected before
+    point.value is read."""
+    n = abs(ell)
+    h = hankel(1, n, point.scaled(well.rho))
+    m = mu(point, well.a)
+    return m, bessel_j(n, well.rho * m), h
+
+
 def _q_terms(
     ell: int, point: SurfacePoint, well: Well, form: str
 ) -> tuple[complex, complex]:
-    """The two terms whose difference is Q_ell; |t1| + |t2| is the scale.
-    One J and one H^(1) call at order |ell| serve both forms."""
-    n = abs(ell)
-    lam = point.value
-    m = mu(point, well.a)
-    edge = point.scaled(well.rho)
+    """The two terms whose difference is Q_ell; |t1| + |t2| is the scale."""
     if form not in ("wronskian", "derivative"):
         raise DomainError(f"unknown char_q form {form!r}")
-    j = bessel_j(n, well.rho * m)
-    h = hankel(1, n, edge)
+    m, j, h = _edge(ell, point, well)
+    lam = point.value
     if form == "wronskian":
         return m * j.low * h.value, lam * j.value * h.low
     return m * j.derivative * h.value, lam * j.value * h.derivative
@@ -158,41 +157,23 @@ def zero_energy_kind(ell: int, well: Well) -> ZeroEnergyKind:
     return ZeroEnergyKind.ZERO_EIGENVALUE
 
 
-def classify_zero_energy(well: Well, l_max: int) -> list[ZeroEnergyClass]:
-    """zero_energy_kind of every mode 0..l_max, l_max >= 2."""
-    if l_max < 2:
-        raise DomainError("l_max must be at least 2")
-    return [ZeroEnergyClass(ell, zero_energy_kind(ell, well)) for ell in range(l_max + 1)]
-
-
 def s_matrix_eigenvalue(ell: int, lam: float, well: Well) -> complex:
-    """S-matrix eigenvalue S_ell(lambda) for real lambda > 0.
+    """S-matrix eigenvalue S_ell(lambda) = -conj(Q_ell)/Q_ell for real lambda > 0.
 
-    Evaluated in the multiplied-through form
-
-        S_ell = - [mu J'_ell(mu rho) H_ell^(2) - lambda J_ell(mu rho) H_ell^(2)']
-              /   [mu J'_ell(mu rho) H_ell^(1) - lambda J_ell(mu rho) H_ell^(1)']
-
-    which needs no division by J'_ell(mu rho).  |S_ell| = 1 and
-    S_{-ell} = S_ell.
+    Q_ell is char_q in the derivative form.  For real lambda, mu and
+    J_ell(mu rho) are real and H_ell^(2) = conj(H_ell^(1)), so the
+    H^(2) matching that S needs in its numerator is conj(Q_ell).
+    |S_ell| = 1 and S_{-ell} = S_ell.
     """
     if not (lam > 0):
         raise DomainError("S-matrix eigenvalues are defined for real lambda > 0")
-    n = abs(ell)
-    m = mu(lam, well.a)
-    edge = SurfacePoint.from_polar(lam * well.rho, 0.0)
-    j_in = bessel_j(n, well.rho * m)
-    h1 = hankel(1, n, edge)
-    h2 = hankel(2, n, edge)
-    den_1 = m * j_in.derivative * h1.value
-    den_2 = lam * j_in.value * h1.derivative
-    den = den_1 - den_2
-    if abs(den) <= 1e-13 * (abs(den_1) + abs(den_2)):
+    t1, t2 = _q_terms(ell, SurfacePoint.from_polar(lam, 0.0), well, "derivative")
+    q = t1 - t2
+    if abs(q) <= 1e-13 * (abs(t1) + abs(t2)):
         raise SingularityError(
             "matching denominator vanished at real lambda; numerical trouble"
         )
-    num = m * j_in.derivative * h2.value - lam * j_in.value * h2.derivative
-    return -num / den
+    return -q.conjugate() / q
 
 
 def resonant_state(
@@ -203,25 +184,21 @@ def resonant_state(
     Outside the well u(r) = H_ell^(1)(lambda r) (coefficient fixed to 1);
     inside u(r) = b J_ell(mu r) with b = H_ell^(1)(lambda rho)/J_ell(mu rho),
     which matches the value at r = rho.  The radial derivative must then
-    match on its own; if it does not to 1e-8 relative, lambda was not a
-    zero and MatchError is raised.
+    match on its own: the derivative-form terms of Q_ell must agree to 1e-8
+    relative, or lambda was not a zero and MatchError is raised.
     """
     if not (r > 0):
         raise DomainError("radius r must be positive")
     n = abs(ell)
-    m = mu(lam, well.a)
-    edge_in = bessel_j(n, well.rho * m)
-    edge_out = hankel(1, n, lam.scaled(well.rho))
-    if abs(edge_in.value) <= 1e-290:
+    m, j, h = _edge(ell, lam, well)
+    if abs(j.value) <= 1e-290:
         raise MatchError("interior solution vanishes at the edge; cannot match")
-    b = edge_out.value / edge_in.value
-    d_in = b * m * edge_in.derivative
-    d_out = lam.value * edge_out.derivative
-    mismatch = abs(d_in - d_out) / (abs(d_in) + abs(d_out) + 1e-300)
+    t1, t2 = m * j.derivative * h.value, lam.value * j.value * h.derivative
+    mismatch = abs(t1 - t2) / (abs(t1) + abs(t2) + 1e-300)
     if mismatch > 1e-8:
         raise MatchError(
             f"derivative mismatch {mismatch:.3e} at r = rho; lambda is not a zero"
         )
     if r <= well.rho:
-        return b * bessel_j(n, m * r).value
+        return h.value / j.value * bessel_j(n, m * r).value
     return hankel(1, n, lam.scaled(r)).value

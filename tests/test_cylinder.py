@@ -309,6 +309,24 @@ def test_hankel_rejects_non_finite_phase(phase):
         hankel(1, 0, SurfacePoint(complex(0.0, phase)))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: bessel_j(-1.5, 1.0), id="bessel_j-half-order"),
+        pytest.param(lambda: bessel_y(0.5, 1.0), id="bessel_y-half-order"),
+        pytest.param(lambda: hankel(1, 1.5, 1.0), id="hankel-half-order"),
+        pytest.param(lambda: hankel(2, 2.0, 1.0), id="hankel-float-order"),
+        pytest.param(lambda: bessel_j(np.array([0.0, 1.0]), 1.0), id="bessel_j-float-dtype"),
+        pytest.param(lambda: bessel_y(np.array([], dtype=float), 1.0), id="bessel_y-empty-float"),
+        pytest.param(lambda: bessel_zero(1.5, 1), id="bessel_zero-half-order"),
+        pytest.param(lambda: bessel_zero(1, 2.0), id="bessel_zero-float-index"),
+    ],
+)
+def test_non_integer_order_is_a_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_array_orders_and_arguments_match_scalar_calls():
     orders = np.arange(-3, 9)[:, None]
     xs = np.array([1e-3, 0.4, 1.0, 2.5, 7.3, 40.0, 99.0])

@@ -28,8 +28,22 @@ from resonance_lab.runs import DEEPENING_EPS, QUAD_EPS
 J11 = bessel_zero(1, 1)
 
 
+def _cell(text):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def parse_doc(text):
+    """An emitted CSV read back: comment lines skipped, numeric cells as floats."""
+    header, *lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
+    rows = tuple(tuple(_cell(c) for c in ln.split(",")) for ln in lines)
+    return CsvDocument(tuple(header.split(",")), rows)
+
+
 def read_doc(path):
-    return CsvDocument.parse_text(path.read_text(encoding="ascii"))
+    return parse_doc(path.read_text(encoding="ascii"))
 
 
 # ------------------------------------------------------------ CSV document
@@ -44,7 +58,7 @@ def test_csv_round_trip_precision():
             (1.0 / 3.0, 5.841379586, -0.34784182),
         ),
     )
-    back = CsvDocument.parse_text(doc.to_text())
+    back = parse_doc(doc.to_text())
     assert back.header == doc.header
     for row, orig in zip(back.rows, doc.rows):
         for got, want in zip(row, orig):
@@ -478,6 +492,9 @@ def test_malformed_flags_exit_one():
     assert exc.value.code == 1
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
+    assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["--format-version", "1"])
     assert exc.value.code == 1
 
 

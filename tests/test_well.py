@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 
 from resonance_lab import (
     BranchError,
+    ClassifySpec,
+    ConfigError,
     CouplingFamily,
     DomainError,
     GuessKind,
@@ -20,7 +22,6 @@ from resonance_lab import (
     bessel_zero,
     char_q,
     char_q_scale,
-    classify_zero_energy,
     hankel,
     initial_guess,
     mu,
@@ -146,11 +147,27 @@ def test_char_q_rejects_unknown_form():
         char_q(1, 0.3 + 0.0j, Well(a=1.0), form="hybrid")
 
 
+@pytest.mark.parametrize("form", ["wronskian", "derivative"])
+@pytest.mark.parametrize(
+    "ell, lam",
+    [
+        pytest.param(1.5, SurfacePoint.from_complex(0.3j), id="half-order"),
+        pytest.param(1, SurfacePoint(complex(-1.0, math.inf)), id="inf-phase"),
+        pytest.param(1, SurfacePoint(complex(-1.0, -math.inf)), id="minus-inf-phase"),
+        pytest.param(1, SurfacePoint(complex(-1.0, math.nan)), id="nan-phase"),
+    ],
+)
+def test_char_q_domain_errors(ell, lam, form):
+    # order and phase are checked before lambda = exp(w) is formed
+    with pytest.raises(DomainError):
+        char_q(ell, lam, Well(2.0), form=form)
+
+
 # --------------------------------------------------------- zero-energy map
 
 
 def kinds_by_mode(well, l_max=4):
-    return {c.mode: c.kind for c in classify_zero_energy(well, l_max)}
+    return {ell: zero_energy_kind(ell, well) for ell in range(l_max + 1)}
 
 
 def test_classify_p_resonance_family():
@@ -190,9 +207,10 @@ def test_classify_consistency_across_orders():
             assert kinds[0] is ZeroEnergyKind.S_RESONANCE
 
 
-def test_classify_requires_enough_modes():
-    with pytest.raises(DomainError):
-        classify_zero_energy(Well(a=1.0), 1)
+def test_classify_requires_enough_modes(tmp_path):
+    with pytest.raises(ConfigError):
+        ClassifySpec(a=1.0, l_max=1).run(tmp_path, "classify")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _has_guess(ell, family):
@@ -217,7 +235,6 @@ def test_zero_energy_kind_is_the_structure_check():
         kinds = [zero_energy_kind(ell, well) for ell in range(6)]
         for ell, kind in enumerate(kinds):
             assert (kind is ZeroEnergyKind.NONE) == (not _has_guess(ell, family))
-        assert [c.kind for c in classify_zero_energy(well, 5)] == kinds
     # a = j_{k,1} carries structure in mode k + 1
     for k in range(5):
         assert zero_energy_kind(k + 1, Well(a=bessel_zero(k, 1))) is not ZeroEnergyKind.NONE
