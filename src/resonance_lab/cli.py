@@ -48,15 +48,8 @@ def parse_eps_grid(text: str) -> tuple[float, ...]:
         raise ConfigError(f"cannot parse eps grid {text!r}: {exc}") from exc
 
 
-def parse_eps_offsets(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse eps offsets {text!r}: {exc}") from exc
-
-
 def build_parser() -> _Parser:
-    # the parse_eps_* types raise ConfigError, which main() reports
+    # parse_eps_grid raises ConfigError, which main() reports
     parser = _Parser(prog="resonance-lab")
     parser.add_argument("--output", default=".", help="directory for CSV output")
     parser.add_argument(
@@ -90,9 +83,7 @@ def build_parser() -> _Parser:
     p_phase = add("phase", PhaseSpec, "total scattering phase derivative table")
     p_phase.add_argument("--a0sq-from-zero", dest="l0", type=int, required=True, metavar="L0")
     p_phase.add_argument("--rho", type=float, default=1.0)
-    p_phase.add_argument(
-        "--eps", type=parse_eps_offsets, required=True, help="offset e or list 0,e,-e"
-    )
+    p_phase.add_argument("--eps", type=float, required=True, help="offset e > 0")
     p_phase.add_argument("--lambda-min", type=float, default=0.0)
     p_phase.add_argument("--lambda-max", type=float, required=True)
     p_phase.add_argument("--steps", type=int, required=True)

@@ -178,7 +178,15 @@ def bessel_j(ell, z) -> CylinderValue:
 
 
 def bessel_y(ell, z) -> CylinderValue:
-    """Y_ell(z) and Y'_ell(z) at principal phase; conventions as bessel_j."""
+    """Y_ell(z) and Y'_ell(z) at principal phase; conventions as bessel_j.
+
+    z may also be a SurfacePoint: off the principal sheet (arg z outside
+    (-pi, pi]) Y is continued by the connection formula, as in hankel.
+    """
+    if isinstance(z, SurfacePoint):
+        if not -math.pi < z.argument <= math.pi:
+            return _on_cover(0, ell, z)
+        z = z.value
     return _principal(yv, ell, z)
 
 
@@ -225,16 +233,24 @@ def hankel(kind: int, ell: int, point: SurfacePoint | complex) -> CylinderValue:
         raise DomainError("kind must be 1 or 2")
     if not isinstance(point, SurfacePoint):
         point = SurfacePoint.from_complex(point)
+    return _on_cover(kind, ell, point)
+
+
+def _on_cover(kind: int, ell: int, point: SurfacePoint) -> CylinderValue:
+    """Y_ell (kind 0) or H_ell^(kind) (kind 1, 2) with derivative at a point
+    of the cover, from J and Y continued off theta0 in (-pi/2, pi/2]."""
     n = _checked_order(ell, point.modulus)
     theta0, m = _reduce_argument(point.argument)
     z0 = cmath.exp(complex(point.log_value.real, theta0))
     j0, y0 = _continued_jy(n, z0, m)
     j1, y1 = _continued_jy(n - 1, z0, m)
-    if kind == 1:
-        h0, h_low = j0 + 1j * y0, j1 + 1j * y1
+    if kind == 0:
+        c0, c_low = y0, y1
+    elif kind == 1:
+        c0, c_low = j0 + 1j * y0, j1 + 1j * y1
     else:
-        h0, h_low = j0 - 1j * y0, j1 - 1j * y1
-    return _with_derivative(ell, point.value, h0, h_low)
+        c0, c_low = j0 - 1j * y0, j1 - 1j * y1
+    return _with_derivative(ell, point.value, c0, c_low)
 
 
 def bessel_zero(ell: int, k: int) -> float:

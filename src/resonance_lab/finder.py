@@ -26,6 +26,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cylinder import EULER_GAMMA, SurfacePoint
 from .errors import (
     DomainError,
@@ -345,25 +347,20 @@ def sector_scan(
     """
     if not (n_radii >= 1 and n_angles >= 2):
         raise DomainError(f"sector grid {n_radii} x {n_angles} needs n_radii >= 1, n_angles >= 2")
-    values: list[float] = []
-    best = math.inf
-    best_at = SurfacePoint.from_polar(radius, 0.0)
-    for i in range(1, n_radii + 1):
-        r = radius * i / n_radii
-        for k in range(n_angles):
-            theta = -math.pi / 2 + math.pi * k / (n_angles - 1)
-            pt = SurfacePoint.from_polar(r, theta)
-            q = abs(char_q(0, pt, well))
-            values.append(q)
-            if q < best:
-                best, best_at = q, pt
-    values.sort()
-    median = values[len(values) // 2]
+    radii = (radius * np.arange(1, n_radii + 1) / n_radii).tolist()
+    angles = (-math.pi / 2 + math.pi * np.arange(n_angles) / (n_angles - 1)).tolist()
+    q = np.fromiter(
+        (abs(char_q(0, SurfacePoint.from_polar(r, t), well)) for r in radii for t in angles),
+        float,
+        count=n_radii * n_angles,
+    )
+    best = int(np.argmin(q))
+    minimum, median = float(q[best]), float(np.sort(q)[len(q) // 2])
     return SectorScan(
-        minimum=best,
+        minimum=minimum,
         median=median,
-        location=best_at,
-        found_zero=best < SCAN_DEPTH_TOL * median,
+        location=SurfacePoint.from_polar(radii[best // n_angles], angles[best % n_angles]),
+        found_zero=minimum < SCAN_DEPTH_TOL * median,
     )
 
 

@@ -11,9 +11,9 @@ with a safety factor of 100 rather than by a fixed cutoff.
 
 Near lambda = 0 the behavior depends on the zero-energy structure of the
 well: a mode-1 threshold resonance (J_0(a rho) = 0), a mode-0 threshold
-resonance (J_1(a rho) = 0), or neither (generic).  The matching closed-form
-small-lambda laws and their integrals are provided, as are Breit-Wigner
-peak overlays for comparing sigma' with nearby resonances.
+resonance (J_1(a rho) = 0), or neither (generic).  Each closed-form
+small-lambda law is written once, beside its integral; Breit-Wigner peak
+overlays compare sigma' with nearby resonances.
 
 Everything here is real arithmetic.  sigma'_ell has one evaluation, over
 arrays of (ell, lambda) pairs; the scalar calls are its one-point case.
@@ -47,23 +47,6 @@ SIGMA_ERROR = 1e-6
 class TotalPhaseDerivative(NamedTuple):
     value: float
     l_max: int
-
-
-def _small_lambda_kind(well: Well) -> ZeroEnergyKind:
-    """The structure that sets the small-lambda law: P_RESONANCE (mode 1)
-    before S_RESONANCE (mode 0); NONE is the generic law."""
-    if zero_energy_kind(1, well) is ZeroEnergyKind.P_RESONANCE:
-        return ZeroEnergyKind.P_RESONANCE
-    return zero_energy_kind(0, well)
-
-
-def _generic_law(lam: float, well: Well) -> tuple[float, float]:
-    """u = log(lambda/2) + C + gamma, C = log rho + J_0(x)/(x J_1(x)), and
-    J_2(x)/J_0(x) at x = rho a: the pieces of the generic small-lambda law."""
-    x = well.rho * well.a
-    j0, j1, j2 = bessel_j(np.arange(3), x).value
-    c = math.log(well.rho) + float(j0 / (x * j1))
-    return math.log(lam / 2.0) + c + EULER_GAMMA, float(j2 / j0)
 
 
 def _mode_values(n: np.ndarray, lam: np.ndarray, well: Well, form: str = "auto") -> np.ndarray:
@@ -169,22 +152,39 @@ def total_phase_derivative(lam: float, well: Well) -> TotalPhaseDerivative:
     return TotalPhaseDerivative(float(totals[0]), int(l_max[0]))
 
 
+def _small_lambda_law(lam: float, well: Well) -> tuple[float, float]:
+    """(sigma'(lambda), sigma(lambda)) by the small-lambda law of the well's
+    zero-energy case, each sigma the integral of its law over (0, lambda]:
+    p-resonance (mode 1) before s-resonance (mode 0), else the generic law."""
+    rho = well.rho
+    if zero_energy_kind(1, well) is ZeroEnergyKind.P_RESONANCE:
+        u = math.log(lam * rho / 2.0) + EULER_GAMMA
+        v = u - 0.5
+        return (
+            -(2.0 / lam) / (4.0 * u * u + math.pi**2) + (-4.0 / lam) / (4.0 * v * v + math.pi**2),
+            (-math.atan(2.0 * u / math.pi) / math.pi - 0.5)
+            + (-2.0 * math.atan(2.0 * v / math.pi) / math.pi - 1.0),
+        )
+    if zero_energy_kind(0, well) is ZeroEnergyKind.S_RESONANCE:
+        return -1.5 * rho * rho * lam, -0.75 * rho * rho * lam * lam
+    # generic: u = log(lambda/2) + C + gamma, C = log rho + J_0(x)/(x J_1(x)),
+    # and J_2(x)/J_0(x), at x = rho a
+    x = rho * well.a
+    j0, j1, j2 = bessel_j(np.arange(3), x).value
+    c = math.log(rho) + float(j0 / (x * j1))
+    u = math.log(lam / 2.0) + c + EULER_GAMMA
+    ratio = float(j2 / j0)
+    return (
+        -(2.0 / lam) / (4.0 * u * u + math.pi**2) + ratio * rho * rho * lam,
+        (-math.atan(2.0 * u / math.pi) / math.pi - 0.5) + ratio * rho * rho * lam * lam / 2.0,
+    )
+
+
 def asymptotic_phase_derivative(lam: float, well: Well) -> float:
     """The small-lambda law of sigma'(lambda) for the well's zero-energy case."""
     if not (lam > 0):
         raise DomainError("asymptotic sigma' is defined for lambda > 0")
-    kind = _small_lambda_kind(well)
-    rho = well.rho
-    if kind is ZeroEnergyKind.P_RESONANCE:
-        u = math.log(lam * rho / 2.0) + EULER_GAMMA
-        v = u - 0.5
-        return -(2.0 / lam) / (4.0 * u * u + math.pi**2) + (-4.0 / lam) / (
-            4.0 * v * v + math.pi**2
-        )
-    if kind is ZeroEnergyKind.S_RESONANCE:
-        return -1.5 * rho * rho * lam
-    u, ratio = _generic_law(lam, well)
-    return -(2.0 / lam) / (4.0 * u * u + math.pi**2) + ratio * rho * rho * lam
+    return _small_lambda_law(lam, well)[0]
 
 
 def breit_wigner_overlay(lambda_grid, resonances) -> np.ndarray:
@@ -202,23 +202,6 @@ def breit_wigner_overlay(lambda_grid, resonances) -> np.ndarray:
     return out
 
 
-def _sigma_analytic(lam: float, well: Well) -> float:
-    """Closed-form integral of the small-lambda law over (0, lam]."""
-    kind = _small_lambda_kind(well)
-    rho = well.rho
-    if kind is ZeroEnergyKind.P_RESONANCE:
-        u = math.log(lam * rho / 2.0) + EULER_GAMMA
-        v = u - 0.5
-        piece1 = -math.atan(2.0 * u / math.pi) / math.pi - 0.5
-        piece2 = -2.0 * math.atan(2.0 * v / math.pi) / math.pi - 1.0
-        return piece1 + piece2
-    if kind is ZeroEnergyKind.S_RESONANCE:
-        return -0.75 * rho * rho * lam * lam
-    u, ratio = _generic_law(lam, well)
-    piece1 = -math.atan(2.0 * u / math.pi) / math.pi - 0.5
-    return piece1 + ratio * rho * rho * lam * lam / 2.0
-
-
 def scattering_phase(lam: float, well: Well) -> float:
     """sigma(lambda) = integral of sigma' from 0, normalized to sigma(0) = 0.
 
@@ -234,13 +217,13 @@ def scattering_phase(lam: float, well: Well) -> float:
     if not (0 < lam <= LAMBDA_MAX):
         raise RangeError(f"lambda = {lam} outside validated range (0, {LAMBDA_MAX}]")
     if lam <= SIGMA_SPLIT:
-        return _sigma_analytic(lam, well)
+        return _small_lambda_law(lam, well)[1]
     # computed here, not at import: the eigenvalue solve costs about 1 MB of RSS
     nodes, weights = np.polynomial.legendre.leggauss(8)
     t0, t1 = math.log(SIGMA_SPLIT), math.log(lam)
     edges = np.linspace(t0, t1, SIGMA_PANELS + 1)
     lo, hi = edges[:-1], edges[1:]
-    total, err = _sigma_analytic(SIGMA_SPLIT, well), 0.0
+    total, err = _small_lambda_law(SIGMA_SPLIT, well)[1], 0.0
     while len(lo):
         if len(lo) > SIGMA_MAX_OPEN:
             raise QuadratureError(f"{len(lo)} panels open from lambda = {math.exp(lo.min()):.3g}")

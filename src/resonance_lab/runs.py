@@ -25,7 +25,7 @@ import numpy as np
 from .cylinder import SurfacePoint, bessel_j, bessel_y, bessel_zero, hankel
 from .delta1d import delta_phase_derivative, delta_resonance
 from .errors import ConfigError, DomainError, MissingInput, RangeError, StructureError
-from .finder import Classification, GuessKind, initial_guess, refine, track
+from .finder import Classification, GuessKind, ResonanceTrack, track
 from .lambert import lambert_w
 from .phase import PhaseTable, breit_wigner_overlay, total_phase_derivative
 from .well import CouplingFamily, Well, zero_energy_kind
@@ -144,9 +144,13 @@ class TrackSpec:
     rho: float = 1.0
     branch: int | None = None
 
-    def run(self, out_dir: Path, name: str) -> RunResult:
+    def resonance_track(self) -> ResonanceTrack:
+        """finder.track over this spec's family, eps grid and guess kind."""
         family = _family(self.l0, self.rho)
-        trk = track(self.ell, family, self.eps_grid, _guess_kind(self.ell, self.branch))
+        return track(self.ell, family, self.eps_grid, _guess_kind(self.ell, self.branch))
+
+    def run(self, out_dir: Path, name: str) -> RunResult:
+        trk = self.resonance_track()
         rows = []
         for rec in trk.records:
             g, r = rec.guess.value, rec.refined.value
@@ -159,13 +163,10 @@ class TrackSpec:
 
 @dataclass(frozen=True)
 class PhaseSpec:
-    """`phase`: sigma' of the eps = 0, +e, -e wells of one family.
-
-    eps is (e,) with e > 0, or the three offsets {0, e, -e} in any order.
-    """
+    """`phase`: sigma' of the eps = 0, +e, -e wells of one family, e = eps > 0."""
 
     l0: int
-    eps: tuple[float, ...]
+    eps: float
     lambda_max: float
     steps: int
     rho: float = 1.0
@@ -173,13 +174,9 @@ class PhaseSpec:
     per_mode: bool = False
 
     def run(self, out_dir: Path, name: str) -> RunResult:
-        offsets = sorted(self.eps)
-        single = len(offsets) == 1 and offsets[0] > 0
-        triple = len(offsets) == 3 and offsets[1] == 0 < offsets[2] == -offsets[0]
-        if not (single or triple):
-            raise ConfigError(f"phase needs --eps with one value e > 0 or the list "
-                              f"0,e,-e, got {list(self.eps)}")
-        e = offsets[-1]
+        e = self.eps
+        if not (e > 0):
+            raise ConfigError(f"phase needs --eps e > 0, got {e}")
         grid = _lambda_grid(self.lambda_min, self.lambda_max, self.steps)
         family = _family(self.l0, self.rho)
         wells = {"res": family.well(0.0), "above": family.well(e), "below": family.well(-e)}
@@ -250,13 +247,11 @@ class BesselEvalSpec:
     def run(self, out_dir: Path, name: str) -> RunResult:
         if self.kind not in ("j", "y", "h1", "h2"):
             raise ConfigError(f"kind must be one of j, y, h1, h2, got {self.kind!r}")
-        if not (self.abs_z > 0):
-            raise ConfigError(f"|z| must be positive, got {self.abs_z}")
         pt = SurfacePoint.from_polar(self.abs_z, self.arg_z)
         if self.kind == "j":
             cv = bessel_j(self.ell, pt.value)
         elif self.kind == "y":
-            cv = bessel_y(self.ell, pt.value)
+            cv = bessel_y(self.ell, pt)
         else:
             cv = hankel(1 if self.kind == "h1" else 2, self.ell, pt)
         header = ("kind", "ell", "abs_z", "arg_z", "re_value", "im_value",
@@ -311,8 +306,8 @@ FIGURES: dict[int, dict[str | None, Spec]] = {
     },
     2: {None: TrackSpec(ell=0, l0=1, eps_grid=DEEPENING_EPS)},
     3: {
-        "left": PhaseSpec(l0=1, eps=(0.09,), lambda_max=0.1, steps=200),
-        "right": PhaseSpec(l0=0, eps=(0.09,), lambda_max=0.15, steps=200),
+        "left": PhaseSpec(l0=1, eps=0.09, lambda_max=0.1, steps=200),
+        "right": PhaseSpec(l0=0, eps=0.09, lambda_max=0.15, steps=200),
     },
     4: {None: Delta1dSpec(a=10.0, k_max=3, lambda_max=11.0, steps=440)},
     5: {
@@ -320,8 +315,8 @@ FIGURES: dict[int, dict[str | None, Spec]] = {
         "n-2": TrackSpec(ell=1, l0=0, eps_grid=QUAD_EPS, branch=-2),
     },
     6: {
-        "left": PhaseSpec(l0=1, eps=(0.09,), lambda_max=1.0, steps=400),
-        "right": PhaseSpec(l0=0, eps=(0.09,), lambda_max=1.0, steps=400),
+        "left": PhaseSpec(l0=1, eps=0.09, lambda_max=1.0, steps=400),
+        "right": PhaseSpec(l0=0, eps=0.09, lambda_max=1.0, steps=400),
     },
 }
 
@@ -385,10 +380,7 @@ _BW_OVERLAYS = {
 
 
 def _bw_clause(spec: TrackSpec, background: str) -> str:
-    eps = spec.eps_grid[0]
-    family = _family(spec.l0, spec.rho)
-    guess = initial_guess(spec.ell, eps, family, _guess_kind(spec.ell, spec.branch))
-    lam = refine(spec.ell, guess, family.well(eps), epsilon=eps).refined.value
+    lam = spec.resonance_track().records[0].refined.value
     g = -lam.imag
     curve = f"{g:.7f}/((x-{lam.real:.7f})**2 + {g:.7f}**2) {background}"
     return curve + " with lines dashtype 2 title 'bw'"

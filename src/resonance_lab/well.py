@@ -33,30 +33,30 @@ ZERO_J_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Well:
-    """Circular well of depth amplitude a > 0 and radius rho > 0."""
+    """Circular well of finite depth amplitude a > 0 and radius rho > 0."""
 
     a: float
     rho: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.a > 0):
-            raise DomainError("well depth amplitude a must be positive")
-        if not (self.rho > 0):
-            raise DomainError("well radius rho must be positive")
+        if not (0 < self.a < math.inf):
+            raise DomainError("well depth amplitude a must be positive and finite")
+        if not (0 < self.rho < math.inf):
+            raise DomainError("well radius rho must be positive and finite")
 
 
 @dataclass(frozen=True)
 class CouplingFamily:
-    """Depth family a^2(eps) = a0^2 - eps at fixed radius."""
+    """Depth family a^2(eps) = a0^2 - eps at fixed finite radius."""
 
     a0: float
     rho: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.a0 > 0):
-            raise DomainError("family base depth a0 must be positive")
-        if not (self.rho > 0):
-            raise DomainError("family radius rho must be positive")
+        if not (0 < self.a0 < math.inf):
+            raise DomainError("family base depth a0 must be positive and finite")
+        if not (0 < self.rho < math.inf):
+            raise DomainError("family radius rho must be positive and finite")
 
     def well(self, eps: float) -> Well:
         a_sq = self.a0 * self.a0 - eps

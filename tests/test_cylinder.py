@@ -142,6 +142,22 @@ def test_hankel_sum_is_twice_j():
         assert abs(total - 2 * bessel_j(ell, z).value) <= 1e-12 * abs(total)
 
 
+@pytest.mark.parametrize("arg", [4.0, -4.0, 7.0])
+@pytest.mark.parametrize("ell", [0, 1, 3])
+def test_y_on_the_cover_is_the_hankel_difference(ell, arg):
+    pt = SurfacePoint.from_polar(1.7, arg)
+    y, h1, h2 = bessel_y(ell, pt), hankel(1, ell, pt), hankel(2, ell, pt)
+    for part in ("value", "derivative"):
+        want = (getattr(h1, part) - getattr(h2, part)) / 2j
+        assert abs(getattr(y, part) - want) <= 1e-12 * abs(want)
+
+
+def test_y_on_the_principal_sheet_is_scipys():
+    for arg in (-3.0, -0.4, 2.0, PI):
+        pt = SurfacePoint.from_polar(1.7, arg)
+        assert bessel_y(2, pt) == bessel_y(2, pt.value)
+
+
 def test_hankel_two_reduction_paths_agree():
     # continue H^(1)_0 to arg = pi + 0.1 two ways: through the kernel's own
     # sheet reduction, and by hand from the principal value at arg = -pi + 0.1

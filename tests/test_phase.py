@@ -221,6 +221,19 @@ def test_asymptotic_generic_error_order():
         assert d <= budget
 
 
+@pytest.mark.parametrize(
+    "well",
+    [WELL_P, Well(bessel_zero(0, 1) / 1.3, 1.3), WELL_S, WELL_G],
+    ids=["p-resonance", "p-resonance-rho-1.3", "s-resonance", "generic"],
+)
+def test_small_lambda_sigma_is_the_integral_of_its_law(well):
+    # below SIGMA_SPLIT = 1e-6, scattering_phase is the law's closed-form integral
+    for lam in (1e-8, 3e-7, 9e-7):
+        h = 1e-4 * lam
+        fd = (scattering_phase(lam + h, well) - scattering_phase(lam - h, well)) / (2 * h)
+        assert fd == pytest.approx(asymptotic_phase_derivative(lam, well), rel=1e-6)
+
+
 # ------------------------------------------------------------ Breit-Wigner
 
 

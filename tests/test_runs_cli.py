@@ -13,11 +13,13 @@ from resonance_lab import (
     CsvDocument,
     DomainError,
     MissingInput,
+    SurfacePoint,
     bessel_j,
     bessel_zero,
     delta_resonance,
     emit_plot_script,
     figure_jobs,
+    hankel,
     lambert_w,
     run,
     run_figure,
@@ -355,6 +357,16 @@ def test_bessel_eval_row(tmp_path):
     assert row[5] == pytest.approx(cv.value.imag, rel=1e-8)
 
 
+@pytest.mark.parametrize("arg", ["4.0", "-4.0", "7.0"])
+def test_bessel_eval_y_row_on_the_cover(arg, tmp_path):
+    assert main(["bessel-eval", "y", "0", "1", arg, "--output", str(tmp_path)]) == 0
+    row = read_doc(tmp_path / "bessel_eval.csv").rows[0]
+    pt = SurfacePoint.from_polar(1.0, float(arg))
+    want = (hankel(1, 0, pt).value - hankel(2, 0, pt).value) / 2j
+    assert row[3] == float(arg)
+    assert complex(row[4], row[5]) == pytest.approx(want, rel=1e-8)
+
+
 def test_lambert_eval_row(tmp_path):
     rc = main(
         ["lambert-eval", "--output", str(tmp_path), "--", "-1", "-0.1", "0"]
@@ -413,8 +425,6 @@ _CLASSIFY = ["classify", "--a", f"{J11:.12f}"]
         ),
         pytest.param(["bessel-eval", "j", "0", "nan", "0"], id="bessel-abs-z-nan"),
         pytest.param(_PHASE + ["--eps=-0.09"], id="phase-eps-negative"),
-        pytest.param(_PHASE + ["--eps", "0.09,0.1"], id="phase-eps-two-values"),
-        pytest.param(_PHASE + ["--eps", "0,0.09,-0.1"], id="phase-eps-asymmetric"),
         pytest.param(
             _PHASE[:-1] + ["1", "--eps", "0.09"], id="phase-steps-1"
         ),
@@ -486,7 +496,7 @@ def test_public_names_resolve():
     assert [n for n in names if not hasattr(resonance_lab, n)] == []
 
 
-def test_malformed_flags_exit_one():
+def test_malformed_flags_exit_one(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["track", "--l", "two"])
     assert exc.value.code == 1
@@ -496,6 +506,12 @@ def test_malformed_flags_exit_one():
     with pytest.raises(SystemExit) as exc:
         main(["--format-version", "1"])
     assert exc.value.code == 1
+    # --eps is one offset e > 0, not a list
+    for eps in ("0.09,0.1", "0,0.09,-0.1"):
+        with pytest.raises(SystemExit) as exc:
+            main(_PHASE + ["--eps", eps, "--output", str(tmp_path)])
+        assert exc.value.code == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_figure_and_subcommand_conflict(tmp_path):

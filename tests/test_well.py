@@ -338,6 +338,20 @@ def test_well_validation():
         Well(a=1.0, rho=-2.0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: Well(2.0, math.inf), id="well-rho-inf"),
+        pytest.param(lambda: Well(math.inf), id="well-a-inf"),
+        pytest.param(lambda: CouplingFamily(math.inf), id="family-a0-inf"),
+        pytest.param(lambda: CouplingFamily(2.0, math.inf), id="family-rho-inf"),
+    ],
+)
+def test_wells_reject_non_finite_depth_or_radius(make):
+    with pytest.raises(DomainError):
+        make()
+
+
 def test_family_validation_and_map():
     family = CouplingFamily(a0=2.0, rho=1.0)
     assert family.well(0.5).a == pytest.approx(math.sqrt(4.0 - 0.5))
