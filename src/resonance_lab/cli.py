@@ -48,8 +48,16 @@ def parse_eps_grid(text: str) -> tuple[float, ...]:
         raise ConfigError(f"cannot parse eps grid {text!r}: {exc}") from exc
 
 
+def parse_eps(text: str) -> float:
+    """The phase offset: one float, not a list."""
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ConfigError(f"--eps takes one offset e > 0, got {text!r}") from exc
+
+
 def build_parser() -> _Parser:
-    # parse_eps_grid raises ConfigError, which main() reports
+    # the parse_eps* types raise ConfigError, which main() reports
     parser = _Parser(prog="resonance-lab")
     parser.add_argument("--output", default=".", help="directory for CSV output")
     parser.add_argument(
@@ -83,7 +91,7 @@ def build_parser() -> _Parser:
     p_phase = add("phase", PhaseSpec, "total scattering phase derivative table")
     p_phase.add_argument("--a0sq-from-zero", dest="l0", type=int, required=True, metavar="L0")
     p_phase.add_argument("--rho", type=float, default=1.0)
-    p_phase.add_argument("--eps", type=float, required=True, help="offset e > 0")
+    p_phase.add_argument("--eps", type=parse_eps, required=True, help="offset e > 0")
     p_phase.add_argument("--lambda-min", type=float, default=0.0)
     p_phase.add_argument("--lambda-max", type=float, required=True)
     p_phase.add_argument("--steps", type=int, required=True)
