@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import EULER_GAMMA, SurfacePoint
+from .cylinder import EULER_GAMMA, SurfacePoint, _integer
 from .errors import (
     DomainError,
     Inconclusive,
@@ -343,23 +343,26 @@ def sector_scan(
 
     found_zero is True when some grid point dips below SCAN_DEPTH_TOL times
     the grid median, the signature of a zero inside the sector.  The grid
-    needs n_radii >= 1 and n_angles >= 2.
+    needs integers n_radii >= 1 and n_angles >= 2; one char_q call
+    evaluates all of it.
     """
+    _integer(n_radii, "n_radii")
+    _integer(n_angles, "n_angles")
     if not (n_radii >= 1 and n_angles >= 2):
         raise DomainError(f"sector grid {n_radii} x {n_angles} needs n_radii >= 1, n_angles >= 2")
-    radii = (radius * np.arange(1, n_radii + 1) / n_radii).tolist()
-    angles = (-math.pi / 2 + math.pi * np.arange(n_angles) / (n_angles - 1)).tolist()
-    q = np.fromiter(
-        (abs(char_q(0, SurfacePoint.from_polar(r, t), well)) for r in radii for t in angles),
-        float,
-        count=n_radii * n_angles,
-    )
-    best = int(np.argmin(q))
-    minimum, median = float(q[best]), float(np.sort(q)[len(q) // 2])
+    radii = radius * np.arange(1, n_radii + 1) / n_radii
+    angles = -math.pi / 2 + math.pi * np.arange(n_angles) / (n_angles - 1)
+    # radius-major, as best is read below
+    q = char_q(0, SurfacePoint.from_polar(radii[:, None], angles), well).ravel()
+    q = np.hypot(q.real, q.imag)
+    best, k = int(np.argmin(q)), len(q) // 2
+    minimum, median = float(q[best]), float(np.partition(q, k)[k])
     return SectorScan(
         minimum=minimum,
         median=median,
-        location=SurfacePoint.from_polar(radii[best // n_angles], angles[best % n_angles]),
+        location=SurfacePoint.from_polar(
+            float(radii[best // n_angles]), float(angles[best % n_angles])
+        ),
         found_zero=minimum < SCAN_DEPTH_TOL * median,
     )
 

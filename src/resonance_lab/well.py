@@ -23,7 +23,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .cylinder import SurfacePoint, bessel_j, hankel
+import numpy as np
+
+from .cylinder import SurfacePoint, _prod, _sqrt, bessel_j, hankel
 from .errors import BranchError, DomainError, MatchError, SingularityError
 
 # |J_{|ell|-1}(rho a)| at or below this counts as J vanishing: the well then
@@ -77,15 +79,22 @@ def mu(lam: SurfacePoint | complex, a: float) -> complex:
 
     The principal square root keeps Re mu >= 0, which is the continuous
     continuation from the positive real lambda axis throughout |lambda| < a.
-    Callers must not cross the branch point lambda^2 = -a^2.
+    Callers must not cross the branch point lambda^2 = -a^2.  A grid of
+    points gives an array, bit-equal to the calls at each point.
     """
     if not (a > 0):
         raise DomainError("a must be positive")
     lam_value = lam.value if isinstance(lam, SurfacePoint) else complex(lam)
-    radicand = lam_value * lam_value + a * a
-    if radicand == 0:
+    if isinstance(lam_value, complex):
+        radicand = lam_value * lam_value + a * a
+        if radicand == 0:
+            raise BranchError("lambda^2 = -a^2 is the branch point of mu")
+        return cmath.sqrt(radicand)
+    radicand = _prod(lam_value, lam_value)
+    radicand += a * a
+    if not radicand.all():
         raise BranchError("lambda^2 = -a^2 is the branch point of mu")
-    return cmath.sqrt(radicand)
+    return _sqrt(radicand)
 
 
 def _as_point(lam: SurfacePoint | complex) -> SurfacePoint:
@@ -100,20 +109,27 @@ def _edge(ell: int, point: SurfacePoint, well: Well):
     n = abs(ell)
     h = hankel(1, n, point.scaled(well.rho))
     m = mu(point, well.a)
-    return m, bessel_j(n, well.rho * m), h
+    rho_m = well.rho * m if isinstance(m, complex) else _prod(well.rho, m)
+    return m, bessel_j(n, rho_m), h
 
 
 def _q_terms(
     ell: int, point: SurfacePoint, well: Well, form: str
 ) -> tuple[complex, complex]:
-    """The two terms whose difference is Q_ell; |t1| + |t2| is the scale."""
+    """The two terms whose difference is Q_ell; |t1| + |t2| is the scale.
+    A grid of points or an array of orders gives arrays, with products
+    rounded as CPython's."""
     if form not in ("wronskian", "derivative"):
         raise DomainError(f"unknown char_q form {form!r}")
     m, j, h = _edge(ell, point, well)
     lam = point.value
+    if isinstance(h.value, complex):
+        if form == "wronskian":
+            return m * j.low * h.value, lam * j.value * h.low
+        return m * j.derivative * h.value, lam * j.value * h.derivative
     if form == "wronskian":
-        return m * j.low * h.value, lam * j.value * h.low
-    return m * j.derivative * h.value, lam * j.value * h.derivative
+        return _prod(_prod(m, j.low), h.value), _prod(_prod(lam, j.value), h.low)
+    return _prod(_prod(m, j.derivative), h.value), _prod(_prod(lam, j.value), h.derivative)
 
 
 def char_q(
@@ -128,17 +144,33 @@ def char_q(
     mu J'_ell(rho mu) H_ell^(1) - lambda J_ell(rho mu) H_ell^(1)'.
     Zeros with 0 < arg lambda < pi are square roots of eigenvalues; all
     other zeros on the cover are resonances.  Negative ell maps to |ell|.
+
+    lam may be a SurfacePoint holding a grid of points, and ell an array of
+    orders: Q is then a complex array, broadcast over both, with the bits of
+    the calls at each point, from one range check.
     """
     t1, t2 = _q_terms(ell, _as_point(lam), well, form)
-    return t1 - t2
+    if isinstance(t1, complex):
+        return t1 - t2
+    # as in CPython's complex arithmetic, inf - inf signals nothing
+    with np.errstate(all="ignore"):
+        t1 -= t2
+    return t1
 
 
 def char_q_scale(
     ell: int, lam: SurfacePoint | complex, well: Well, form: str = "wronskian"
 ) -> float:
-    """Local magnitude |t1| + |t2| of the two Q_ell terms, for residuals."""
+    """Local magnitude |t1| + |t2| of the two Q_ell terms, for residuals;
+    over a grid as char_q."""
     t1, t2 = _q_terms(ell, _as_point(lam), well, form)
-    return abs(t1) + abs(t2)
+    if isinstance(t1, complex):
+        return abs(t1) + abs(t2)
+    # CPython's abs is hypot, but returns its own NaN where a part is NaN
+    with np.errstate(all="ignore"):
+        scale = np.hypot(t1.real, t1.imag) + np.hypot(t2.real, t2.imag)
+    scale[np.isnan(scale)] = math.nan
+    return scale
 
 
 def zero_energy_kind(ell: int, well: Well) -> ZeroEnergyKind:

@@ -10,9 +10,11 @@ from resonance_lab import (
     DomainError,
     RangeError,
     SurfacePoint,
+    Well,
     bessel_j,
     bessel_y,
     bessel_zero,
+    char_q,
     hankel,
 )
 from resonance_lab.cylinder import EULER_GAMMA, _reduce_argument
@@ -20,6 +22,11 @@ from resonance_lab.cylinder import EULER_GAMMA, _reduce_argument
 import oracles
 
 PI = math.pi
+
+
+def bits(values):
+    """The int64 words of complex values, so that signed zeros count."""
+    return np.asarray(values, complex).view(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +373,12 @@ def test_array_orders_and_arguments_match_scalar_calls():
         with pytest.raises(DomainError):
             fn(orders, np.append(xs, 0.0))
         with pytest.raises(DomainError):
-            fn(orders, xs + 0j)
+            fn(orders, np.append(xs, -1.0))
+        # complex arrays give the scalar calls' bits; Im = 0 keeps the real path
+        table = fn(orders, xs + 0j)
+        for part in ("value", "derivative", "low"):
+            want = [[getattr(fn(int(ell), complex(x)), part) for x in xs] for ell in orders[:, 0]]
+            assert np.array_equal(bits(getattr(table, part)), bits(want))
 
 
 def test_domain_and_range_errors():
@@ -378,9 +390,78 @@ def test_domain_and_range_errors():
         bessel_j(81, 1.0)
     with pytest.raises(RangeError):
         hankel(1, 0, SurfacePoint.from_polar(150.0, 0.0))
+    with pytest.raises(RangeError):
+        hankel(1, 0, SurfacePoint.from_polar(100.0 * (1 + 1e-12), 0.0))
+    with pytest.raises(RangeError):
+        hankel(1, 0, SurfacePoint.from_polar(np.array([1.0, 100.0 * (1 + 1e-12)]), 0.0))
     with pytest.raises(DomainError):
         hankel(3, 0, SurfacePoint.from_polar(1.0, 0.0))
     with pytest.raises(RangeError):
         bessel_zero(21, 1)
     with pytest.raises(RangeError):
         bessel_zero(0, 21)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: hankel(1, 0, 100.0), id="hankel-complex"),
+        pytest.param(lambda: hankel(1, 0, SurfacePoint.from_polar(100.0, 0.3)), id="hankel-cover"),
+        pytest.param(lambda: bessel_y(0, SurfacePoint.from_polar(100.0, 4.0)), id="bessel_y-cover"),
+        pytest.param(lambda: bessel_y(0, SurfacePoint.from_polar(100.0, 0.3)), id="bessel_y-sheet"),
+        # |lambda rho| = 100 and |rho mu| = 99.95; at lambda = 50, rho = 2,
+        # |rho mu| = 100.18 is outside the range
+        pytest.param(lambda: char_q(0, 100j, Well(3.0, 1.0)), id="char_q-edge"),
+    ],
+)
+def test_cover_points_on_the_range_bound_are_inside(call):
+    # exp(log 100) rounds to 100.00000000000004, so the cover checks log|z|
+    got = call()
+    assert cmath.isfinite(got if isinstance(got, complex) else got.value)
+
+
+# ---------------------------------------------------------------------------
+# grids of points
+# ---------------------------------------------------------------------------
+
+# any argument on sheets m = -3..3, or a sheet boundary pi/2 + k*pi, where
+# the 1e-15 guard of _reduce_argument picks the sheet
+cover_arguments = st.one_of(
+    st.floats(-3.5 * PI, 3.5 * PI), st.integers(-4, 3).map(lambda k: PI / 2 + k * PI)
+)
+
+
+@given(
+    ell=st.integers(-80, 80),
+    grid=st.lists(st.tuples(st.floats(1e-3, 100.0), cover_arguments), min_size=1, max_size=8),
+)
+def test_grid_calls_equal_the_scalar_calls_bit_for_bit(ell, grid):
+    points = SurfacePoint.from_polar(*(np.array(column) for column in zip(*grid)))
+    singles = [SurfacePoint.from_polar(r, t) for r, t in grid]
+    assert np.array_equal(bits(points.log_value), bits([p.log_value for p in singles]))
+    calls = (
+        lambda order, p: hankel(1, order, p),
+        lambda order, p: hankel(2, order, p),
+        lambda order, p: bessel_y(order, p),
+    )
+    for call in calls:
+        table = call(ell, points)
+        # an array of orders broadcasts against the grid
+        rows = call(np.array([[ell], [ell // 2]]), points)
+        for part in ("value", "derivative", "low"):
+            want = [getattr(call(ell, p), part) for p in singles]
+            assert np.array_equal(bits(getattr(table, part)), bits(want))
+            assert np.array_equal(bits(getattr(rows, part)[0]), bits(want))
+            half = [getattr(call(ell // 2, p), part) for p in singles]
+            assert np.array_equal(bits(getattr(rows, part)[1]), bits(half))
+            # and so against one point
+            pair = getattr(call(np.array([ell, ell // 2]), singles[0]), part)
+            assert np.array_equal(bits(pair), bits([want[0], half[0]]))
+    # bessel_j and bessel_y over the grid's values, a complex array
+    z = points.value
+    z = z[np.hypot(z.real, z.imag) <= 100.0]
+    for fn in (bessel_j, bessel_y):
+        table = fn(ell, z)
+        for part in ("value", "derivative", "low"):
+            want = [getattr(fn(ell, complex(x)), part) for x in z]
+            assert np.array_equal(bits(getattr(table, part)), bits(want))

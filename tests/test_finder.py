@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from resonance_lab import finder
@@ -21,6 +22,7 @@ from resonance_lab import (
     Verdict,
     Well,
     bessel_zero,
+    char_q,
     initial_guess,
     persistence_verdict,
     refine,
@@ -292,7 +294,40 @@ def test_sector_scan_sees_mode0_zero_when_deepened():
     assert scan.location.modulus == pytest.approx(0.0206, abs=0.001)
 
 
-@pytest.mark.parametrize("n_radii, n_angles", [(200, 1), (0, 60), (200, 0)])
+def scan_by_scalar_calls(well, radius, n_radii, n_angles):
+    """sector_scan's result from one char_q call per grid point."""
+    radii = (radius * np.arange(1, n_radii + 1) / n_radii).tolist()
+    angles = (-math.pi / 2 + math.pi * np.arange(n_angles) / (n_angles - 1)).tolist()
+    q = [abs(char_q(0, SurfacePoint.from_polar(r, t), well)) for r in radii for t in angles]
+    best = min(range(len(q)), key=q.__getitem__)  # the first minimum
+    median = sorted(q)[len(q) // 2]
+    location = SurfacePoint.from_polar(radii[best // n_angles], angles[best % n_angles])
+    return q[best], median, location.log_value, q[best] < finder.SCAN_DEPTH_TOL * median
+
+
+@pytest.mark.parametrize(
+    "well, radius, n_radii, n_angles",
+    [
+        # a zero on the axis, found on a grid with a theta = 0 node (odd count)
+        (FAM_S.well(-0.5), 0.03, 200, 61),
+        # no zero in the sector: the even count has no theta = 0 node
+        (Well(3.0), 0.3, 40, 60),
+        (FAM_S.well(0.3), 0.5, 37, 21),
+        (Well(2.0, 1.5), 0.1, 25, 2),
+    ],
+)
+def test_sector_scan_equals_the_scalar_loop(well, radius, n_radii, n_angles):
+    # every grid has theta = -pi/2 nodes, continued from the sheet below
+    scan = sector_scan(well, radius=radius, n_radii=n_radii, n_angles=n_angles)
+    got = (scan.minimum, scan.median, scan.location.log_value, scan.found_zero)
+    assert got == scan_by_scalar_calls(well, radius, n_radii, n_angles)
+    assert type(scan.minimum) is type(scan.median) is float
+    assert type(scan.found_zero) is bool
+
+
+@pytest.mark.parametrize(
+    "n_radii, n_angles", [(200, 1), (0, 60), (200, 0), (2.5, 60), (200, 60.0)]
+)
 def test_sector_scan_rejects_degenerate_grid(n_radii, n_angles):
     with pytest.raises(DomainError):
         sector_scan(Well(3.0), n_radii=n_radii, n_angles=n_angles)

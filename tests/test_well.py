@@ -3,11 +3,13 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from resonance_lab import (
     BranchError,
+    ResonanceLabError,
     ClassifySpec,
     ConfigError,
     CouplingFamily,
@@ -134,6 +136,49 @@ def test_char_q_forms_agree_on_grid():
                     j_low, j_n = (bessel_j(k, well.rho * m).value for k in (ell - 1, ell))
                     h_low, h_n = (hankel(1, k, edge).value for k in (ell - 1, ell))
                     assert qw == m * j_low * h_n - pt.value * j_n * h_low
+
+
+@given(
+    ell=st.integers(-80, 80),
+    a=st.floats(0.5, 6.0),
+    rho=st.floats(0.5, 2.0),
+    # |lambda rho| <= 80 and |rho mu| <= 81; arguments on sheets -3..3 and
+    # their boundaries pi/2 + k*pi
+    grid=st.lists(
+        st.tuples(
+            st.floats(1e-3, 40.0),
+            st.one_of(
+                st.floats(-3.5 * math.pi, 3.5 * math.pi),
+                st.integers(-4, 3).map(lambda k: math.pi / 2 + k * math.pi),
+            ),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+# a subnormal Im lambda^2: np.sqrt would round Im mu to 0 where cmath.sqrt does not
+@example(ell=0, a=4.0, rho=1.0, grid=[(1.5, 5e-324)])
+def test_char_q_on_a_grid_is_the_scalar_calls_bit_for_bit(ell, a, rho, grid):
+    well = Well(a, rho)
+    points = SurfacePoint.from_polar(*(np.array(column) for column in zip(*grid)))
+    for form in ("wronskian", "derivative"):
+        try:
+            want = [char_q(ell, SurfacePoint.from_polar(r, t), well, form) for r, t in grid]
+        except ResonanceLabError as exc:
+            with pytest.raises(type(exc)):
+                char_q(ell, points, well, form)
+            continue
+        got = char_q(ell, points, well, form)
+        # int64 words, so that signed zeros count
+        assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+        scales = [char_q_scale(ell, SurfacePoint.from_polar(r, t), well, form) for r, t in grid]
+        got = char_q_scale(ell, points, well, form)
+        assert np.array_equal(got.view(np.int64), np.array(scales).view(np.int64))
+        # an array of orders at one point
+        single = SurfacePoint.from_polar(*grid[0])
+        pair = char_q(np.array([ell, ell // 2]), single, well, form)
+        want = [want[0], char_q(ell // 2, single, well, form)]
+        assert np.array_equal(pair.view(np.int64), np.array(want).view(np.int64))
 
 
 def test_char_q_negative_order_matches_positive():
