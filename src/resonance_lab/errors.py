@@ -32,7 +32,7 @@ class MatchError(ResonanceLabError):
 
 
 class QuadratureError(ResonanceLabError):
-    """Numerical integration exceeded its budget or accuracy target."""
+    """The scattering phase's branch choice needed more nodes than its budget."""
 
 
 class MissingInput(ResonanceLabError):

@@ -12,11 +12,12 @@ with a safety factor of 100 rather than by a fixed cutoff.
 Near lambda = 0 the behavior depends on the zero-energy structure of the
 well: a mode-1 threshold resonance (J_0(a rho) = 0), a mode-0 threshold
 resonance (J_1(a rho) = 0), or neither (generic).  Each closed-form
-small-lambda law is written once, beside its integral; Breit-Wigner peak
-overlays compare sigma' with nearby resonances.
+small-lambda law is written once, beside its integral and its split; above
+the split sigma is read from the phase of Q_ell, as S_ell = -conj(Q_ell)/Q_ell
+(Birman-Krein).  Breit-Wigner peak overlays compare sigma' with resonances.
 
-Everything here is real arithmetic.  sigma'_ell has one evaluation, over
-arrays of (ell, lambda) pairs; the scalar calls are its one-point case.
+Everything here is real arithmetic.  sigma'_ell and phi_ell have one evaluation,
+over arrays of (ell, lambda) pairs; the scalar calls are its one-point case.
 """
 
 from __future__ import annotations
@@ -32,16 +33,11 @@ from .errors import DomainError, QuadratureError, RangeError
 from .well import Well, ZeroEnergyKind, zero_energy_kind
 
 LAMBDA_MAX = 5.0
-SIGMA_SPLIT = 1e-6
-# the mode sum stops once 100x the certified tail bound is below this
-TAIL_TOL = 1e-14
-# scattering_phase's panels; SIGMA_NOISE is a rounding allowance, since
-# sigma' itself carries about 1e-10 relative noise on a narrow peak
-SIGMA_PANELS = 16
-SIGMA_TARGET = 1e-9
-SIGMA_NOISE = 1e-9
-SIGMA_MAX_OPEN = 256
-SIGMA_ERROR = 1e-6
+TAIL_TOL = 1e-14  # the mode sum stops once 100x the certified tail bound is below this
+# scattering_phase's first panels, its branch tolerance and its node budget
+SIGMA_STEPS = 16
+SIGMA_BRANCH_TOL = 1e-3
+SIGMA_MAX_NODES = 2048
 
 
 class TotalPhaseDerivative(NamedTuple):
@@ -49,9 +45,9 @@ class TotalPhaseDerivative(NamedTuple):
     l_max: int
 
 
-def _mode_values(n: np.ndarray, lam: np.ndarray, well: Well, form: str = "auto") -> np.ndarray:
-    """sigma'_n(lambda) elementwise over 1-d arrays of orders n >= 0 and real
-    lambda > 0, the form chosen per element as phase_shift_derivative says."""
+def _mode_values(n: np.ndarray, lam: np.ndarray, well: Well, form: str = "auto"):
+    """(sigma'_n, phi_n) elementwise over 1-d arrays of orders n >= 0 and real lambda > 0:
+    sigma'_n in the form phase_shift_derivative picks, phi_n the phase of Q_n = A_n + i B_n."""
     a, rho = well.a, well.rho
     m = np.sqrt(lam * lam + a * a)
     # J_n (and J_{n-1} as low) at mu rho and lambda rho in one call
@@ -72,15 +68,17 @@ def _mode_values(n: np.ndarray, lam: np.ndarray, well: Well, form: str = "auto")
         u = ej + amp * ejp
         v = y.value + amp * y.derivative
         out = -(a * a) / (m * m) * (2.0 / (math.pi**2 * lam)) * num / (u * u + v * v)
+        # A_n and B_n: mu J'_n(mu rho) times u and v, free of the division
+        big_a = m * j_low * ej - lam * jm * ej_low
+        big_b = m * j_low * y.value - lam * jm * y.low
+        phase = np.arctan2(big_b, big_a)
 
     alt = ~primary
     if alt.any():
-        n, lam, m, jm, j_low = n[alt], lam[alt], m[alt], jm[alt], j_low[alt]
-        j_high = bessel_j(n + 1, m * rho).value
-        u = m * j_low * ej[alt] - lam * jm * ej_low[alt]
-        v = m * j_low * y.value[alt] - lam * jm * y.low[alt]
-        out[alt] = (2.0 * a * a) / (math.pi**2 * lam) * j_low * j_high / (u * u + v * v)
-    return out
+        j_high = bessel_j(n[alt] + 1, m[alt] * rho).value
+        lam, u, v = lam[alt], big_a[alt], big_b[alt]
+        out[alt] = (2.0 * a * a) / (math.pi**2 * lam) * j_low[alt] * j_high / (u * u + v * v)
+    return out, phase
 
 
 def phase_shift_derivative(ell: int, lam: float, well: Well, form: str = "auto") -> float:
@@ -93,7 +91,7 @@ def phase_shift_derivative(ell: int, lam: float, well: Well, form: str = "auto")
     """
     if not (lam > 0):
         raise DomainError("sigma'_ell is defined for real lambda > 0")
-    return float(_mode_values(np.array([abs(ell)]), np.array([lam], dtype=float), well, form)[0])
+    return float(_mode_values(np.array([abs(ell)]), np.array([float(lam)]), well, form)[0][0])
 
 
 def mode_tail_bound(ell, lam, well: Well):
@@ -126,21 +124,21 @@ def _mode_cutoff(lam: np.ndarray, well: Well) -> np.ndarray:
 
 
 def _phase_table(lam: np.ndarray, well: Well, modes: int = 0):
-    """sigma'_ell over ell = 0..max(l_max, modes) at each lambda of a 1-d array
-    (0 past both, unevaluated), the totals sigma' and the cutoffs l_max."""
+    """sigma'_ell and phi_ell, stacked, over ell = 0..max(l_max, modes) at each lambda
+    of a 1-d array (0 past both, unevaluated), the totals sigma' and the cutoffs l_max."""
     if not (lam.min() > 0 and lam.max() <= LAMBDA_MAX):
         raise RangeError(f"lambda in [{lam.min()}, {lam.max()}] outside (0, {LAMBDA_MAX}]")
     l_max = _mode_cutoff(lam, well)
     need = np.maximum(l_max, modes)
     ell, col = np.nonzero(np.arange(need.max() + 1)[:, None] <= need)
-    table = np.zeros((need.max() + 1, len(lam)))
-    table[ell, col] = _mode_values(ell, lam[col], well)
+    values = np.zeros((2, need.max() + 1, len(lam)))
+    values[:, ell, col] = _mode_values(ell, lam[col], well)
     # sigma'_0 + 2 sigma'_1 + ... added mode by mode, in that order (an
     # accumulate, not a pairwise sum), and each total read at its l_max
-    terms = 2.0 * table
-    terms[0] = table[0]
+    terms = 2.0 * values[0]
+    terms[0] = values[0, 0]
     totals = np.add.accumulate(terms)[l_max, np.arange(len(lam))]
-    return table, totals, l_max
+    return values, totals, l_max
 
 
 def total_phase_derivative(lam: float, well: Well) -> TotalPhaseDerivative:
@@ -152,39 +150,39 @@ def total_phase_derivative(lam: float, well: Well) -> TotalPhaseDerivative:
     return TotalPhaseDerivative(float(totals[0]), int(l_max[0]))
 
 
-def _small_lambda_law(lam: float, well: Well) -> tuple[float, float]:
-    """(sigma'(lambda), sigma(lambda)) by the small-lambda law of the well's
-    zero-energy case, each sigma the integral of its law over (0, lambda]:
-    p-resonance (mode 1) before s-resonance (mode 0), else the generic law."""
+def _log_law(lam: float, u: float) -> tuple[float, float]:
+    """(sigma', sigma) of the threshold term -atan(2u/pi)/pi - 1/2, u = log lambda + const."""
+    return -(2.0 / lam) / (4.0 * u * u + math.pi**2), -math.atan(2.0 * u / math.pi) / math.pi - 0.5
+
+
+def _small_lambda_law(well: Well):
+    """(law, split): law(lambda) = (sigma', sigma), sigma the integral of sigma' over (0, lambda],
+    for p-resonance (mode 1), s-resonance (mode 0) or generic wells, used up to split."""
     rho = well.rho
     if zero_energy_kind(1, well) is ZeroEnergyKind.P_RESONANCE:
-        u = math.log(lam * rho / 2.0) + EULER_GAMMA
-        v = u - 0.5
-        return (
-            -(2.0 / lam) / (4.0 * u * u + math.pi**2) + (-4.0 / lam) / (4.0 * v * v + math.pi**2),
-            (-math.atan(2.0 * u / math.pi) / math.pi - 0.5)
-            + (-2.0 * math.atan(2.0 * v / math.pi) / math.pi - 1.0),
-        )
+        # sigma is 2.4e-6 off at 1e-6, 8.5e-10 at 1e-4: a double j_{0,1} is not exact
+        def law(lam):
+            u = math.log(lam * rho / 2.0) + EULER_GAMMA
+            (du, su), (dv, sv) = _log_law(lam, u), _log_law(lam, u - 0.5)
+            return du + 2.0 * dv, su + 2.0 * sv
+        return law, 1e-4
     if zero_energy_kind(0, well) is ZeroEnergyKind.S_RESONANCE:
-        return -1.5 * rho * rho * lam, -0.75 * rho * rho * lam * lam
-    # generic: u = log(lambda/2) + C + gamma, C = log rho + J_0(x)/(x J_1(x)),
-    # and J_2(x)/J_0(x), at x = rho a
+        return lambda lam: (-1.5 * rho * rho * lam, -0.75 * rho * rho * lam * lam), 1e-6
+    # generic: u = log(lambda/2) + gamma + log rho + J_0(x)/(x J_1(x)), x = rho a
     x = rho * well.a
     j0, j1, j2 = bessel_j(np.arange(3), x).value
-    c = math.log(rho) + float(j0 / (x * j1))
-    u = math.log(lam / 2.0) + c + EULER_GAMMA
-    ratio = float(j2 / j0)
-    return (
-        -(2.0 / lam) / (4.0 * u * u + math.pi**2) + ratio * rho * rho * lam,
-        (-math.atan(2.0 * u / math.pi) / math.pi - 0.5) + ratio * rho * rho * lam * lam / 2.0,
-    )
+    c, ratio = math.log(rho) + float(j0 / (x * j1)), float(j2 / j0)
+    def law(lam):
+        du, su = _log_law(lam, math.log(lam / 2.0) + c + EULER_GAMMA)
+        return du + ratio * rho * rho * lam, su + ratio * rho * rho * lam * lam / 2.0
+    return law, 1e-6
 
 
 def asymptotic_phase_derivative(lam: float, well: Well) -> float:
     """The small-lambda law of sigma'(lambda) for the well's zero-energy case."""
     if not (lam > 0):
         raise DomainError("asymptotic sigma' is defined for lambda > 0")
-    return _small_lambda_law(lam, well)[0]
+    return _small_lambda_law(well)[0](lam)[0]
 
 
 def breit_wigner_overlay(lambda_grid, resonances) -> np.ndarray:
@@ -205,45 +203,46 @@ def breit_wigner_overlay(lambda_grid, resonances) -> np.ndarray:
 def scattering_phase(lam: float, well: Well) -> float:
     """sigma(lambda) = integral of sigma' from 0, normalized to sigma(0) = 0.
 
-    Below the split point 1e-6 the small-lambda law is integrated in closed form
-    (sigma' there behaves like -1/(lambda log^2 lambda), integrable but
-    stiff).  Above it, 8-point Gauss-Legendre on SIGMA_PANELS equal panels in
-    t = log lambda integrates lambda sigma', each round sending every open
-    panel, whole and halved, to one array call.  A panel is accepted once the
-    two agree to its share of SIGMA_TARGET plus SIGMA_NOISE of its integral
-    of |lambda sigma'|; QuadratureError when more than SIGMA_MAX_OPEN panels
-    are open or the accepted differences add up to more than SIGMA_ERROR.
+    Up to the split of the small-lambda law it is the law's integral; above, sigma_ell
+    moves by -1/pi times the change of phi_ell, known modulo 2.  On SIGMA_STEPS panels,
+    equal in log lambda, each half takes the even integer nearest its trapezoid of
+    lambda sigma'_ell, and a panel is halved until both halves and their sum are within
+    SIGMA_BRANCH_TOL of the trapezoids of the halves and the whole (QuadratureError past
+    SIGMA_MAX_NODES nodes).  If all three miss by one even integer, as with two narrow
+    resonances of one mode between two nodes, sigma is off by it (twice for ell >= 1).
     """
     if not (0 < lam <= LAMBDA_MAX):
         raise RangeError(f"lambda = {lam} outside validated range (0, {LAMBDA_MAX}]")
-    if lam <= SIGMA_SPLIT:
-        return _small_lambda_law(lam, well)[1]
-    # computed here, not at import: the eigenvalue solve costs about 1 MB of RSS
-    nodes, weights = np.polynomial.legendre.leggauss(8)
-    t0, t1 = math.log(SIGMA_SPLIT), math.log(lam)
-    edges = np.linspace(t0, t1, SIGMA_PANELS + 1)
-    lo, hi = edges[:-1], edges[1:]
-    total, err = _small_lambda_law(SIGMA_SPLIT, well)[1], 0.0
-    while len(lo):
-        if len(lo) > SIGMA_MAX_OPEN:
-            raise QuadratureError(f"{len(lo)} panels open from lambda = {math.exp(lo.min()):.3g}")
-        mid = 0.5 * (lo + hi)
-        # rows: every open panel whole, then its lower and its upper half
-        start, stop = np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi])
-        half = 0.5 * (stop - start)
-        x = np.exp((start + half)[:, None] + half[:, None] * nodes)
-        f = x * _phase_table(x.ravel(), well)[1].reshape(x.shape)
-        whole, low, high = np.split(half * (f @ weights), 3)
-        size = (half * (np.abs(f) @ weights))[: len(lo)]
-        halves = low + high
-        diff = np.abs(whole - halves)
-        done = diff <= SIGMA_TARGET * (hi - lo) / (t1 - t0) + SIGMA_NOISE * size
-        total += float(halves[done].sum())
-        err += float(diff[done].sum())
-        lo, hi = np.concatenate([lo[~done], mid[~done]]), np.concatenate([mid[~done], hi[~done]])
-    if err > SIGMA_ERROR:
-        raise QuadratureError(f"quadrature error estimate {err:.2e} > {SIGMA_ERROR}")
-    return total
+    law, split = _small_lambda_law(well)
+    if lam <= split:
+        return law(lam)[1]
+    x = np.geomspace(split, lam, 2 * SIGMA_STEPS + 1)
+    values, _, l_max = _phase_table(x, well, 2)
+    # no later node needs more rows (the cutoff grows with lambda); on panel k, nodes 2k..2k+2,
+    # a mode counts where both ends count it, modes 0..2 always: 2 shares 0's threshold
+    ell = np.arange(len(values[0]))[:, None]
+    while True:
+        live = ell <= np.maximum(2, np.minimum(l_max[:-2:2], l_max[2::2]))
+        f, t = x * values[0], np.log(x)
+        half = 0.5 * np.diff(t) * (f[:, :-1] + f[:, 1:])
+        step = -np.diff(values[1]) / math.pi
+        step += 2.0 * np.round((half - step) / 2.0)
+        pair = step[:, ::2] + step[:, 1::2]
+        whole = 0.5 * (t[2::2] - t[:-2:2]) * (f[:, :-2:2] + f[:, 2::2])
+        off = np.maximum(np.abs(step - half).reshape(len(ell), -1, 2).max(axis=2), np.abs(pair - whole))
+        at = np.nonzero((live & ~(off <= SIGMA_BRANCH_TOL)).any(axis=0))[0]
+        if not len(at):
+            break
+        at = (2 * at[:, None] + np.array([1, 2])).ravel()  # both halves' midpoints
+        if len(x) + len(at) > SIGMA_MAX_NODES:
+            raise QuadratureError(f"sigma's branch is open on {len(at) // 2} panels at {len(x)} nodes")
+        mid = np.sqrt(x[at - 1] * x[at])
+        more, _, more_l_max = _phase_table(mid, well, 2)
+        more = np.pad(more, ((0, 0), (0, len(ell) - len(more[0])), (0, 0)))
+        x, l_max = np.insert(x, at, mid), np.insert(l_max, at, more_l_max)
+        values = np.insert(values, at, more, axis=2)
+    sums = np.where(live, pair, 0.0).sum(axis=1)
+    return law(split)[1] + float(sums[0] + 2.0 * sums[1:].sum())
 
 
 @dataclass(frozen=True)
@@ -266,6 +265,6 @@ class PhaseTable:
         grid = np.asarray(lambda_grid, dtype=float)
         if grid.ndim != 1 or len(grid) == 0 or not (grid[0] > 0 and np.all(np.diff(grid) > 0)):
             raise DomainError("lambda grid must be a nonempty 1-d array, positive and increasing")
-        table, totals, l_max = _phase_table(grid, well, include_modes or 0)
+        (table, _), totals, l_max = _phase_table(grid, well, include_modes or 0)
         per_mode = None if include_modes is None else dict(enumerate(table[: include_modes + 1]))
         return cls(lambda_grid=grid, total=totals, l_max=l_max, per_mode=per_mode)

@@ -9,6 +9,7 @@ import cmath
 import math
 
 import mpmath
+import numpy as np
 from scipy.special import jv, yv
 
 
@@ -103,29 +104,30 @@ def mu_by_path(lam: complex, a: float, steps: int = 100) -> complex:
     return current
 
 
-def _jp(n: int, z: float) -> float:
+def _jp(n: int, z):
     if n == 0:
-        return -float(jv(1, z))
-    return float(jv(n - 1, z)) - (n / z) * float(jv(n, z))
+        return -jv(1, z)
+    return jv(n - 1, z) - (n / z) * jv(n, z)
 
 
-def _yp(n: int, z: float) -> float:
+def _yp(n: int, z):
     if n == 0:
-        return -float(yv(1, z))
-    return float(yv(n - 1, z)) - (n / z) * float(yv(n, z))
+        return -yv(1, z)
+    return yv(n - 1, z) - (n / z) * yv(n, z)
 
 
-def s_matrix_real_form(ell: int, lam: float, a: float, rho: float = 1.0) -> complex:
-    """S_ell for real lambda > 0 entirely in real J/Y arithmetic.
+def s_matrix_real_form(ell: int, lam, a: float, rho: float = 1.0):
+    """S_ell for real lambda > 0 entirely in real J/Y arithmetic; lambda may
+    be an array.
 
     With A = mu J'_ell(mu rho) J_ell(lam rho) - lam J_ell(mu rho) J'_ell(lam rho)
     and B the same with Y, the eigenvalue is -(A - iB)/(A + iB).
     """
     n = abs(ell)
-    m = math.sqrt(lam * lam + a * a)
+    m = np.sqrt(lam * lam + a * a)
     x, y = m * rho, lam * rho
-    big_a = m * _jp(n, x) * float(jv(n, y)) - lam * float(jv(n, x)) * _jp(n, y)
-    big_b = m * _jp(n, x) * float(yv(n, y)) - lam * float(jv(n, x)) * _yp(n, y)
+    big_a = m * _jp(n, x) * jv(n, y) - lam * jv(n, x) * _jp(n, y)
+    big_b = m * _jp(n, x) * yv(n, y) - lam * jv(n, x) * _yp(n, y)
     return -(big_a - 1j * big_b) / (big_a + 1j * big_b)
 
 

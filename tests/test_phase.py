@@ -16,6 +16,7 @@ from resonance_lab import (
     EULER_GAMMA,
     DomainError,
     PhaseTable,
+    QuadratureError,
     RangeError,
     Well,
     asymptotic_phase_derivative,
@@ -222,13 +223,19 @@ def test_asymptotic_generic_error_order():
 
 
 @pytest.mark.parametrize(
-    "well",
-    [WELL_P, Well(bessel_zero(0, 1) / 1.3, 1.3), WELL_S, WELL_G],
+    "well, lams",
+    [
+        (WELL_P, (1e-8, 3e-7, 9e-7, 5e-5)),
+        (Well(bessel_zero(0, 1) / 1.3, 1.3), (1e-8, 3e-7, 9e-7, 5e-5)),
+        (WELL_S, (1e-8, 3e-7, 9e-7)),
+        (WELL_G, (1e-8, 3e-7, 9e-7)),
+    ],
     ids=["p-resonance", "p-resonance-rho-1.3", "s-resonance", "generic"],
 )
-def test_small_lambda_sigma_is_the_integral_of_its_law(well):
-    # below SIGMA_SPLIT = 1e-6, scattering_phase is the law's closed-form integral
-    for lam in (1e-8, 3e-7, 9e-7):
+def test_small_lambda_sigma_is_the_integral_of_its_law(well, lams):
+    # below the split, 1e-4 on a p-resonance well and 1e-6 otherwise,
+    # scattering_phase is the law's closed-form integral
+    for lam in lams:
         h = 1e-4 * lam
         fd = (scattering_phase(lam + h, well) - scattering_phase(lam - h, well)) / (2 * h)
         assert fd == pytest.approx(asymptotic_phase_derivative(lam, well), rel=1e-6)
@@ -286,18 +293,62 @@ def test_sigma_decreases_where_derivative_negative():
     assert all(v < 0 for v in values)
 
 
-@pytest.mark.parametrize("a", [3.1, math.sqrt(bessel_zero(1, 1) ** 2 - 0.09)])
-def test_sigma_matches_phase_shift_sum(a):
-    # sigma(1.5) - sigma(0.5) as the unwrapped phase of each S_ell on a grid
-    # fine enough that no step turns it by pi, S_ell in real J/Y arithmetic
-    well = Well(a)
-    grid = np.linspace(0.5, 1.5, 2001)
+def unwrapped_sigma(grid, well: Well) -> float:
+    """sigma(grid[-1]) - sigma(grid[0]) as the unwrapped phase of each S_ell,
+    in real J/Y arithmetic, on a grid fine enough that no step turns it by pi."""
     want = 0.0
-    for ell in range(total_phase_derivative(1.5, well).l_max + 1):
-        s = np.array([s_matrix_real_form(ell, lam, a) for lam in grid])
+    for ell in range(total_phase_derivative(grid[-1], well).l_max + 1):
+        s = s_matrix_real_form(ell, grid, well.a, well.rho)
         want += (1.0 if ell == 0 else 2.0) * np.angle(s[1:] / s[:-1]).sum() / (2.0 * math.pi)
+    return want
+
+
+@pytest.mark.parametrize("a", [3.1, math.sqrt(bessel_zero(1, 1) ** 2 - 0.09), bessel_zero(0, 1)])
+def test_sigma_matches_phase_shift_sum(a):
+    well = Well(a)
     got = scattering_phase(1.5, well) - scattering_phase(0.5, well)
-    assert abs(got - want) <= 1e-9
+    assert abs(got - unwrapped_sigma(np.linspace(0.5, 1.5, 2001), well)) <= 1e-9
+
+
+@pytest.mark.parametrize("tol", [resonance_lab.phase.SIGMA_BRANCH_TOL, 0.25])
+def test_sigma_takes_the_right_branch_from_the_split(monkeypatch, tol):
+    # a perfbench phase-table unit (seed 3, j_{1,1} family, eps = +0.09): with
+    # the branch tolerance at 1/4 and each step checked only against its own
+    # trapezoid, a coarse first step put sigma off by exactly 4
+    monkeypatch.setattr(resonance_lab.phase, "SIGMA_BRANCH_TOL", tol)
+    well, lam = Well(math.sqrt(bessel_zero(1, 1) ** 2 - 0.09)), 0.9518250943169133
+    want = scattering_phase(1e-6, well) + unwrapped_sigma(np.geomspace(1e-6, lam, 2001), well)
+    assert abs(scattering_phase(lam, well) - want) <= 1e-9
+
+
+# a mode-3 resonance at lambda ~ 0.081636 with a full width at half maximum of
+# 1.1e-7, so sigma jumps by about 2 (mode 3 counts twice) within a few 1e-7
+WELL_NARROW = Well(5.1346486176917105)
+
+
+def test_sigma_across_a_narrow_resonance():
+    grid = np.linspace(0.08162, 0.08165, 30_001)  # step 1e-9
+    got = scattering_phase(0.08165, WELL_NARROW) - scattering_phase(0.08162, WELL_NARROW)
+    assert abs(got - unwrapped_sigma(grid, WELL_NARROW)) <= 1e-9
+    # from an unwrap of the S_ell phases on 3 million nodes; a branch choice on
+    # the phase modulo pi (atan(B/A)) skips the resonance here, off by exactly 2
+    got = scattering_phase(0.2743, WELL_NARROW) - scattering_phase(0.05, WELL_NARROW)
+    assert abs(got - 1.87342615729915) <= 1e-9
+
+
+def test_s_resonance_sigma_counts_mode_2_from_zero():
+    # mode 2 shares mode 0's threshold (J_1(a rho) = 0), so sigma_2 grows like
+    # lambda^2 where the tail bound leaves mode 2 out (below about 1e-5); the
+    # law's sigma at 1e-7 is below 1e-14
+    want = unwrapped_sigma(np.geomspace(1e-7, 0.01, 2001), WELL_S)
+    assert abs(scattering_phase(0.01, WELL_S) - want) <= 1e-12
+
+
+def test_sigma_raises_past_its_node_budget(monkeypatch):
+    # resolving the narrow resonance takes more than 100 nodes
+    monkeypatch.setattr(resonance_lab.phase, "SIGMA_MAX_NODES", 100)
+    with pytest.raises(QuadratureError):
+        scattering_phase(0.08165, WELL_NARROW)
 
 
 def test_import_leaves_scipy_integrate_unloaded():
