@@ -324,6 +324,22 @@ def bessel_y(ell, z) -> CylinderValue:
     return CylinderValue(**fields)
 
 
+@np.errstate(all="ignore")
+def order_table(kind: str, top: np.ndarray, x: np.ndarray, spare: int = 0) -> CylinderValue:
+    """J (kind "j") or Y ("y"), with derivative and low, at each real x[c] > 0 of a 1-d array
+    and orders ell = 0..top[c] + spare, in row ell (0 past it).  One scipy call per element
+    and order -1..top[c] + spare, and one range check for all, on top and x: the spare orders
+    are not checked.  Bit-equal to the real path of bessel_j and bessel_y."""
+    _checked_order(top.max(initial=0), x.max(initial=0.0))
+    if not (x.min(initial=1.0) > 0 and top.min(initial=0) >= 0):
+        raise DomainError("an order table needs tops >= 0 and real arguments > 0")
+    height = top.max(initial=0) + spare + 2
+    row, col = np.nonzero(np.arange(height)[:, None] <= top + spare + 1)
+    rows = np.zeros((height, len(x)))
+    rows[row, col] = {"j": jv, "y": yv}[kind](row - 1, x[col])
+    return _with_derivative(np.arange(height - 1)[:, None], x, rows[1:], rows[:-1])
+
+
 def _reduce_argument(theta: float) -> tuple[float, int]:
     """Write theta = theta0 + m*pi with theta0 in (-pi/2, pi/2].
 

@@ -16,8 +16,9 @@ small-lambda law is written once, beside its integral and its split; above
 the split sigma is read from the phase of Q_ell, as S_ell = -conj(Q_ell)/Q_ell
 (Birman-Krein).  Breit-Wigner peak overlays compare sigma' with resonances.
 
-Everything here is real arithmetic.  sigma'_ell and phi_ell have one evaluation,
-over arrays of (ell, lambda) pairs; the scalar calls are its one-point case.
+Everything here is real arithmetic.  sigma'_ell and phi_ell have one evaluation, over
+ell = 0..l_max at each lambda of an array, which reads J(mu rho), J(lambda rho) and
+Y(lambda rho) from one order table each; the scalar calls are its one-point case.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cylinder import EULER_GAMMA, bessel_j, bessel_y
+from .cylinder import EULER_GAMMA, CylinderValue, bessel_j, order_table
 from .errors import DomainError, QuadratureError, RangeError
 from .well import Well, ZeroEnergyKind, zero_energy_kind
 
@@ -45,40 +46,45 @@ class TotalPhaseDerivative(NamedTuple):
     l_max: int
 
 
-def _mode_values(n: np.ndarray, lam: np.ndarray, well: Well, form: str = "auto"):
-    """(sigma'_n, phi_n) elementwise over 1-d arrays of orders n >= 0 and real lambda > 0:
-    sigma'_n in the form phase_shift_derivative picks, phi_n the phase of Q_n = A_n + i B_n."""
-    a, rho = well.a, well.rho
-    m = np.sqrt(lam * lam + a * a)
-    # J_n (and J_{n-1} as low) at mu rho and lambda rho in one call
-    j = bessel_j(n, np.array([m * rho, lam * rho]))
-    (jm, ej), (jmp, ejp), (j_low, ej_low) = j.value, j.derivative, j.low
-    if form == "auto":
-        primary = np.abs(jmp) > 1e-6 * (np.abs(jm) + np.abs(j_low))
-    elif form in ("primary", "alternate"):
-        primary = np.full(n.shape, form == "primary")
-    else:
+def _mode_values(lam: np.ndarray, need: np.ndarray, well: Well, form: str = "auto"):
+    """(sigma'_n, phi_n), stacked, over n = 0..need[c] at each lambda[c] of a 1-d array (0 past
+    need[c]): sigma'_n in the form phase_shift_derivative picks, phi_n the phase of Q_n."""
+    if form not in ("auto", "primary", "alternate"):
         raise DomainError(f"unknown sigma'_ell form {form!r}")
+    a, rho = well.a, well.rho
+    mu = np.sqrt(lam * lam + a * a)
+    inner = order_table("j", need, mu * rho)
+    n, col = np.nonzero(np.arange(need.max() + 1)[:, None] <= need)
+    j, ej, y = (CylinderValue(t.value[n, col], t.derivative[n, col], t.low[n, col]) for t in
+                (inner, order_table("j", need, lam * rho), order_table("y", need, lam * rho)))
+    lam, m = lam[col], mu[col]
+    if form == "auto":
+        primary = np.abs(j.derivative) > 1e-6 * (np.abs(j.value) + np.abs(j.low))
+    else:
+        primary = np.full(n.shape, form == "primary")
 
-    y = bessel_y(n, lam * rho)
     # evaluated everywhere; where J'_n(mu rho) ~ 0 the value is not selected
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        amp = -(lam / m) * jm / jmp
+        amp = -(lam / m) * j.value / j.derivative
         num = 1.0 - (n * n) / (lam * rho) ** 2 * amp * amp
-        u = ej + amp * ejp
+        u = ej.value + amp * ej.derivative
         v = y.value + amp * y.derivative
         out = -(a * a) / (m * m) * (2.0 / (math.pi**2 * lam)) * num / (u * u + v * v)
         # A_n and B_n: mu J'_n(mu rho) times u and v, free of the division
-        big_a = m * j_low * ej - lam * jm * ej_low
-        big_b = m * j_low * y.value - lam * jm * y.low
+        big_a = m * j.low * ej.value - lam * j.value * ej.low
+        big_b = m * j.low * y.value - lam * j.value * y.low
         phase = np.arctan2(big_b, big_a)
 
     alt = ~primary
     if alt.any():
-        j_high = bessel_j(n[alt] + 1, m[alt] * rho).value
+        if (alt & (n == need[col])).any():  # J_{n+1}(mu rho) past a top mode: one row more
+            inner = order_table("j", need, mu * rho, spare=1)
+        j_high = inner.value[n[alt] + 1, col[alt]]
         lam, u, v = lam[alt], big_a[alt], big_b[alt]
-        out[alt] = (2.0 * a * a) / (math.pi**2 * lam) * j_low[alt] * j_high / (u * u + v * v)
-    return out, phase
+        out[alt] = (2.0 * a * a) / (math.pi**2 * lam) * j.low[alt] * j_high / (u * u + v * v)
+    values = np.zeros((2, need.max() + 1, len(need)))
+    values[:, n, col] = out, phase
+    return values
 
 
 def phase_shift_derivative(ell: int, lam: float, well: Well, form: str = "auto") -> float:
@@ -91,7 +97,7 @@ def phase_shift_derivative(ell: int, lam: float, well: Well, form: str = "auto")
     """
     if not (lam > 0):
         raise DomainError("sigma'_ell is defined for real lambda > 0")
-    return float(_mode_values(np.array([abs(ell)]), np.array([float(lam)]), well, form)[0][0])
+    return float(_mode_values(np.array([float(lam)]), np.array([abs(ell)]), well, form)[0, -1, 0])
 
 
 def mode_tail_bound(ell, lam, well: Well):
@@ -112,9 +118,10 @@ def mode_tail_bound(ell, lam, well: Well):
 
 def _mode_cutoff(lam: np.ndarray, well: Well) -> np.ndarray:
     """The certified l_max at each lambda of a 1-d array: one less than the first
-    ell >= max(2, ceil(e lambda rho/2) + 1), and <= 200, with 100 x mode_tail_bound
-    below TAIL_TOL, searched in blocks from there that double until all are found."""
-    start = np.maximum(2, np.ceil(math.e * lam * well.rho / 2.0).astype(int) + 1)
+    ell >= max(3, ceil(e lambda rho/2) + 1), and <= 200, with 100 x mode_tail_bound
+    below TAIL_TOL, searched in blocks from there that double until all are found.  It is
+    at least 2: mode 2 shares mode 0's threshold, which the generic lambda^(2 ell) misses."""
+    start = np.maximum(3, np.ceil(math.e * lam * well.rho / 2.0).astype(int) + 1)
     for span in (16, 32, 64, 128, 256):
         ell = start + np.arange(span)[:, None]
         ok = (ell <= 200) & (100.0 * mode_tail_bound(ell, lam, well) < TAIL_TOL)
@@ -129,10 +136,7 @@ def _phase_table(lam: np.ndarray, well: Well, modes: int = 0):
     if not (lam.min() > 0 and lam.max() <= LAMBDA_MAX):
         raise RangeError(f"lambda in [{lam.min()}, {lam.max()}] outside (0, {LAMBDA_MAX}]")
     l_max = _mode_cutoff(lam, well)
-    need = np.maximum(l_max, modes)
-    ell, col = np.nonzero(np.arange(need.max() + 1)[:, None] <= need)
-    values = np.zeros((2, need.max() + 1, len(lam)))
-    values[:, ell, col] = _mode_values(ell, lam[col], well)
+    values = _mode_values(lam, np.maximum(l_max, modes), well)
     # sigma'_0 + 2 sigma'_1 + ... added mode by mode, in that order (an
     # accumulate, not a pairwise sum), and each total read at its l_max
     terms = 2.0 * values[0]
@@ -217,12 +221,12 @@ def scattering_phase(lam: float, well: Well) -> float:
     if lam <= split:
         return law(lam)[1]
     x = np.geomspace(split, lam, 2 * SIGMA_STEPS + 1)
-    values, _, l_max = _phase_table(x, well, 2)
+    values, _, l_max = _phase_table(x, well)
     # no later node needs more rows (the cutoff grows with lambda); on panel k, nodes 2k..2k+2,
-    # a mode counts where both ends count it, modes 0..2 always: 2 shares 0's threshold
+    # a mode counts where both ends count it
     ell = np.arange(len(values[0]))[:, None]
     while True:
-        live = ell <= np.maximum(2, np.minimum(l_max[:-2:2], l_max[2::2]))
+        live = ell <= np.minimum(l_max[:-2:2], l_max[2::2])
         f, t = x * values[0], np.log(x)
         half = 0.5 * np.diff(t) * (f[:, :-1] + f[:, 1:])
         step = -np.diff(values[1]) / math.pi
@@ -237,7 +241,7 @@ def scattering_phase(lam: float, well: Well) -> float:
         if len(x) + len(at) > SIGMA_MAX_NODES:
             raise QuadratureError(f"sigma's branch is open on {len(at) // 2} panels at {len(x)} nodes")
         mid = np.sqrt(x[at - 1] * x[at])
-        more, _, more_l_max = _phase_table(mid, well, 2)
+        more, _, more_l_max = _phase_table(mid, well)
         more = np.pad(more, ((0, 0), (0, len(ell) - len(more[0])), (0, 0)))
         x, l_max = np.insert(x, at, mid), np.insert(l_max, at, more_l_max)
         values = np.insert(values, at, more, axis=2)

@@ -17,7 +17,7 @@ from resonance_lab import (
     char_q,
     hankel,
 )
-from resonance_lab.cylinder import EULER_GAMMA, _reduce_argument
+from resonance_lab.cylinder import EULER_GAMMA, _reduce_argument, order_table
 
 import oracles
 
@@ -379,6 +379,45 @@ def test_array_orders_and_arguments_match_scalar_calls():
         for part in ("value", "derivative", "low"):
             want = [[getattr(fn(int(ell), complex(x)), part) for x in xs] for ell in orders[:, 0]]
             assert np.array_equal(bits(getattr(table, part)), bits(want))
+
+
+@given(
+    columns=st.lists(
+        st.tuples(st.integers(0, 80), st.floats(0.0, 100.0, exclude_min=True)),
+        min_size=1, max_size=4,
+    )
+)
+def test_order_tables_equal_the_per_order_calls_bit_for_bit(columns):
+    top = np.array([t for t, _ in columns])
+    x = np.array([x for _, x in columns])
+    for kind, fn in (("j", bessel_j), ("y", bessel_y)):
+        table = order_table(kind, top, x)
+        for c in range(len(x)):
+            ones = [fn(ell, float(x[c])) for ell in range(top[c] + 1)]
+            for part in ("value", "derivative", "low"):
+                # a real argument takes the real path: the tables hold the real parts
+                want = [getattr(one, part).real for one in ones]
+                assert np.array_equal(bits(getattr(table, part)[: top[c] + 1, c]), bits(want))
+
+
+@pytest.mark.parametrize(
+    "top, x, error",
+    [
+        (np.array([2.0]), np.array([1.0]), DomainError),
+        (np.array([2, 81]), np.array([1.0, 2.0]), RangeError),
+        (np.array([2, 3]), np.array([1.0, 100.5]), RangeError),
+        (np.array([2, 3]), np.array([1.0, math.nan]), RangeError),
+        (np.array([2, 3]), np.array([1.0, 0.0]), DomainError),
+        (np.array([2, 3]), np.array([1.0, -1.0]), DomainError),
+    ],
+    ids=["float-order", "order-81", "x-above-100", "x-nan", "x-zero", "x-negative"],
+)
+def test_order_tables_raise_what_bessel_j_raises(top, x, error):
+    for kind in ("j", "y"):
+        with pytest.raises(error):
+            order_table(kind, top, x)
+    with pytest.raises(error):
+        bessel_j(top[:, None], x)
 
 
 def test_domain_and_range_errors():

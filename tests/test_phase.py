@@ -118,6 +118,21 @@ def test_mode_rejects_bad_arguments():
         phase_shift_derivative(1, 0.5, WELL_G, form="slick")
 
 
+@pytest.mark.parametrize("form", ["auto", "primary", "alternate"])
+def test_every_validated_mode_evaluates_in_every_form(form):
+    # the alternate form reads J_{ell+1}(mu rho), one order past the mode asked for
+    well = Well(3.0)
+    value = phase_shift_derivative(80, 1.0, well, form=form)
+    assert value == pytest.approx(phase_shift_derivative(80, 1.0, well, form="primary"), rel=1e-10)
+    with pytest.raises(RangeError):
+        phase_shift_derivative(81, 1.0, well, form=form)
+    # J_{ell+1} read from a row built for the top mode or from the next mode's row: same bits
+    lam = np.array([0.3, 1.0, 4.5])
+    top = resonance_lab.phase._mode_values(lam, np.array([79, 5, 12]), well, form)[0]
+    below = resonance_lab.phase._mode_values(lam, np.array([80, 8, 20]), well, form)[0]
+    assert np.array_equal(top[[79, 5, 12], [0, 1, 2]], below[[79, 5, 12], [0, 1, 2]])
+
+
 # -------------------------------------------------------------- total sums
 
 
@@ -168,6 +183,14 @@ def test_tail_bound_validation():
         mode_tail_bound(0, 1.0, WELL_G)
     with pytest.raises(DomainError):
         mode_tail_bound(5, 0.0, WELL_G)
+
+
+def test_s_resonance_total_counts_mode_2_from_zero():
+    # mode 2 shares mode 0's threshold (J_1(a rho) = 0), so sigma'_2 ~ lambda, where
+    # the tail bound alone would stop at l_max = 1 below lambda ~ 1e-5
+    total = total_phase_derivative(1e-6, WELL_S)
+    assert total.l_max == 2
+    assert total.value == pytest.approx(asymptotic_phase_derivative(1e-6, WELL_S), rel=1e-3)
 
 
 def test_peak_sits_at_resonance_energy():
@@ -407,6 +430,26 @@ def test_phase_table_build():
             for ell in range(1, total.l_max + 1):
                 by_hand += 2.0 * phase_shift_derivative(ell, lam, well)
             assert table.total[i] == by_hand
+
+
+@pytest.mark.parametrize("include_modes", [None, 6])
+def test_phase_table_evaluates_each_bessel_order_once(monkeypatch, include_modes):
+    # J(mu rho), J(lambda rho) and Y(lambda rho) over orders -1..need at each lambda,
+    # one scipy element each; WELL_G never takes the alternate form on this grid
+    grid, count = np.linspace(0.05, 4.5, 40), [0]
+
+    def counting(kernel):
+        def call(order, x):
+            count[0] += np.broadcast(order, x).size
+            return kernel(order, x)
+        return call
+
+    cylinder = resonance_lab.cylinder
+    for name in ("jv", "yv"):
+        monkeypatch.setattr(cylinder, name, counting(getattr(cylinder, name)))
+    table = PhaseTable.build(grid, WELL_G, include_modes)
+    need = np.maximum(table.l_max, include_modes or 0)
+    assert count[0] == 3 * (need + 2).sum()
 
 
 def test_phase_table_grid_validation():
