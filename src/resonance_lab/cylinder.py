@@ -325,11 +325,11 @@ def bessel_y(ell, z) -> CylinderValue:
 
 
 @np.errstate(all="ignore")
-def order_table(kind: str, top: np.ndarray, x: np.ndarray, spare: int = 0) -> CylinderValue:
-    """J (kind "j") or Y ("y"), with derivative and low, at each real x[c] > 0 of a 1-d array
-    and orders ell = 0..top[c] + spare, in row ell (0 past it).  One scipy call per element
-    and order -1..top[c] + spare, and one range check for all, on top and x: the spare orders
-    are not checked.  Bit-equal to the real path of bessel_j and bessel_y."""
+def order_table(kind: str, top: np.ndarray, x: np.ndarray, spare: int = 0) -> np.ndarray:
+    """J (kind "j") or Y ("y") at each real x[c] > 0 of a 1-d array and orders
+    ell = -1..top[c] + spare, C_ell in row ell + 1 (0 past it).  One scipy call per element,
+    and one range check for all, on top and x: the spare orders are not checked.  Bit-equal
+    to the values and lows of the real path of bessel_j and bessel_y."""
     _checked_order(top.max(initial=0), x.max(initial=0.0))
     if not (x.min(initial=1.0) > 0 and top.min(initial=0) >= 0):
         raise DomainError("an order table needs tops >= 0 and real arguments > 0")
@@ -337,7 +337,7 @@ def order_table(kind: str, top: np.ndarray, x: np.ndarray, spare: int = 0) -> Cy
     row, col = np.nonzero(np.arange(height)[:, None] <= top + spare + 1)
     rows = np.zeros((height, len(x)))
     rows[row, col] = {"j": jv, "y": yv}[kind](row - 1, x[col])
-    return _with_derivative(np.arange(height - 1)[:, None], x, rows[1:], rows[:-1])
+    return rows
 
 
 def _reduce_argument(theta: float) -> tuple[float, int]:

@@ -253,7 +253,7 @@ def refine(
             w = w - dw
             if abs(dw) <= STEP_TOL:
                 break
-        t1, t2 = _q_terms(n, SurfacePoint(w), well, "wronskian")
+        t1, t2 = _q_terms(n, SurfacePoint(w), well)
         scale = abs(t1) + abs(t2)
         residual = abs(t1 - t2) / scale if scale > 0 else math.inf
     except (RangeError, OverflowError):

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cylinder import EULER_GAMMA, CylinderValue, bessel_j, order_table
+from .cylinder import EULER_GAMMA, bessel_j, order_table
 from .errors import DomainError, QuadratureError, RangeError
 from .well import Well, ZeroEnergyKind, zero_energy_kind
 
@@ -46,58 +46,38 @@ class TotalPhaseDerivative(NamedTuple):
     l_max: int
 
 
-def _mode_values(lam: np.ndarray, need: np.ndarray, well: Well, form: str = "auto"):
+def _mode_values(lam: np.ndarray, need: np.ndarray, well: Well):
     """(sigma'_n, phi_n), stacked, over n = 0..need[c] at each lambda[c] of a 1-d array (0 past
-    need[c]): sigma'_n in the form phase_shift_derivative picks, phi_n the phase of Q_n."""
-    if form not in ("auto", "primary", "alternate"):
-        raise DomainError(f"unknown sigma'_ell form {form!r}")
+    need[c]), from A_n + i B_n, the wronskian-form Q_n (see phase_shift_derivative)."""
     a, rho = well.a, well.rho
     mu = np.sqrt(lam * lam + a * a)
-    inner = order_table("j", need, mu * rho)
     n, col = np.nonzero(np.arange(need.max() + 1)[:, None] <= need)
-    j, ej, y = (CylinderValue(t.value[n, col], t.derivative[n, col], t.low[n, col]) for t in
-                (inner, order_table("j", need, lam * rho), order_table("y", need, lam * rho)))
+    # C_{n-1}, C_n, ... in rows n, n + 1, ...; J(mu rho) one order past each top mode
+    inner = order_table("j", need, mu * rho, spare=1)
+    j_low, j, j_high = inner[n, col], inner[n + 1, col], inner[n + 2, col]
+    edge_j, edge_y = order_table("j", need, lam * rho), order_table("y", need, lam * rho)
+    ej_low, ej, y_low, y = edge_j[n, col], edge_j[n + 1, col], edge_y[n, col], edge_y[n + 1, col]
     lam, m = lam[col], mu[col]
-    if form == "auto":
-        primary = np.abs(j.derivative) > 1e-6 * (np.abs(j.value) + np.abs(j.low))
-    else:
-        primary = np.full(n.shape, form == "primary")
-
-    # evaluated everywhere; where J'_n(mu rho) ~ 0 the value is not selected
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        amp = -(lam / m) * j.value / j.derivative
-        num = 1.0 - (n * n) / (lam * rho) ** 2 * amp * amp
-        u = ej.value + amp * ej.derivative
-        v = y.value + amp * y.derivative
-        out = -(a * a) / (m * m) * (2.0 / (math.pi**2 * lam)) * num / (u * u + v * v)
-        # A_n and B_n: mu J'_n(mu rho) times u and v, free of the division
-        big_a = m * j.low * ej.value - lam * j.value * ej.low
-        big_b = m * j.low * y.value - lam * j.value * y.low
+    with np.errstate(all="ignore"):
+        big_a = m * j_low * ej - lam * j * ej_low
+        big_b = m * j_low * y - lam * j * y_low
+        # inf - inf where Y_{n-1} and Y_n(lambda rho) overflow: B is its Y_n term's, the larger
+        lost = np.isnan(big_b)
+        big_b[lost] = np.copysign(np.inf, -j_low[lost])
+        out = (2.0 * a * a) / (math.pi**2 * lam) * j_low * j_high / (big_a * big_a + big_b * big_b)
         phase = np.arctan2(big_b, big_a)
-
-    alt = ~primary
-    if alt.any():
-        if (alt & (n == need[col])).any():  # J_{n+1}(mu rho) past a top mode: one row more
-            inner = order_table("j", need, mu * rho, spare=1)
-        j_high = inner.value[n[alt] + 1, col[alt]]
-        lam, u, v = lam[alt], big_a[alt], big_b[alt]
-        out[alt] = (2.0 * a * a) / (math.pi**2 * lam) * j.low[alt] * j_high / (u * u + v * v)
     values = np.zeros((2, need.max() + 1, len(need)))
     values[:, n, col] = out, phase
     return values
 
 
-def phase_shift_derivative(ell: int, lam: float, well: Well, form: str = "auto") -> float:
-    """Exact sigma'_ell(lambda) for real lambda > 0.
-
-    The primary form divides by J'_ell(mu rho); when that is small relative
-    to the neighboring J values (or form="alternate"), an equivalent
-    expression free of the division is used.  Both agree to 1e-10 relative
-    where both are well conditioned.
-    """
+def phase_shift_derivative(ell: int, lam: float, well: Well) -> float:
+    """Exact sigma'_ell(lambda) for real lambda > 0, at n = |ell|, with no division by J'_n:
+    2 a^2 J_{n-1}(mu rho) J_{n+1}(mu rho) / (pi^2 lambda |Q_n|^2), Q_n = char_q(n, lambda);
+    0, its limit, where |Q_n| is past the float range (high modes at small lambda)."""
     if not (lam > 0):
         raise DomainError("sigma'_ell is defined for real lambda > 0")
-    return float(_mode_values(np.array([float(lam)]), np.array([abs(ell)]), well, form)[0, -1, 0])
+    return float(_mode_values(np.array([float(lam)]), np.array([abs(ell)]), well)[0, -1, 0])
 
 
 def mode_tail_bound(ell, lam, well: Well):
@@ -269,6 +249,8 @@ class PhaseTable:
         grid = np.asarray(lambda_grid, dtype=float)
         if grid.ndim != 1 or len(grid) == 0 or not (grid[0] > 0 and np.all(np.diff(grid) > 0)):
             raise DomainError("lambda grid must be a nonempty 1-d array, positive and increasing")
+        if include_modes is not None and include_modes < 0:
+            raise DomainError(f"include_modes = {include_modes} must be >= 0")
         (table, _), totals, l_max = _phase_table(grid, well, include_modes or 0)
         per_mode = None if include_modes is None else dict(enumerate(table[: include_modes + 1]))
         return cls(lambda_grid=grid, total=totals, l_max=l_max, per_mode=per_mode)

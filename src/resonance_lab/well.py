@@ -113,35 +113,25 @@ def _edge(ell: int, point: SurfacePoint, well: Well):
     return m, bessel_j(n, rho_m), h
 
 
-def _q_terms(
-    ell: int, point: SurfacePoint, well: Well, form: str
-) -> tuple[complex, complex]:
+def _q_terms(ell: int, point: SurfacePoint, well: Well) -> tuple[complex, complex]:
     """The two terms whose difference is Q_ell; |t1| + |t2| is the scale.
     A grid of points or an array of orders gives arrays, with products
     rounded as CPython's."""
-    if form not in ("wronskian", "derivative"):
-        raise DomainError(f"unknown char_q form {form!r}")
     m, j, h = _edge(ell, point, well)
     lam = point.value
     if isinstance(h.value, complex):
-        if form == "wronskian":
-            return m * j.low * h.value, lam * j.value * h.low
-        return m * j.derivative * h.value, lam * j.value * h.derivative
-    if form == "wronskian":
-        return _prod(_prod(m, j.low), h.value), _prod(_prod(lam, j.value), h.low)
-    return _prod(_prod(m, j.derivative), h.value), _prod(_prod(lam, j.value), h.derivative)
+        return m * j.low * h.value, lam * j.value * h.low
+    return _prod(_prod(m, j.low), h.value), _prod(_prod(lam, j.value), h.low)
 
 
-def char_q(
-    ell: int, lam: SurfacePoint | complex, well: Well, form: str = "wronskian"
-) -> complex:
+def char_q(ell: int, lam: SurfacePoint | complex, well: Well) -> complex:
     """Characteristic function Q_ell(lambda) of the mode-ell matching problem.
 
     Q_ell = mu J_{ell-1}(rho mu) H_ell^(1)(lambda rho)
           - lambda J_ell(rho mu) H_{ell-1}^(1)(lambda rho)
 
-    (form="wronskian"); form="derivative" evaluates the equivalent
-    mu J'_ell(rho mu) H_ell^(1) - lambda J_ell(rho mu) H_ell^(1)'.
+    is the derivative matching mu J'_ell H_ell^(1) - lambda J_ell H_ell^(1)' with each
+    C'_n = C_{n-1} - (n/z) C_n: the (n/z) terms cancel.
     Zeros with 0 < arg lambda < pi are square roots of eigenvalues; all
     other zeros on the cover are resonances.  Negative ell maps to |ell|.
 
@@ -149,7 +139,7 @@ def char_q(
     orders: Q is then a complex array, broadcast over both, with the bits of
     the calls at each point, from one range check.
     """
-    t1, t2 = _q_terms(ell, _as_point(lam), well, form)
+    t1, t2 = _q_terms(ell, _as_point(lam), well)
     if isinstance(t1, complex):
         return t1 - t2
     # as in CPython's complex arithmetic, inf - inf signals nothing
@@ -158,12 +148,10 @@ def char_q(
     return t1
 
 
-def char_q_scale(
-    ell: int, lam: SurfacePoint | complex, well: Well, form: str = "wronskian"
-) -> float:
+def char_q_scale(ell: int, lam: SurfacePoint | complex, well: Well) -> float:
     """Local magnitude |t1| + |t2| of the two Q_ell terms, for residuals;
     over a grid as char_q."""
-    t1, t2 = _q_terms(ell, _as_point(lam), well, form)
+    t1, t2 = _q_terms(ell, _as_point(lam), well)
     if isinstance(t1, complex):
         return abs(t1) + abs(t2)
     # CPython's abs is hypot, but returns its own NaN where a part is NaN
@@ -192,14 +180,14 @@ def zero_energy_kind(ell: int, well: Well) -> ZeroEnergyKind:
 def s_matrix_eigenvalue(ell: int, lam: float, well: Well) -> complex:
     """S-matrix eigenvalue S_ell(lambda) = -conj(Q_ell)/Q_ell for real lambda > 0.
 
-    Q_ell is char_q in the derivative form.  For real lambda, mu and
-    J_ell(mu rho) are real and H_ell^(2) = conj(H_ell^(1)), so the
-    H^(2) matching that S needs in its numerator is conj(Q_ell).
+    Q_ell is char_q, in its wronskian form.  For real lambda, mu and
+    J_ell(mu rho) are real and H_ell^(2) = conj(H_ell^(1)), so the H^(2)
+    matching that S needs in its numerator is conj(Q_ell).
     |S_ell| = 1 and S_{-ell} = S_ell.
     """
     if not (lam > 0):
         raise DomainError("S-matrix eigenvalues are defined for real lambda > 0")
-    t1, t2 = _q_terms(ell, SurfacePoint.from_polar(lam, 0.0), well, "derivative")
+    t1, t2 = _q_terms(ell, SurfacePoint.from_polar(lam, 0.0), well)
     q = t1 - t2
     if abs(q) <= 1e-13 * (abs(t1) + abs(t2)):
         raise SingularityError(

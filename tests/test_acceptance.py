@@ -35,6 +35,7 @@ from resonance_lab import (
     total_phase_derivative,
 )
 from resonance_lab.cli import main
+from equivalent_forms import q_derivative_form, sigma_primary_form
 
 J01 = bessel_zero(0, 1)
 J11 = bessel_zero(1, 1)
@@ -215,7 +216,7 @@ def test_criterion_7_property_sweeps():
             for lam in (0.3, 1.0, 2.5, 5.0):
                 ok = ok and abs(abs(s_matrix_eigenvalue(ell, lam, Well(a=a))) - 1) <= 1e-10
 
-    # dual sigma'_ell forms where both are conditioned
+    # sigma'_ell against the form that divides by J'_ell(mu rho), where that is conditioned
     for a in (1.0, 2.4, 3.83):
         well = Well(a=a)
         for ell in (1, 3, 7):
@@ -225,8 +226,8 @@ def test_criterion_7_property_sweeps():
                 low = bessel_j(ell - 1, m * well.rho)
                 if abs(inner.derivative) <= 1e-6 * (abs(inner.value) + abs(low.value)):
                     continue
-                p = phase_shift_derivative(ell, lam, well, form="primary")
-                q = phase_shift_derivative(ell, lam, well, form="alternate")
+                p = sigma_primary_form(ell, lam, well)
+                q = phase_shift_derivative(ell, lam, well)
                 ok = ok and abs(p - q) <= 1e-10 * max(abs(p), abs(q), 1e-300)
 
     # tail bound dominates
@@ -236,15 +237,15 @@ def test_criterion_7_property_sweeps():
             bound = mode_tail_bound(ell, lam, well)
             ok = ok and abs(phase_shift_derivative(ell, lam, well)) <= 100 * bound
 
-    # Q-form equivalence and reflection symmetry
+    # Q against the derivative matching, and reflection symmetry
     for a in (1.0, 2.4, 3.83):
         well = Well(a=a)
         for ell in (0, 2, 5):
             for mod in (1e-3, 0.3, 3.0):
                 for k in range(6):
                     pt = SurfacePoint.from_polar(mod, -math.pi + 0.1 + k * math.pi / 3)
-                    qw = char_q(ell, pt, well, form="wronskian")
-                    qd = char_q(ell, pt, well, form="derivative")
+                    qw = char_q(ell, pt, well)
+                    qd = q_derivative_form(ell, pt, well)
                     ok = ok and abs(qw - qd) <= 1e-10 * char_q_scale(ell, pt, well)
     for ell, a0 in ((1, J01), (2, J11), (3, J21)):
         fam = family(a0)

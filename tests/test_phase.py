@@ -29,6 +29,7 @@ from resonance_lab import (
     scattering_phase,
     total_phase_derivative,
 )
+from equivalent_forms import sigma_alternate_form, sigma_primary_form
 from oracles import fd_phase_derivative, s_matrix_real_form
 
 WELL_P = Well(a=bessel_zero(0, 1))  # J_0 zero at the edge
@@ -105,8 +106,9 @@ def test_mode_forms_agree_when_conditioned(ell, lam, a):
     assume(
         abs(inner.derivative) > 1e-6 * (abs(inner.value) + abs(low.value))
     )
-    primary = phase_shift_derivative(ell, lam, well, form="primary")
-    alternate = phase_shift_derivative(ell, lam, well, form="alternate")
+    # the form that divides by J'_ell(mu rho), where that is not small, against the one
+    primary = sigma_primary_form(ell, lam, well)
+    alternate = phase_shift_derivative(ell, lam, well)
     scale = max(abs(primary), abs(alternate), 1e-300)
     assert abs(primary - alternate) <= 1e-10 * scale
 
@@ -114,23 +116,43 @@ def test_mode_forms_agree_when_conditioned(ell, lam, a):
 def test_mode_rejects_bad_arguments():
     with pytest.raises(DomainError):
         phase_shift_derivative(0, -1.0, WELL_G)
-    with pytest.raises(DomainError):
+    # one form: there is no knob to pick another
+    with pytest.raises(TypeError):
         phase_shift_derivative(1, 0.5, WELL_G, form="slick")
 
 
-@pytest.mark.parametrize("form", ["auto", "primary", "alternate"])
+@pytest.mark.parametrize("form", ["primary", "alternate"])
 def test_every_validated_mode_evaluates_in_every_form(form):
-    # the alternate form reads J_{ell+1}(mu rho), one order past the mode asked for
+    # sigma'_80 reads J_81(mu rho), one order past the mode asked for; it is the
+    # division-free form's bits, and the primary form's value to 1e-10
     well = Well(3.0)
-    value = phase_shift_derivative(80, 1.0, well, form=form)
-    assert value == pytest.approx(phase_shift_derivative(80, 1.0, well, form="primary"), rel=1e-10)
+    value = phase_shift_derivative(80, 1.0, well)
+    if form == "alternate":
+        assert value == sigma_alternate_form(80, 1.0, well)
+    else:
+        assert value == pytest.approx(sigma_primary_form(80, 1.0, well), rel=1e-10)
     with pytest.raises(RangeError):
-        phase_shift_derivative(81, 1.0, well, form=form)
+        phase_shift_derivative(81, 1.0, well)
     # J_{ell+1} read from a row built for the top mode or from the next mode's row: same bits
     lam = np.array([0.3, 1.0, 4.5])
-    top = resonance_lab.phase._mode_values(lam, np.array([79, 5, 12]), well, form)[0]
-    below = resonance_lab.phase._mode_values(lam, np.array([80, 8, 20]), well, form)[0]
+    top = resonance_lab.phase._mode_values(lam, np.array([79, 5, 12]), well)[0]
+    below = resonance_lab.phase._mode_values(lam, np.array([80, 8, 20]), well)[0]
     assert np.array_equal(top[[79, 5, 12], [0, 1, 2]], below[[79, 5, 12], [0, 1, 2]])
+
+
+def test_high_modes_at_small_lambda_are_their_limit():
+    # Y_79 and Y_78(lambda rho) both overflow below lambda ~ 7e-3, so |Q_79| is past the
+    # float range: sigma'_79 is 0, not inf - inf; filterwarnings = error catches any warning
+    well, lam = Well(2.0), np.geomspace(1e-7, 1.4e-3, 60)
+    assert all(phase_shift_derivative(79, x, well) == 0.0 for x in lam)
+    values = resonance_lab.phase._mode_values(lam, np.full(len(lam), 79), well)
+    assert np.isfinite(values).all()
+    # phi_n is +-pi/2 there (S_n = 1), and every other element has the division-free form's bits
+    lost = values[0] == 0.0
+    assert lost[79].all() and np.array_equal(np.abs(values[1][lost]), np.full(lost.sum(), math.pi / 2))
+    kept = np.nonzero(~lost)
+    want = [sigma_alternate_form(ell, lam[c], well) for ell, c in zip(*kept)]
+    assert np.array_equal(values[0][kept], want)
 
 
 # -------------------------------------------------------------- total sums
@@ -397,15 +419,16 @@ def test_sigma_range_validation():
 
 
 TABLE_GRID = np.linspace(0.01, 4.5, 37)
-# J'_1(mu rho) = 0 at TABLE_GRID[4]: the auto switch takes the alternate form there
+# J'_1(mu rho) = 0 at TABLE_GRID[4], where the primary form divides by about 0
 WELL_ALT = Well(a=math.sqrt(1.8411837813406593**2 - TABLE_GRID[4] ** 2))
 
 
 def test_alternate_form_is_taken_where_inner_derivative_vanishes():
     lam = TABLE_GRID[4]
-    auto = phase_shift_derivative(1, lam, WELL_ALT)
-    assert auto == phase_shift_derivative(1, lam, WELL_ALT, form="alternate")
-    assert auto != phase_shift_derivative(1, lam, WELL_ALT, form="primary")
+    value = phase_shift_derivative(1, lam, WELL_ALT)
+    assert abs(bessel_j(1, mu(lam, WELL_ALT.a).real).derivative) <= 1e-15
+    assert math.isfinite(value) and value == sigma_alternate_form(1, lam, WELL_ALT)
+    assert abs(value - fd_phase_derivative(1, lam, WELL_ALT.a)) <= 1e-6
 
 
 def test_phase_table_build():
@@ -434,8 +457,8 @@ def test_phase_table_build():
 
 @pytest.mark.parametrize("include_modes", [None, 6])
 def test_phase_table_evaluates_each_bessel_order_once(monkeypatch, include_modes):
-    # J(mu rho), J(lambda rho) and Y(lambda rho) over orders -1..need at each lambda,
-    # one scipy element each; WELL_G never takes the alternate form on this grid
+    # J(lambda rho) and Y(lambda rho) over orders -1..need at each lambda, and J(mu rho)
+    # over -1..need + 1, one scipy element each
     grid, count = np.linspace(0.05, 4.5, 40), [0]
 
     def counting(kernel):
@@ -449,7 +472,7 @@ def test_phase_table_evaluates_each_bessel_order_once(monkeypatch, include_modes
         monkeypatch.setattr(cylinder, name, counting(getattr(cylinder, name)))
     table = PhaseTable.build(grid, WELL_G, include_modes)
     need = np.maximum(table.l_max, include_modes or 0)
-    assert count[0] == 3 * (need + 2).sum()
+    assert count[0] == 3 * (need + 2).sum() + len(grid)
 
 
 def test_phase_table_grid_validation():
@@ -459,3 +482,8 @@ def test_phase_table_grid_validation():
         PhaseTable.build(np.array([0.2, 0.1]), WELL_G)
     with pytest.raises(DomainError):
         PhaseTable.build(np.array([-0.1, 0.2]), WELL_G)
+    # a negative mode count would slice per_mode from the end of the table
+    for modes in (-1, -3):
+        with pytest.raises(DomainError):
+            PhaseTable.build(TABLE_GRID, WELL_G, include_modes=modes)
+    assert set(PhaseTable.build(TABLE_GRID, WELL_G, include_modes=0).per_mode) == {0}

@@ -32,6 +32,7 @@ from resonance_lab import (
     s_matrix_eigenvalue,
     zero_energy_kind,
 )
+from equivalent_forms import q_derivative_form
 from oracles import mu_by_path, s_matrix_real_form
 
 J01 = bessel_zero(0, 1)
@@ -127,8 +128,8 @@ def test_char_q_forms_agree_on_grid():
             for modulus in (1e-3, 0.03, 0.3, 1.0, 3.0):
                 for phase in phases:
                     pt = SurfacePoint.from_polar(modulus, phase)
-                    qw = char_q(ell, pt, well, form="wronskian")
-                    qd = char_q(ell, pt, well, form="derivative")
+                    qw = char_q(ell, pt, well)
+                    qd = q_derivative_form(ell, pt, well)
                     scale = char_q_scale(ell, pt, well)
                     assert abs(qw - qd) <= 1e-10 * scale
                     # bit for bit the four-call formula, each order asked for
@@ -161,24 +162,23 @@ def test_char_q_forms_agree_on_grid():
 def test_char_q_on_a_grid_is_the_scalar_calls_bit_for_bit(ell, a, rho, grid):
     well = Well(a, rho)
     points = SurfacePoint.from_polar(*(np.array(column) for column in zip(*grid)))
-    for form in ("wronskian", "derivative"):
-        try:
-            want = [char_q(ell, SurfacePoint.from_polar(r, t), well, form) for r, t in grid]
-        except ResonanceLabError as exc:
-            with pytest.raises(type(exc)):
-                char_q(ell, points, well, form)
-            continue
-        got = char_q(ell, points, well, form)
-        # int64 words, so that signed zeros count
-        assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
-        scales = [char_q_scale(ell, SurfacePoint.from_polar(r, t), well, form) for r, t in grid]
-        got = char_q_scale(ell, points, well, form)
-        assert np.array_equal(got.view(np.int64), np.array(scales).view(np.int64))
-        # an array of orders at one point
-        single = SurfacePoint.from_polar(*grid[0])
-        pair = char_q(np.array([ell, ell // 2]), single, well, form)
-        want = [want[0], char_q(ell // 2, single, well, form)]
-        assert np.array_equal(pair.view(np.int64), np.array(want).view(np.int64))
+    try:
+        want = [char_q(ell, SurfacePoint.from_polar(r, t), well) for r, t in grid]
+    except ResonanceLabError as exc:
+        with pytest.raises(type(exc)):
+            char_q(ell, points, well)
+        return
+    got = char_q(ell, points, well)
+    # int64 words, so that signed zeros count
+    assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+    scales = [char_q_scale(ell, SurfacePoint.from_polar(r, t), well) for r, t in grid]
+    got = char_q_scale(ell, points, well)
+    assert np.array_equal(got.view(np.int64), np.array(scales).view(np.int64))
+    # an array of orders at one point
+    single = SurfacePoint.from_polar(*grid[0])
+    pair = char_q(np.array([ell, ell // 2]), single, well)
+    want = [want[0], char_q(ell // 2, single, well)]
+    assert np.array_equal(pair.view(np.int64), np.array(want).view(np.int64))
 
 
 def test_char_q_negative_order_matches_positive():
@@ -188,8 +188,10 @@ def test_char_q_negative_order_matches_positive():
 
 
 def test_char_q_rejects_unknown_form():
-    with pytest.raises(DomainError):
-        char_q(1, 0.3 + 0.0j, Well(a=1.0), form="hybrid")
+    # one form: there is no knob to pick another
+    for kernel in (char_q, char_q_scale):
+        with pytest.raises(TypeError):
+            kernel(1, 0.3 + 0.0j, Well(a=1.0), form="hybrid")
 
 
 @pytest.mark.parametrize("form", ["wronskian", "derivative"])
@@ -203,9 +205,11 @@ def test_char_q_rejects_unknown_form():
     ],
 )
 def test_char_q_domain_errors(ell, lam, form):
-    # order and phase are checked before lambda = exp(w) is formed
+    # order and phase are checked before lambda = exp(w) is formed, in char_q as in
+    # the derivative matching, which starts from the same hankel call
+    q = {"wronskian": char_q, "derivative": q_derivative_form}[form]
     with pytest.raises(DomainError):
-        char_q(ell, lam, Well(2.0), form=form)
+        q(ell, lam, Well(2.0))
 
 
 # --------------------------------------------------------- zero-energy map
