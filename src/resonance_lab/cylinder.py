@@ -15,13 +15,14 @@ theta in (-pi/2, pi/2] and applies the integer-order connection formulas
 m times.  Principal-sheet values come from scipy.special; derivatives use
 the downward recurrence C'_ell = C_{ell-1} - (ell/z) C_ell.
 
-A SurfacePoint may hold a whole array of logarithms, a grid; hankel and
-bessel_y then evaluate every point in one call, as bessel_j does for an
-array of arguments, and return the bits of one call per point.  For that
-the array path writes each complex product and quotient as float
-operations in CPython's order (_Py_c_prod and _Py_c_quot in
-Objects/complexobject.c), and square roots as cmath.sqrt computes them:
-numpy's own complex `*`, `/` and sqrt round differently.
+Every call evaluates one integer order.  A SurfacePoint may hold a whole
+array of logarithms, a grid; hankel then evaluates every point in one call,
+as bessel_j and bessel_y do for an array of complex arguments, and returns
+the bits of one call per point.  For that the array path writes each
+complex product and quotient as float operations in CPython's order
+(_Py_c_prod and _Py_c_quot in Objects/complexobject.c), and square roots
+as cmath.sqrt computes them: numpy's own complex `*`, `/` and sqrt round
+differently.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ class SurfacePoint:
 
     Re w is log|lambda| and Im w is arg(lambda), unrestricted.  Points whose
     arguments differ by 2*pi are distinct.  lambda = 0 has no representation.
-    log_value may also be a complex array: a grid of points, which hankel,
-    bessel_y and char_q evaluate in one call.  value, argument and scaled
+    log_value may also be a complex array: a grid of points, which hankel
+    and char_q evaluate in one call.  value, argument and scaled
     act on each point of a grid; modulus is for a single point.
     """
 
@@ -123,8 +124,8 @@ class CylinderValue:
 
 
 def _integer(value, what: str) -> None:
-    """DomainError unless value is an integer (int or numpy integer); a float
-    with an integral value is rejected too, as is an array's float dtype."""
+    """DomainError unless value is one integer (int or numpy integer); a
+    float with an integral value is rejected too, as is an array."""
     try:
         operator.index(value)
     except TypeError:
@@ -136,7 +137,7 @@ def _checked_order(ell, modulus: float, log_modulus: float | None = None):
 
     A point of the cover passes log|z| too, and that is what is checked.
     Written as `not x <= bound` so that NaN is rejected too; array calls
-    pass their largest |ell|, modulus and log modulus, NaN if any element is.
+    pass their largest modulus or log modulus, NaN if any element is.
     """
     if log_modulus is None:
         inside = modulus <= MAX_ABS_ARGUMENT
@@ -219,27 +220,21 @@ def _with_derivative(ell, z, c0, c_low) -> CylinderValue:
     n = abs(ell)
     if isinstance(z, complex):
         derivative = c_low - (n / z) * c0
-        if ell < 0 and n % 2 == 1:
-            return CylinderValue(-c0, -derivative, c_low)
-        return CylinderValue(c0, derivative, c_low)
-    if z.dtype.kind == "c":
+    else:
         derivative = _prod(_quot(n, z), c0)
         np.subtract(c_low, derivative, out=derivative)
-    else:
-        derivative = c_low - (n / z) * c0
-    flip = (ell < 0) & (n % 2 == 1)
-    if np.any(flip):
-        c0, derivative = np.where(flip, -c0, c0), np.where(flip, -derivative, derivative)
+    if ell < 0 and n % 2 == 1:
+        return CylinderValue(-c0, -derivative, c_low)
     return CylinderValue(c0, derivative, c_low)
 
 
 def _principal(kind, ell, z, log_modulus=None) -> CylinderValue:
     """J or Y with derivative at principal phase: scalars in complex
     arithmetic (real positive z as a float, which keeps Im exactly 0),
-    arrays in _principal_grid.  z = e^w for a point w of the cover comes
-    with log_modulus = Re w, which the range check reads."""
-    if isinstance(ell, np.ndarray) or isinstance(z, np.ndarray):
-        return _principal_grid(kind, np.asarray(ell), np.asarray(z), log_modulus)
+    arrays as complex in _principal_grid.  z = e^w for a point w of the
+    cover comes with log_modulus = Re w, which the range check reads."""
+    if isinstance(z, np.ndarray):
+        return _principal_grid(kind, ell, np.asarray(z, complex))
     z = complex(z)
     if z == 0:
         raise DomainError("cylinder functions are singular or trivial at z = 0")
@@ -249,29 +244,17 @@ def _principal(kind, ell, z, log_modulus=None) -> CylinderValue:
 
 
 @np.errstate(all="ignore")
-def _principal_grid(kind, ell: np.ndarray, z: np.ndarray, log_modulus=None) -> CylinderValue:
-    """_principal over broadcast arrays, one range check for all elements.
-    A real z is evaluated in floats, equal to the real parts of the scalar
-    calls; a complex z gives the scalar calls' bits, its real positive
-    elements on the real path."""
-    n = np.abs(ell)
-    cplx = z.dtype.kind == "c"
-    top = (np.hypot(z.real, z.imag) if cplx else z).max(initial=0.0)
-    if log_modulus is not None:
-        log_modulus = np.max(log_modulus, initial=-math.inf)
-    _checked_order(n.max(initial=0), top, log_modulus)
-    if not cplx:
-        if not z.min(initial=1.0) > 0:
-            raise DomainError("real array arguments must be positive")
-        return _with_derivative(ell, z, kind(n, z), kind(n - 1, z))
+def _principal_grid(kind, ell, z: np.ndarray) -> CylinderValue:
+    """_principal over a complex array, one range check for all elements:
+    the scalar calls' bits, real positive elements on the real path."""
+    n = _checked_order(ell, np.hypot(z.real, z.imag).max(initial=0.0))
     if not z.all():
         raise DomainError("cylinder functions are singular or trivial at z = 0")
     c0, c_low = np.asarray(kind(n, z)), np.asarray(kind(n - 1, z))
-    real = np.broadcast_to((z.imag == 0.0) & (z.real > 0.0), c0.shape)
+    real = (z.imag == 0.0) & (z.real > 0.0)
     if real.any():
-        n_real = np.broadcast_to(n, c0.shape)[real]
-        x = np.broadcast_to(z.real, c0.shape)[real]
-        c0[real], c_low[real] = kind(n_real, x), kind(n_real - 1, x)
+        x = z.real[real]
+        c0[real], c_low[real] = kind(n, x), kind(n - 1, x)
     return _with_derivative(ell, z, c0, c_low)
 
 
@@ -280,18 +263,19 @@ def bessel_j(ell, z) -> CylinderValue:
 
     Parameters
     ----------
-    ell : int or array of int
-        Order; negative orders are reflected via J_{-ell} = (-1)^ell J_ell.
+    ell : int
+        One order; negative orders are reflected via J_{-ell} = (-1)^ell J_ell.
+        An array of orders is a DomainError: order_table evaluates many.
     z : complex, or array of float or complex
-        Nonzero argument with |z| <= 100; real arrays must be positive.
+        Nonzero argument with |z| <= 100.
 
     Returns
     -------
     CylinderValue
         Python complex value and derivative; real positive z takes a real
         path, so their imaginary parts are exactly 0.  low is J_{|ell|-1}(z).
-        If ell or z is an array: arrays broadcast over both, float for a
-        real z, else complex and bit-equal to the scalar calls.
+        An array z, a float one read as complex, gives complex arrays
+        bit-equal to the scalar calls.
     """
     return _principal(jv, ell, z)
 
@@ -299,29 +283,18 @@ def bessel_j(ell, z) -> CylinderValue:
 def bessel_y(ell, z) -> CylinderValue:
     """Y_ell(z) and Y'_ell(z) at principal phase; conventions as bessel_j.
 
-    z may also be a SurfacePoint, one point or a grid: off the principal
-    sheet (arg z outside (-pi, pi]) Y is continued by the connection
-    formula, as in hankel.
+    z may also be one SurfacePoint (a grid is a DomainError): off the
+    principal sheet (arg z outside (-pi, pi]) Y is continued by the
+    connection formula, as in hankel.
     """
     if not isinstance(z, SurfacePoint):
         return _principal(yv, ell, z)
     w = z.log_value
-    if not isinstance(w, np.ndarray):
-        if -math.pi < w.imag <= math.pi:
-            return _principal(yv, ell, z.value, w.real)
-        return _on_cover(0, ell, z)
-    ell, w = np.broadcast_arrays(ell, w)
-    on_sheet = (-math.pi < w.imag) & (w.imag <= math.pi)
-    off = ~on_sheet
-    parts = (
-        (on_sheet, _principal(yv, ell[on_sheet], np.exp(w[on_sheet]), w.real[on_sheet])),
-        (off, _on_cover(0, ell[off], SurfacePoint(w[off]))),
-    )
-    fields = {name: np.empty(w.shape, complex) for name in ("value", "derivative", "low")}
-    for mask, part in parts:
-        for name, out in fields.items():
-            out[mask] = getattr(part, name)
-    return CylinderValue(**fields)
+    if isinstance(w, np.ndarray):
+        raise DomainError("bessel_y takes one point of the cover, not a grid")
+    if -math.pi < w.imag <= math.pi:
+        return _principal(yv, ell, z.value, w.real)
+    return _on_cover(0, ell, z)
 
 
 @np.errstate(all="ignore")
@@ -369,13 +342,13 @@ def hankel(kind: int, ell, point: SurfacePoint | complex) -> CylinderValue:
     ----------
     kind : int
         1 for J + iY, 2 for J - iY (built from the continued J and Y).
-    ell : int or array of int
-        Order; negative orders are reflected.
+    ell : int
+        One order; negative orders are reflected.
     point : SurfacePoint or complex
         Argument.  A plain complex number is lifted at principal phase.  A
         SurfacePoint holding an array is a grid of points: the result is
-        then complex arrays, broadcast with ell, bit-equal to the calls at
-        each point, with one range check for the whole grid.
+        then complex arrays, bit-equal to the calls at each point, with one
+        range check for the whole grid.
 
     Returns
     -------
@@ -393,7 +366,7 @@ def _on_cover(kind: int, ell, point: SurfacePoint) -> CylinderValue:
     """Y_ell (kind 0) or H_ell^(kind) (kind 1, 2) with derivative at a point
     of the cover, from J and Y continued off theta0 in (-pi/2, pi/2]."""
     w = point.log_value
-    if isinstance(w, np.ndarray) or isinstance(ell, np.ndarray):
+    if isinstance(w, np.ndarray):
         return _on_grid(kind, ell, point)
     n = _checked_order(ell, math.exp(w.real), w.real)
     theta0, m = _reduce_argument(w.imag)
@@ -411,26 +384,24 @@ def _on_cover(kind: int, ell, point: SurfacePoint) -> CylinderValue:
 
 @np.errstate(all="ignore")
 def _on_grid(kind: int, ell, point: SurfacePoint) -> CylinderValue:
-    """_on_cover over a grid of points or an array of orders, broadcast,
-    with one range check for all."""
-    ell, w = np.asarray(ell), np.asarray(point.log_value)
-    n, top = np.abs(ell), w.real.max(initial=-math.inf)
-    _checked_order(n.max(initial=0), math.exp(top), top)
-    c0, c_low = _continued_grid(kind, n, np.broadcast_to(w, np.broadcast(ell, w).shape))
-    return _with_derivative(ell, np.asarray(point.value), c0, c_low)
+    """H_ell^(kind) (kind 1, 2) as _on_cover over a grid of points, with one
+    range check for all."""
+    w = point.log_value
+    top = w.real.max(initial=-math.inf)
+    n = _checked_order(ell, math.exp(top), top)
+    c0, c_low = _continued_grid(kind, n, w)
+    return _with_derivative(ell, point.value, c0, c_low)
 
 
-def _continued_grid(kind: int, n, w: np.ndarray):
-    """(C_n, C_{n-1}) at each e^w of a grid, C = Y (kind 0) or H^(kind):
-    _on_cover's _reduce_argument and _continued_jy by element.  Its arrays
-    are freed before the derivative's."""
+def _continued_grid(kind: int, n: int, w: np.ndarray):
+    """(H_n, H_{n-1}) of the given kind at each e^w of a grid: _on_cover's
+    _reduce_argument and _continued_jy by element.  Its arrays are freed
+    before the derivative's."""
     if not np.isfinite(w.imag).all():
         raise DomainError("arguments must be finite")
     m = np.ceil((w.imag - math.pi / 2) / math.pi - 1e-15)
     z0 = np.exp(_complex(w.real, w.imag - m * math.pi))
     (j0, y0), (j1, y1) = (_continued_jy_grid(k, z0, m) for k in (n, n - 1))
-    if kind == 0:
-        return y0, y1
     if kind == 1:
         j0 += _prod(1j, y0)
         j1 += _prod(1j, y1)
@@ -440,13 +411,13 @@ def _continued_grid(kind: int, n, w: np.ndarray):
     return j0, j1
 
 
-def _continued_jy_grid(n, z0: np.ndarray, m: np.ndarray):
-    """_continued_jy at each element of z0 and m, which n broadcasts to."""
+def _continued_jy_grid(n: int, z0: np.ndarray, m: np.ndarray):
+    """_continued_jy at each element of z0 and m."""
     j0, y0 = jv(n, z0), yv(n, z0)
     moved = m != 0
     if moved.any():
         m, j = m[moved], j0[moved]
-        sign = np.where((m * np.broadcast_to(n, moved.shape)[moved]) % 2, -1.0, 1.0)
+        sign = np.where((m * n) % 2, -1.0, 1.0)
         y0[moved] = _prod(sign, y0[moved] + _prod(_prod(2j, m), j))
         j0[moved] = _prod(sign, j)
     return j0, y0

@@ -86,6 +86,8 @@ class GuessKind:
             raise DomainError("disappearing0 carries no branch index")
         if self.family != "disappearing0" and self.branch is None:
             raise DomainError(f"{self.family} requires a branch index")
+        if self.branch is not None:
+            _integer(self.branch, "branch index")
         if self.family == "persist-lw" and self.branch == 0:
             raise DomainError("persist-lw branch index must be nonzero")
 
@@ -288,12 +290,9 @@ def refine(
 
 
 def _validate_eps_grid(eps_list: tuple[float, ...]) -> None:
+    """The grid's shape; initial_guess checks each eps itself."""
     if not eps_list:
         raise DomainError("eps grid is empty")
-    if any(e == 0 for e in eps_list):
-        raise DomainError("eps grid contains 0, the degenerate family point")
-    if not all(math.isfinite(e) for e in eps_list):
-        raise DomainError(f"eps grid contains a non-finite value: {list(eps_list)}")
     diffs = [b - a for a, b in zip(eps_list, eps_list[1:])]
     if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
         raise DomainError("eps grid must be strictly monotone")
@@ -313,11 +312,12 @@ def track(
     guess.  NotFound points are recorded and the track continues.
     """
     eps_tuple = tuple(float(e) for e in eps_list)
-    _validate_eps_grid(eps_tuple)
-    # every well and guess is built before any refinement, so a bad grid
-    # point raises before work is done
-    wells = [family.well(e) for e in eps_tuple]
+    # every guess and well is built before any refinement, so a bad grid
+    # point raises before work is done; the guesses go first, so a zero or
+    # non-finite eps is reported by name
     guesses = [initial_guess(ell, e, family, kind) for e in eps_tuple]
+    _validate_eps_grid(eps_tuple)
+    wells = [family.well(e) for e in eps_tuple]
 
     records: list[ResonanceRecord] = []
     prev: SurfacePoint | None = None

@@ -18,6 +18,7 @@ import math
 
 from scipy.special import lambertw as _lambertw
 
+from .cylinder import _integer
 from .errors import DomainError
 
 # w e^w has its real branch point at -1/e; scipy returns NaN exactly there
@@ -32,7 +33,7 @@ def lambert_w(n: int, x: complex) -> complex:
     Parameters
     ----------
     n : int
-        Branch index.
+        Branch index; a non-integer (1.5, or even 1.0) is a DomainError.
     x : complex
         Finite argument; x = 0 is valid only on the principal branch
         (W_0(0) = 0).
@@ -41,6 +42,7 @@ def lambert_w(n: int, x: complex) -> complex:
     -------
     complex
     """
+    _integer(n, "branch index")
     x = complex(x)
     if not cmath.isfinite(x):
         raise DomainError(f"W_n needs a finite argument, got {x}")

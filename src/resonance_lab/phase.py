@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cylinder import EULER_GAMMA, bessel_j, order_table
+from .cylinder import EULER_GAMMA, order_table
 from .errors import DomainError, QuadratureError, RangeError
 from .well import Well, ZeroEnergyKind, zero_energy_kind
 
@@ -154,7 +154,7 @@ def _small_lambda_law(well: Well):
         return lambda lam: (-1.5 * rho * rho * lam, -0.75 * rho * rho * lam * lam), 1e-6
     # generic: u = log(lambda/2) + gamma + log rho + J_0(x)/(x J_1(x)), x = rho a
     x = rho * well.a
-    j0, j1, j2 = bessel_j(np.arange(3), x).value
+    j0, j1, j2 = order_table("j", np.array([1]), np.array([x]), spare=1)[1:, 0]
     c, ratio = math.log(rho) + float(j0 / (x * j1)), float(j2 / j0)
     def law(lam):
         du, su = _log_law(lam, math.log(lam / 2.0) + c + EULER_GAMMA)

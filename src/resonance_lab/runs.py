@@ -400,6 +400,8 @@ def emit_plot_script(
     for p in paths:
         if p.suffix == ".csv" and not p.exists():
             raise MissingInput(f"plot input {p} does not exist")
+    if figure_id not in PLOT_LAYOUTS:
+        raise ConfigError(f"figure id must be one of {sorted(PLOT_LAYOUTS)}, got {figure_id}")
     preamble, layout = PLOT_LAYOUTS[figure_id]
     lines = [f"# gnuplot layout for figure {figure_id}", "set datafile separator ','",
              "set key autotitle columnhead", *preamble]

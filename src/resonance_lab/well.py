@@ -115,8 +115,8 @@ def _edge(ell: int, point: SurfacePoint, well: Well):
 
 def _q_terms(ell: int, point: SurfacePoint, well: Well) -> tuple[complex, complex]:
     """The two terms whose difference is Q_ell; |t1| + |t2| is the scale.
-    A grid of points or an array of orders gives arrays, with products
-    rounded as CPython's."""
+    ell is one order; a grid of points gives arrays, with products rounded
+    as CPython's."""
     m, j, h = _edge(ell, point, well)
     lam = point.value
     if isinstance(h.value, complex):
@@ -135,9 +135,9 @@ def char_q(ell: int, lam: SurfacePoint | complex, well: Well) -> complex:
     Zeros with 0 < arg lambda < pi are square roots of eigenvalues; all
     other zeros on the cover are resonances.  Negative ell maps to |ell|.
 
-    lam may be a SurfacePoint holding a grid of points, and ell an array of
-    orders: Q is then a complex array, broadcast over both, with the bits of
-    the calls at each point, from one range check.
+    ell is one order (an array of orders is a DomainError).  lam may be a
+    SurfacePoint holding a grid of points: Q is then a complex array with
+    the bits of the calls at each point, from one range check.
     """
     t1, t2 = _q_terms(ell, _as_point(lam), well)
     if isinstance(t1, complex):

@@ -61,6 +61,12 @@ def test_resonance_argument_validation():
         delta_resonance(301.0, 1)
 
 
+@pytest.mark.parametrize("k", [1.5, -2.5, 1.0])
+def test_resonance_index_must_be_an_integer(k):
+    with pytest.raises(DomainError):
+        delta_resonance(10.0, k)
+
+
 def test_phase_derivative_matches_ode_oracle():
     for lam in (0.1, 0.2):
         v = delta_phase_derivative(10.0, lam)

@@ -108,6 +108,16 @@ def test_guess_kind_validation():
         GuessKind("bogus", 0)
 
 
+# a half branch would put a persist-sqrt guess half a sheet over, at arg 3 pi/2
+@pytest.mark.parametrize(
+    "make", [GuessKind.persist_sqrt, GuessKind.persist_lw], ids=["persist-sqrt", "persist-lw"]
+)
+@pytest.mark.parametrize("branch", [1.5, -0.5, 1.0])
+def test_guess_kind_rejects_non_integer_branch(make, branch):
+    with pytest.raises(DomainError, match="branch index"):
+        make(branch)
+
+
 # --------------------------------------------------------------- refinement
 
 
@@ -212,20 +222,20 @@ def test_track_classifies_crossing():
 
 
 def test_track_validates_grid():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="empty"):
         track(2, FAM_S, (), GuessKind.persist_sqrt(0))
-    with pytest.raises(DomainError):
+    # each eps is checked once, by initial_guess, which names it
+    with pytest.raises(DomainError, match="eps = 0.0 must be finite and nonzero"):
         track(2, FAM_S, (-0.1, 0.0, 0.1), GuessKind.persist_sqrt(0))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="strictly monotone"):
         track(2, FAM_S, (0.04, 0.09, 0.02), GuessKind.persist_sqrt(0))
 
 
 @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
 def test_track_rejects_non_finite_eps(eps):
-    with pytest.raises(DomainError):
-        track(2, FAM_S, (0.04, eps), GuessKind.persist_sqrt(0))
-    with pytest.raises(DomainError):
-        track(2, FAM_S, (eps,), GuessKind.persist_sqrt(0))
+    for grid in ((0.04, eps), (eps,)):
+        with pytest.raises(DomainError, match=f"eps = {eps} must be finite and nonzero"):
+            track(2, FAM_S, grid, GuessKind.persist_sqrt(0))
 
 
 def test_track_continuation_survives_bad_guess_point():

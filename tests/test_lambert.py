@@ -41,6 +41,17 @@ def test_zero_rejected_off_principal_branch():
         lambert_w(3, 0)
 
 
+# scipy truncates a non-integer k: lambert_w(1.5, 0.3) would be W_1(0.3)
+@pytest.mark.parametrize(
+    "n",
+    [1.5, -0.5, 1.0, np.float64(2.0), np.array([0, 1])],
+    ids=["half", "negative-half", "integral-float", "numpy-float", "array"],
+)
+def test_non_integer_branch_is_a_domain_error(n):
+    with pytest.raises(DomainError, match="branch index"):
+        lambert_w(n, 0.3)
+
+
 def test_residual_on_reference_grid():
     # |x| log-spaced over [1e-8, 1e3], 24 phases, branches -5..5
     for mod in np.logspace(-8, 3, 12):

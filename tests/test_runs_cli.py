@@ -231,6 +231,13 @@ def test_plot_script_missing_input(tmp_path):
         emit_plot_script([tmp_path / "absent.csv"], 1, tmp_path / "out.gp")
 
 
+@pytest.mark.parametrize("figure_id", [0, 7])
+def test_plot_script_unknown_figure(tmp_path, figure_id):
+    with pytest.raises(ConfigError, match=f"got {figure_id}"):
+        emit_plot_script([], figure_id, tmp_path / "out.gp")
+    assert not (tmp_path / "out.gp").exists()
+
+
 # ----------------------------------------------------------- subcommands
 
 

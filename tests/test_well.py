@@ -174,11 +174,6 @@ def test_char_q_on_a_grid_is_the_scalar_calls_bit_for_bit(ell, a, rho, grid):
     scales = [char_q_scale(ell, SurfacePoint.from_polar(r, t), well) for r, t in grid]
     got = char_q_scale(ell, points, well)
     assert np.array_equal(got.view(np.int64), np.array(scales).view(np.int64))
-    # an array of orders at one point
-    single = SurfacePoint.from_polar(*grid[0])
-    pair = char_q(np.array([ell, ell // 2]), single, well)
-    want = [want[0], char_q(ell // 2, single, well)]
-    assert np.array_equal(pair.view(np.int64), np.array(want).view(np.int64))
 
 
 def test_char_q_negative_order_matches_positive():
