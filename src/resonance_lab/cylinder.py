@@ -13,7 +13,8 @@ theta in (-pi/2, pi/2] and applies the integer-order connection formulas
     Y_ell(z e^{i m pi}) = (-1)^{m ell} [Y_ell(z) + 2 i m J_ell(z)],
 
 m times.  Principal-sheet values come from scipy.special; derivatives use
-the downward recurrence C'_ell = C_{ell-1} - (ell/z) C_ell.
+the downward recurrence C'_ell = C_{ell-1} - (ell/z) C_ell, evaluated when a
+caller first reads one.
 
 Every call evaluates one integer order.  A SurfacePoint may hold a whole
 array of logarithms, a grid; hankel then evaluates every point in one call,
@@ -29,9 +30,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import jn_zeros, jv, yv
@@ -67,6 +70,8 @@ class SurfacePoint:
     @classmethod
     def from_complex(cls, z: complex) -> "SurfacePoint":
         """Lift a nonzero finite complex number using its principal argument."""
+        if not isinstance(z, numbers.Number):
+            raise DomainError(f"lambda = {z!r} is not a number")
         z = complex(z)
         if z == 0:
             raise DomainError("lambda = 0 cannot be represented on the cover")
@@ -116,11 +121,34 @@ class SurfacePoint:
 
 @dataclass(frozen=True)
 class CylinderValue:
-    """C_ell(z), C'_ell(z) and low = C_{|ell|-1}(z), unreflected (complex, or arrays)."""
+    """C_ell(z), C'_ell(z) and low = C_{|ell|-1}(z), unreflected (complex, or arrays).
+
+    value and low are evaluated with the call; the derivative is computed when
+    it is first read, from them and the argument, so a caller that reads only
+    value and low (Q does) pays for no derivative.
+    """
 
     value: complex
-    derivative: complex
     low: complex
+    _ell: int = field(repr=False, compare=False)
+    # z, or the point of the cover whose value is z
+    _at: object = field(repr=False, compare=False)
+
+    @cached_property
+    def derivative(self) -> complex:
+        """The recurrence C'_n = C_{n-1} - (n/z) C_n at n = |ell|, reflected as value is."""
+        n = abs(self._ell)
+        flip = self._ell < 0 and n % 2 == 1
+        c0 = -self.value if flip else self.value
+        z = self._at.value if isinstance(self._at, SurfacePoint) else self._at
+        if isinstance(z, complex):
+            derivative = self.low - (n / z) * c0
+        else:
+            # CPython's complex arithmetic signals nothing, nor does its mirror
+            with np.errstate(all="ignore"):
+                derivative = _prod(_quot(n, z), c0)
+                np.subtract(self.low, derivative, out=derivative)
+        return -derivative if flip else derivative
 
 
 def _integer(value, what: str) -> None:
@@ -163,8 +191,8 @@ def _complex(re, im) -> np.ndarray:
 
 
 # CPython's complex arithmetic signals no overflow or invalid operation, so
-# neither do the array paths that mirror it
-@np.errstate(all="ignore")
+# neither do the array paths that mirror it: each public call that reaches
+# _prod, _quot or _sqrt runs them under one np.errstate(all="ignore")
 def _prod(a, b) -> np.ndarray:
     """a * b over complex arrays, rounded as CPython's _Py_c_prod; a real
     operand counts as (x, 0.0), as CPython converts it."""
@@ -194,7 +222,6 @@ def _quot(a, b) -> np.ndarray:
     return _complex(re, im)
 
 
-@np.errstate(all="ignore")
 def _sqrt(z) -> np.ndarray:
     """cmath.sqrt over a complex array without zeros, as CPython computes it
     (cmath_sqrt_impl); libm's csqrt, behind np.sqrt, rounds a subnormal part
@@ -211,36 +238,30 @@ def _sqrt(z) -> np.ndarray:
     return _complex(np.where(right, s, d), np.copysign(np.where(right, d, s), z.imag))
 
 
-def _with_derivative(ell, z, c0, c_low) -> CylinderValue:
-    """C_ell and C'_ell from C_n, C_{n-1} at n = |ell|, negative orders reflected.
-
-    The derivative is the recurrence C'_n = C_{n-1} - (n/z) C_n; scipy
-    supplies C_{-1} = -C_1, so n = 0 needs no special case.
-    """
-    n = abs(ell)
-    if isinstance(z, complex):
-        derivative = c_low - (n / z) * c0
-    else:
-        derivative = _prod(_quot(n, z), c0)
-        np.subtract(c_low, derivative, out=derivative)
-    if ell < 0 and n % 2 == 1:
-        return CylinderValue(-c0, -derivative, c_low)
-    return CylinderValue(c0, derivative, c_low)
+def _value(ell, at, c0, c_low) -> CylinderValue:
+    """The CylinderValue of C_n, C_{n-1} at n = |ell| and argument at (z, or a
+    point of the cover), odd negative orders reflected; scipy supplies
+    C_{-1} = -C_1, so n = 0 needs no special case."""
+    if ell < 0 and ell % 2:
+        return CylinderValue(-c0, c_low, ell, at)
+    return CylinderValue(c0, c_low, ell, at)
 
 
 def _principal(kind, ell, z, log_modulus=None) -> CylinderValue:
-    """J or Y with derivative at principal phase: scalars in complex
+    """J or Y at principal phase: scalars in complex
     arithmetic (real positive z as a float, which keeps Im exactly 0),
     arrays as complex in _principal_grid.  z = e^w for a point w of the
     cover comes with log_modulus = Re w, which the range check reads."""
     if isinstance(z, np.ndarray):
         return _principal_grid(kind, ell, np.asarray(z, complex))
+    if not isinstance(z, (complex, float, numbers.Number)):
+        raise DomainError(f"argument {z!r} is neither a number nor an array")
     z = complex(z)
     if z == 0:
         raise DomainError("cylinder functions are singular or trivial at z = 0")
     n = _checked_order(ell, abs(z), log_modulus)
     x = z.real if z.imag == 0.0 and z.real > 0.0 else z
-    return _with_derivative(ell, z, complex(kind(n, x)), complex(kind(n - 1, x)))
+    return _value(ell, z, complex(kind(n, x)), complex(kind(n - 1, x)))
 
 
 @np.errstate(all="ignore")
@@ -255,7 +276,7 @@ def _principal_grid(kind, ell, z: np.ndarray) -> CylinderValue:
     if real.any():
         x = z.real[real]
         c0[real], c_low[real] = kind(n, x), kind(n - 1, x)
-    return _with_derivative(ell, z, c0, c_low)
+    return _value(ell, z, c0, c_low)
 
 
 def bessel_j(ell, z) -> CylinderValue:
@@ -363,8 +384,8 @@ def hankel(kind: int, ell, point: SurfacePoint | complex) -> CylinderValue:
 
 
 def _on_cover(kind: int, ell, point: SurfacePoint) -> CylinderValue:
-    """Y_ell (kind 0) or H_ell^(kind) (kind 1, 2) with derivative at a point
-    of the cover, from J and Y continued off theta0 in (-pi/2, pi/2]."""
+    """Y_ell (kind 0) or H_ell^(kind) (kind 1, 2) at a point of the cover,
+    from J and Y continued off theta0 in (-pi/2, pi/2]."""
     w = point.log_value
     if isinstance(w, np.ndarray):
         return _on_grid(kind, ell, point)
@@ -379,7 +400,7 @@ def _on_cover(kind: int, ell, point: SurfacePoint) -> CylinderValue:
         c0, c_low = j0 + 1j * y0, j1 + 1j * y1
     else:
         c0, c_low = j0 - 1j * y0, j1 - 1j * y1
-    return _with_derivative(ell, cmath.exp(w), c0, c_low)
+    return _value(ell, point, c0, c_low)
 
 
 @np.errstate(all="ignore")
@@ -390,13 +411,12 @@ def _on_grid(kind: int, ell, point: SurfacePoint) -> CylinderValue:
     top = w.real.max(initial=-math.inf)
     n = _checked_order(ell, math.exp(top), top)
     c0, c_low = _continued_grid(kind, n, w)
-    return _with_derivative(ell, point.value, c0, c_low)
+    return _value(ell, point, c0, c_low)
 
 
 def _continued_grid(kind: int, n: int, w: np.ndarray):
     """(H_n, H_{n-1}) of the given kind at each e^w of a grid: _on_cover's
-    _reduce_argument and _continued_jy by element.  Its arrays are freed
-    before the derivative's."""
+    _reduce_argument and _continued_jy by element."""
     if not np.isfinite(w.imag).all():
         raise DomainError("arguments must be finite")
     m = np.ceil((w.imag - math.pi / 2) / math.pi - 1e-15)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 
+from .cylinder import _integer
 from .errors import DomainError, RangeError
 from .lambert import lambert_w
 
@@ -32,6 +33,7 @@ def delta_resonance(a: float, k: int) -> complex:
         raise DomainError("delta strength a must be positive")
     if a > MAX_STRENGTH:
         raise RangeError(f"a = {a} overflows a*e^a in double precision")
+    _integer(k, "resonance index")
     if k == 0:
         raise DomainError("resonance index k must be nonzero")
     w = lambert_w(-k, a * math.exp(a))

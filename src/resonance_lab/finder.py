@@ -15,7 +15,10 @@ starting point:
 
 Refinement runs Newton on Q_ell in the log(lambda) coordinate, which keeps
 the iteration on whatever sheet the guess started and makes sheet drift an
-observable (warned) event rather than a silent wraparound.
+observable (warned) event rather than a silent wraparound.  A track refines
+all its guesses in lockstep, one batched Q evaluation per Newton step, with
+the records of one chain per guess; its continuation from the previous root
+runs point after point through refine.
 """
 
 from __future__ import annotations
@@ -220,6 +223,131 @@ def _not_found(eps: float, guess: SurfacePoint, last: SurfacePoint) -> Resonance
     )
 
 
+def _q_rows(n: int, rows: list, wells: list, terms: bool) -> list:
+    """Q_n (or, with terms, its two terms) at each log-point of each row, in
+    the row's well, as Python complex.
+
+    One row is evaluated point by point through char_q (or _q_terms); more
+    rows are one grid call of _q_terms, one depth per row (the wells of a
+    track share rho), which gives the same bits.  A row reads None where
+    its evaluation leaves the validated range (RangeError, OverflowError): a
+    grid call that raises one is redone row by row.
+    """
+    if len(rows) > 1:
+        depth = np.array([[well.a] for well in wells])
+        try:
+            with np.errstate(all="ignore"):
+                t1, t2 = _q_terms(n, SurfacePoint(np.array(rows)), depth, wells[0].rho)
+                if not terms:
+                    return (t1 - t2).tolist()
+            return [list(zip(*pair)) for pair in zip(t1.tolist(), t2.tolist())]
+        except (RangeError, OverflowError):
+            pass
+    out = []
+    for row, well in zip(rows, wells):
+        try:
+            if terms:
+                out.append([_q_terms(n, SurfacePoint(w), well.a, well.rho) for w in row])
+            else:
+                out.append([char_q(n, SurfacePoint(w), well) for w in row])
+        except (RangeError, OverflowError):
+            out.append(None)
+    return out
+
+
+def _refine_all(
+    n: int, starts: list, wells: list, epsilons: list
+) -> list[ResonanceRecord]:
+    """Newton refinement of char_q from each start in its own well, all in
+    lockstep: each step is one _q_rows call over the central-difference
+    points of every start still running, and one more gives the residuals.
+    The per-point arithmetic is refine's, on Python complex values, so each
+    record is the one a refinement of that start alone gives.
+    """
+    records: list = [None] * len(starts)
+    w = [start.log_value for start in starts]
+
+    def lost(i: int) -> None:
+        records[i] = _not_found(epsilons[i], starts[i], SurfacePoint(w[i]))
+
+    running = []
+    for i, start in enumerate(starts):
+        # compare in log scale so absurd guesses cannot overflow exp()
+        if start.log_value.real > math.log(GUESS_BASIN):
+            records[i] = _not_found(epsilons[i], start, start)
+        else:
+            running.append(i)
+    stopped = []
+    for _ in range(MAX_ITER):
+        if not running:
+            break
+        rows = [(w[i], w[i] + FD_STEP, w[i] - FD_STEP) for i in running]
+        values = _q_rows(n, rows, [wells[i] for i in running], terms=False)
+        still = []
+        for i, row in zip(running, values):
+            if row is None:
+                lost(i)
+                continue
+            f, q_up, q_down = row
+            try:
+                fp = (q_up - q_down) / (2 * FD_STEP)
+                if fp == 0 or not (abs(f) < math.inf and abs(fp) < math.inf):
+                    lost(i)
+                    continue
+                dw = f / fp
+                w[i] = w[i] - dw
+                (stopped if abs(dw) <= STEP_TOL else still).append(i)
+            except OverflowError:
+                lost(i)
+        running = still
+    stopped = sorted(stopped + running)
+    values = _q_rows(n, [(w[i],) for i in stopped], [wells[i] for i in stopped], terms=True)
+    for i, row in zip(stopped, values):
+        if row is None:
+            lost(i)
+            continue
+        ((t1, t2),) = row
+        try:
+            scale = abs(t1) + abs(t2)
+            residual = abs(t1 - t2) / scale if scale > 0 else math.inf
+        except OverflowError:
+            lost(i)
+            continue
+        records[i] = _record(epsilons[i], starts[i], SurfacePoint(w[i]), residual)
+    return records
+
+
+def _record(
+    eps: float, guess: SurfacePoint, refined: SurfacePoint, residual: float
+) -> ResonanceRecord:
+    """The record of a Newton run that stopped at refined."""
+    if not (residual <= RESIDUAL_TOL):
+        return _not_found(eps, guess, refined)
+
+    if abs(refined.argument - guess.argument) > math.pi / 2:
+        warnings.warn(
+            f"refined arg {refined.argument:.4f} drifted from guess arg "
+            f"{guess.argument:.4f}",
+            SheetDriftWarning,
+            stacklevel=4,
+        )
+
+    energy = refined.value ** 2
+    on_axis = abs(refined.argument - math.pi / 2) <= EIGEN_ARG_TOL
+    real_energy = abs(energy.imag) <= 1e-8 * abs(energy)
+    classification = (
+        Classification.EIGENVALUE if on_axis and real_energy else Classification.RESONANCE
+    )
+    return ResonanceRecord(
+        epsilon=eps,
+        guess=guess,
+        refined=refined,
+        residual=residual,
+        classification=classification,
+        energy=energy,
+    )
+
+
 def refine(
     ell: int,
     guess: SurfacePoint,
@@ -234,59 +362,11 @@ def refine(
     residual |Q|/(|t1|+|t2|) stays above 1e-9, when evaluation leaves the
     kernel's validated range, or when the guess is outside the small-energy
     basin |lambda| <= 3.  A SheetDriftWarning is issued when the refined
-    argument moved more than pi/2 from the guess.
+    argument moved more than pi/2 from the guess.  This is the one-start
+    case of the Newton loop that track runs over all its guesses at once,
+    so every step is three scalar char_q calls.
     """
-    n = abs(ell)
-    # compare in log scale so absurd guesses cannot overflow exp()
-    if guess.log_value.real > math.log(GUESS_BASIN):
-        return _not_found(epsilon, guess, guess)
-    w = guess.log_value
-
-    def q_at(wv: complex) -> complex:
-        return char_q(n, SurfacePoint(wv), well)
-
-    try:
-        for _ in range(MAX_ITER):
-            f = q_at(w)
-            fp = (q_at(w + FD_STEP) - q_at(w - FD_STEP)) / (2 * FD_STEP)
-            if fp == 0 or not (abs(f) < math.inf and abs(fp) < math.inf):
-                return _not_found(epsilon, guess, SurfacePoint(w))
-            dw = f / fp
-            w = w - dw
-            if abs(dw) <= STEP_TOL:
-                break
-        t1, t2 = _q_terms(n, SurfacePoint(w), well)
-        scale = abs(t1) + abs(t2)
-        residual = abs(t1 - t2) / scale if scale > 0 else math.inf
-    except (RangeError, OverflowError):
-        return _not_found(epsilon, guess, SurfacePoint(w))
-
-    refined = SurfacePoint(w)
-    if not (residual <= RESIDUAL_TOL):
-        return _not_found(epsilon, guess, refined)
-
-    if abs(refined.argument - guess.argument) > math.pi / 2:
-        warnings.warn(
-            f"refined arg {refined.argument:.4f} drifted from guess arg "
-            f"{guess.argument:.4f}",
-            SheetDriftWarning,
-            stacklevel=2,
-        )
-
-    energy = refined.value ** 2
-    on_axis = abs(refined.argument - math.pi / 2) <= EIGEN_ARG_TOL
-    real_energy = abs(energy.imag) <= 1e-8 * abs(energy)
-    classification = (
-        Classification.EIGENVALUE if on_axis and real_energy else Classification.RESONANCE
-    )
-    return ResonanceRecord(
-        epsilon=epsilon,
-        guess=guess,
-        refined=refined,
-        residual=residual,
-        classification=classification,
-        energy=energy,
-    )
+    return _refine_all(abs(ell), [guess], [well], [epsilon])[0]
 
 
 def _validate_eps_grid(eps_list: tuple[float, ...]) -> None:
@@ -306,10 +386,12 @@ def track(
 ) -> ResonanceTrack:
     """Refine the mode-ell family over an ordered eps grid.
 
-    Each point is refined from its asymptotic guess and, once a zero has
-    been kept, again from the previous kept zero (continuation); the result
-    with the smaller residual is kept, recorded against the asymptotic
-    guess.  NotFound points are recorded and the track continues.
+    Each point is refined from its asymptotic guess, all points in lockstep
+    (one batched Q evaluation per Newton step), and then, in order, once a
+    zero has been kept, again from the previous kept zero (continuation,
+    through refine); the result with the smaller residual is kept, recorded
+    against the asymptotic guess.  NotFound points are recorded and the
+    track continues.
     """
     eps_tuple = tuple(float(e) for e in eps_list)
     # every guess and well is built before any refinement, so a bad grid
@@ -319,17 +401,15 @@ def track(
     _validate_eps_grid(eps_tuple)
     wells = [family.well(e) for e in eps_tuple]
 
-    records: list[ResonanceRecord] = []
+    records = _refine_all(abs(ell), guesses, wells, eps_tuple)
     prev: SurfacePoint | None = None
-    for eps, guess, well in zip(eps_tuple, guesses, wells):
-        best = refine(ell, guess, well, epsilon=eps)
+    for i, (eps, guess, well) in enumerate(zip(eps_tuple, guesses, wells)):
         if prev is not None:
             alt = refine(ell, prev, well, epsilon=eps)
-            if alt.residual < best.residual:
-                best = dataclasses.replace(alt, guess=guess)
-        records.append(best)
-        if best.classification is not Classification.NOT_FOUND:
-            prev = best.refined
+            if alt.residual < records[i].residual:
+                records[i] = dataclasses.replace(alt, guess=guess)
+        if records[i].classification is not Classification.NOT_FOUND:
+            prev = records[i].refined
     return ResonanceTrack(ell=ell, family=family, kind=kind, records=tuple(records))
 
 

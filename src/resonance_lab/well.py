@@ -74,15 +74,16 @@ class ZeroEnergyKind(enum.Enum):
     ZERO_EIGENVALUE = "zero-eigenvalue"
 
 
-def mu(lam: SurfacePoint | complex, a: float) -> complex:
+def mu(lam: SurfacePoint | complex, a) -> complex:
     """sqrt(lambda^2 + a^2) on the branch that is positive for lambda > 0.
 
     The principal square root keeps Re mu >= 0, which is the continuous
     continuation from the positive real lambda axis throughout |lambda| < a.
     Callers must not cross the branch point lambda^2 = -a^2.  A grid of
-    points gives an array, bit-equal to the calls at each point.
+    points gives an array, bit-equal to the calls at each point; a may then
+    be an array too, one depth per point, broadcast with the grid.
     """
-    if not (a > 0):
+    if not ((a > 0).all() if isinstance(a, np.ndarray) else a > 0):
         raise DomainError("a must be positive")
     lam_value = lam.value if isinstance(lam, SurfacePoint) else complex(lam)
     if isinstance(lam_value, complex):
@@ -90,34 +91,37 @@ def mu(lam: SurfacePoint | complex, a: float) -> complex:
         if radicand == 0:
             raise BranchError("lambda^2 = -a^2 is the branch point of mu")
         return cmath.sqrt(radicand)
-    radicand = _prod(lam_value, lam_value)
-    radicand += a * a
-    if not radicand.all():
-        raise BranchError("lambda^2 = -a^2 is the branch point of mu")
-    return _sqrt(radicand)
+    with np.errstate(all="ignore"):
+        radicand = _prod(lam_value, lam_value)
+        radicand += a * a
+        if not radicand.all():
+            raise BranchError("lambda^2 = -a^2 is the branch point of mu")
+        return _sqrt(radicand)
 
 
 def _as_point(lam: SurfacePoint | complex) -> SurfacePoint:
     return lam if isinstance(lam, SurfacePoint) else SurfacePoint.from_complex(lam)
 
 
-def _edge(ell: int, point: SurfacePoint, well: Well):
-    """(mu, J_n(rho mu), H_n^(1)(lambda rho)) at n = |ell|: the edge values
-    that Q, S and the resonant state are built from.  hankel goes first, so
-    a non-finite phase or a non-integer order is rejected before
-    point.value is read."""
+def _edge(ell: int, point: SurfacePoint, a, rho: float):
+    """(mu, J_n(rho mu), H_n^(1)(lambda rho)) at n = |ell| in the well of
+    depth a and radius rho: the edge values that Q, S and the resonant state
+    are built from.  Over a grid, a may hold one depth per point.  hankel
+    goes first, so a non-finite phase or a non-integer order is rejected
+    before point.value is read."""
     n = abs(ell)
-    h = hankel(1, n, point.scaled(well.rho))
-    m = mu(point, well.a)
-    rho_m = well.rho * m if isinstance(m, complex) else _prod(well.rho, m)
+    h = hankel(1, n, point.scaled(rho))
+    m = mu(point, a)
+    rho_m = rho * m if isinstance(m, complex) else _prod(rho, m)
     return m, bessel_j(n, rho_m), h
 
 
-def _q_terms(ell: int, point: SurfacePoint, well: Well) -> tuple[complex, complex]:
+def _q_terms(ell: int, point: SurfacePoint, a, rho: float) -> tuple[complex, complex]:
     """The two terms whose difference is Q_ell; |t1| + |t2| is the scale.
     ell is one order; a grid of points gives arrays, with products rounded
-    as CPython's."""
-    m, j, h = _edge(ell, point, well)
+    as CPython's, under the np.errstate the caller holds.  a is the depth,
+    one float or one per point of the grid."""
+    m, j, h = _edge(ell, point, a, rho)
     lam = point.value
     if isinstance(h.value, complex):
         return m * j.low * h.value, lam * j.value * h.low
@@ -139,11 +143,13 @@ def char_q(ell: int, lam: SurfacePoint | complex, well: Well) -> complex:
     SurfacePoint holding a grid of points: Q is then a complex array with
     the bits of the calls at each point, from one range check.
     """
-    t1, t2 = _q_terms(ell, _as_point(lam), well)
-    if isinstance(t1, complex):
+    point = _as_point(lam)
+    if not isinstance(point.log_value, np.ndarray):
+        t1, t2 = _q_terms(ell, point, well.a, well.rho)
         return t1 - t2
-    # as in CPython's complex arithmetic, inf - inf signals nothing
+    # as in CPython's complex arithmetic, nothing signals
     with np.errstate(all="ignore"):
+        t1, t2 = _q_terms(ell, point, well.a, well.rho)
         t1 -= t2
     return t1
 
@@ -151,11 +157,13 @@ def char_q(ell: int, lam: SurfacePoint | complex, well: Well) -> complex:
 def char_q_scale(ell: int, lam: SurfacePoint | complex, well: Well) -> float:
     """Local magnitude |t1| + |t2| of the two Q_ell terms, for residuals;
     over a grid as char_q."""
-    t1, t2 = _q_terms(ell, _as_point(lam), well)
-    if isinstance(t1, complex):
+    point = _as_point(lam)
+    if not isinstance(point.log_value, np.ndarray):
+        t1, t2 = _q_terms(ell, point, well.a, well.rho)
         return abs(t1) + abs(t2)
     # CPython's abs is hypot, but returns its own NaN where a part is NaN
     with np.errstate(all="ignore"):
+        t1, t2 = _q_terms(ell, point, well.a, well.rho)
         scale = np.hypot(t1.real, t1.imag) + np.hypot(t2.real, t2.imag)
     scale[np.isnan(scale)] = math.nan
     return scale
@@ -187,7 +195,7 @@ def s_matrix_eigenvalue(ell: int, lam: float, well: Well) -> complex:
     """
     if not (lam > 0):
         raise DomainError("S-matrix eigenvalues are defined for real lambda > 0")
-    t1, t2 = _q_terms(ell, SurfacePoint.from_polar(lam, 0.0), well)
+    t1, t2 = _q_terms(ell, SurfacePoint.from_polar(lam, 0.0), well.a, well.rho)
     q = t1 - t2
     if abs(q) <= 1e-13 * (abs(t1) + abs(t2)):
         raise SingularityError(
@@ -210,7 +218,7 @@ def resonant_state(
     if not (r > 0):
         raise DomainError("radius r must be positive")
     n = abs(ell)
-    m, j, h = _edge(ell, lam, well)
+    m, j, h = _edge(ell, lam, well.a, well.rho)
     if abs(j.value) <= 1e-290:
         raise MatchError("interior solution vanishes at the edge; cannot match")
     t1, t2 = m * j.derivative * h.value, lam.value * j.value * h.derivative

@@ -1,4 +1,4 @@
-"""Forms of Q_ell and sigma'_ell equivalent to the ones the library evaluates.
+"""Forms equivalent to the ones the library evaluates.
 
 The library computes Q_ell in the wronskian form and sigma'_ell from it with
 no division by J'_ell(mu rho).  The forms here are written from the public
@@ -8,13 +8,35 @@ the identities that connect them:
 * C'_n = C_{n-1} - (n/z) C_n turns the derivative matching into char_q;
 * mu^2 J'_n^2 - (n/rho)^2 J_n^2 = -mu^2 J_{n-1} J_{n+1} at mu rho turns the
   primary sigma'_n into the division-free one.
+
+It also keeps finder's Newton refinement as it ran before track refined its
+asymptotic guesses in lockstep: one scalar chain per start, one point after
+the other, from public calls only.  The lockstep track must give the same
+records, bit for bit.
 """
 
+import dataclasses
 import math
+import warnings
 
 from scipy.special import jv
 
-from resonance_lab import SurfacePoint, Well, bessel_j, bessel_y, hankel, mu
+from resonance_lab import (
+    Classification,
+    ResonanceRecord,
+    ResonanceTrack,
+    SheetDriftWarning,
+    SurfacePoint,
+    Well,
+    bessel_j,
+    bessel_y,
+    char_q,
+    char_q_scale,
+    finder,
+    hankel,
+    mu,
+)
+from resonance_lab.errors import RangeError
 
 
 def q_derivative_form(ell: int, lam, well: Well) -> complex:
@@ -54,3 +76,81 @@ def sigma_alternate_form(ell: int, lam: float, well: Well) -> float:
     big_a = m * j_low * ej - lam * j * ej_low
     big_b = m * j_low * y - lam * j * y_low
     return (2.0 * well.a * well.a) / (math.pi**2 * lam) * j_low * j_high / (big_a * big_a + big_b * big_b)
+
+
+def _not_found(eps: float, guess: SurfacePoint, last: SurfacePoint) -> ResonanceRecord:
+    try:
+        energy = last.value ** 2
+    except OverflowError:
+        energy = complex(math.inf, math.inf)
+    return ResonanceRecord(eps, guess, last, math.inf, Classification.NOT_FOUND, energy)
+
+
+def refine_sequential(ell: int, guess: SurfacePoint, well: Well, epsilon: float = math.nan):
+    """finder.refine as one scalar Newton chain: three char_q calls a step,
+    then |Q| / (|t1| + |t2|), whose two parts have the bits of refine's
+    residual terms."""
+    n = abs(ell)
+    if guess.log_value.real > math.log(finder.GUESS_BASIN):
+        return _not_found(epsilon, guess, guess)
+    w = guess.log_value
+    step = finder.FD_STEP
+    try:
+        for _ in range(finder.MAX_ITER):
+            f = char_q(n, SurfacePoint(w), well)
+            fp = (char_q(n, SurfacePoint(w + step), well) - char_q(n, SurfacePoint(w - step), well)) / (2 * step)
+            if fp == 0 or not (abs(f) < math.inf and abs(fp) < math.inf):
+                return _not_found(epsilon, guess, SurfacePoint(w))
+            dw = f / fp
+            w = w - dw
+            if abs(dw) <= finder.STEP_TOL:
+                break
+        q, scale = char_q(n, SurfacePoint(w), well), char_q_scale(n, SurfacePoint(w), well)
+        residual = abs(q) / scale if scale > 0 else math.inf
+    except (RangeError, OverflowError):
+        return _not_found(epsilon, guess, SurfacePoint(w))
+    refined = SurfacePoint(w)
+    if not (residual <= finder.RESIDUAL_TOL):
+        return _not_found(epsilon, guess, refined)
+    if abs(refined.argument - guess.argument) > math.pi / 2:
+        warnings.warn(
+            f"refined arg {refined.argument:.4f} drifted from guess arg {guess.argument:.4f}",
+            SheetDriftWarning,
+        )
+    energy = refined.value ** 2
+    on_axis = abs(refined.argument - math.pi / 2) <= finder.EIGEN_ARG_TOL
+    real_energy = abs(energy.imag) <= 1e-8 * abs(energy)
+    classification = (
+        Classification.EIGENVALUE if on_axis and real_energy else Classification.RESONANCE
+    )
+    return ResonanceRecord(epsilon, guess, refined, residual, classification, energy)
+
+
+def track_sequential(ell, family, eps_list, kind) -> ResonanceTrack:
+    """finder.track with each point refined from its guess (finder.initial_guess),
+    then from the previous kept zero, before the next point starts."""
+    eps_tuple = tuple(float(e) for e in eps_list)
+    records, prev = [], None
+    for eps in eps_tuple:
+        guess, well = finder.initial_guess(ell, eps, family, kind), family.well(eps)
+        best = refine_sequential(ell, guess, well, eps)
+        if prev is not None:
+            alt = refine_sequential(ell, prev, well, eps)
+            if alt.residual < best.residual:
+                best = dataclasses.replace(alt, guess=guess)
+        records.append(best)
+        if best.classification is not Classification.NOT_FOUND:
+            prev = best.refined
+    return ResonanceTrack(ell, family, kind, tuple(records))
+
+
+def derivative_by_recurrence(ell: int, c, z: complex) -> complex:
+    """C'_ell(z) from one scalar call's value and low, in the operation order
+    the kernels used when they computed it with every call:
+    C_{n-1} - (n/z) C_n at n = |ell| on the unreflected C_n, negated for odd
+    negative ell."""
+    n = abs(ell)
+    flip = ell < 0 and n % 2 == 1
+    c0 = -c.value if flip else c.value
+    derivative = c.low - (n / z) * c0
+    return -derivative if flip else derivative

@@ -20,6 +20,7 @@ from resonance_lab import (
 from resonance_lab.cylinder import EULER_GAMMA, _reduce_argument, order_table
 
 import oracles
+from equivalent_forms import derivative_by_recurrence
 
 PI = math.pi
 
@@ -452,6 +453,15 @@ def test_order_tables_raise_what_bessel_j_raises(top, x, error):
         bessel_j(top.max(), x)
 
 
+@pytest.mark.parametrize("bad", [[1.0, 2.0], (1.0,), "1.0", None])
+def test_an_argument_that_is_no_number_is_a_domain_error(bad):
+    for call in (bessel_j, bessel_y):
+        with pytest.raises(DomainError, match="neither a number nor an array"):
+            call(0, bad)
+    with pytest.raises(DomainError, match="is not a number"):
+        hankel(1, 0, bad)
+
+
 def test_domain_and_range_errors():
     with pytest.raises(DomainError):
         bessel_j(0, 0)
@@ -523,3 +533,51 @@ def test_grid_calls_equal_the_scalar_calls_bit_for_bit(ell, grid):
         for part in ("value", "derivative", "low"):
             want = [getattr(fn(ell, complex(x)), part) for x in z]
             assert np.array_equal(bits(getattr(table, part)), bits(want))
+
+
+# ---------------------------------------------------------------------------
+# derivatives, computed when read
+# ---------------------------------------------------------------------------
+
+
+@given(
+    ell=st.integers(-80, 80),
+    modulus=st.floats(1e-3, 100.0),
+    arg=cover_arguments,
+)
+def test_derivatives_read_later_keep_their_bits(ell, modulus, arg):
+    point = SurfacePoint.from_polar(modulus, arg)
+    z = point.value
+    calls = [(hankel(kind, ell, point), z) for kind in (1, 2)] + [(bessel_y(ell, point), z)]
+    if abs(z) <= 100.0:
+        calls += [(fn(ell, z), z) for fn in (bessel_j, bessel_y)]
+    if modulus <= 100.0:
+        calls += [(fn(ell, modulus), complex(modulus)) for fn in (bessel_j, bessel_y)]
+    for c, at in calls:
+        assert type(c.derivative) is complex
+        assert np.array_equal(bits([c.derivative]), bits([derivative_by_recurrence(ell, c, at)]))
+
+
+def test_derivatives_have_the_bits_they_had_when_computed_with_every_call():
+    # repr of each derivative as the kernels computed it before Q stopped reading it
+    cases = [
+        (lambda: bessel_j(3, 0.7 + 0.2j), "(0.02731389826498594+0.0158928788334697j)"),
+        (lambda: bessel_j(-3, 2.5), "(-0.18613858919268095-0j)"),
+        (lambda: bessel_y(2, 1.3), "(1.1905754466781509+0j)"),
+        (
+            lambda: bessel_y(-1, SurfacePoint.from_polar(0.8, 4.0)),
+            "(-0.20446712862014726-0.4170080494324573j)",
+        ),
+        (
+            lambda: hankel(1, 2, SurfacePoint.from_polar(0.3, -2.0)),
+            "(26.210738549603576+90.43471235993256j)",
+        ),
+        (lambda: hankel(2, -5, 3.0 + 1j), "(1.564422903631994-0.39382125421840875j)"),
+    ]
+    for call, want in cases:
+        assert repr(call().derivative) == want
+    grid = SurfacePoint.from_polar(np.array([0.3, 2.0, 7.5]), np.array([-2.0, 0.4, 5.0]))
+    assert repr(hankel(1, -3, grid).derivative.tolist()) == (
+        "[(1860.8572831085353+279.14284384829955j), (-1.1509150366964576-0.07178078178476438j), "
+        "(116.14540452801724-182.58052682498203j)]"
+    )

@@ -31,6 +31,12 @@ def test_resonance_condition_residual():
             assert abs(w * cmath.exp(w) - target) <= 1e-10 * abs(target)
 
 
+@pytest.mark.parametrize("k", [1.5, -1.5, 2.0, "1"])
+def test_resonance_index_must_be_an_integer(k):
+    with pytest.raises(DomainError, match=f"resonance index {k} is not an integer"):
+        delta_resonance(10.0, k)
+
+
 @given(a=st.floats(1.0, 30.0), k=st.integers(1, 6))
 def test_resonance_condition_property(a, k):
     lam = delta_resonance(a, k)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from resonance_lab import (
     sector_scan,
     track,
 )
+from resonance_lab.errors import RangeError
+from equivalent_forms import refine_sequential, track_sequential
 
 FAM_P = CouplingFamily(a0=bessel_zero(0, 1), rho=1.0)  # J_0 structure, |ell|=1
 FAM_S = CouplingFamily(a0=bessel_zero(1, 1), rho=1.0)  # J_1 structure, ell=0 and 2
@@ -341,3 +344,80 @@ def test_sector_scan_equals_the_scalar_loop(well, radius, n_radii, n_angles):
 def test_sector_scan_rejects_degenerate_grid(n_radii, n_angles):
     with pytest.raises(DomainError):
         sector_scan(Well(3.0), n_radii=n_radii, n_angles=n_angles)
+
+
+# ------------------------------------------------------- lockstep refinement
+
+
+def records_and_drifts(make):
+    """repr of the records that make() returns (exact, signed zeros and all),
+    and the SheetDriftWarning messages it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        records = make()
+    drifts = [str(w.message) for w in caught if issubclass(w.category, SheetDriftWarning)]
+    return repr(records), sorted(drifts)
+
+
+FAMILY_OF = {0: FAM_S, 1: FAM_P, **{ell: CouplingFamily(bessel_zero(ell - 1, 1)) for ell in range(2, 6)}}
+QUAD_GRID = [math.copysign(k * k * 0.02, k) for k in range(-5, 6) if k]
+
+
+@pytest.mark.parametrize(
+    "ell, kind",
+    [(0, GuessKind.disappearing0())]
+    + [(1, GuessKind.persist_lw(n)) for n in (-2, -1, 1)]
+    + [(ell, GuessKind.persist_sqrt(m)) for ell in range(2, 6) for m in (-1, 0, 1)],
+)
+def test_lockstep_track_is_the_sequential_track(ell, kind):
+    grid = [-0.15 * k for k in range(1, 11)] if ell == 0 else QUAD_GRID
+    family = FAMILY_OF[ell]
+    want = records_and_drifts(lambda: track_sequential(ell, family, grid, kind).records)
+    assert records_and_drifts(lambda: track(ell, family, grid, kind).records) == want
+
+
+def test_lockstep_track_keeps_basin_range_and_drift_records(monkeypatch):
+    # on the l = 1 family: a start outside the basin |lambda| <= 3, one whose
+    # Newton run leaves |lambda rho| <= 100, and one that drifts off its sheet,
+    # among on-family guesses
+    eps_grid = (0.05, 0.07, 0.09, 0.11, 0.13)
+    kind = GuessKind.persist_lw(-1)
+    odd = {
+        0.07: SurfacePoint.from_polar(4.0, 0.3),
+        0.09: SurfacePoint.from_polar(0.5, 0.75),
+        0.11: SurfacePoint.from_polar(0.5, 1.0),
+    }
+    guess_of = finder.initial_guess
+    monkeypatch.setattr(
+        finder, "initial_guess", lambda ell, eps, fam, k: odd.get(eps) or guess_of(ell, eps, fam, k)
+    )
+    grid_raised = []
+    q_terms = finder._q_terms
+
+    def spy(n, point, a, rho):
+        try:
+            return q_terms(n, point, a, rho)
+        except RangeError:
+            grid_raised.append(isinstance(point.log_value, np.ndarray))
+            raise
+
+    monkeypatch.setattr(finder, "_q_terms", spy)
+    want = records_and_drifts(lambda: track_sequential(1, FAM_P, eps_grid, kind).records)
+    assert records_and_drifts(lambda: track(1, FAM_P, eps_grid, kind).records) == want
+    # a batch left the range and was redone point by point; one start drifted
+    assert True in grid_raised
+    assert len(want[1]) == 1
+    for eps, start in odd.items():
+        well = FAM_P.well(eps)
+        want = records_and_drifts(lambda: [refine_sequential(1, start, well, eps)])
+        assert records_and_drifts(lambda: [refine(1, start, well, eps)]) == want
+    out_of_range = refine(1, odd[0.09], FAM_P.well(0.09), 0.09)
+    assert out_of_range.classification is Classification.NOT_FOUND
+    assert out_of_range.refined.modulus > 100
+
+
+def test_a_guess_whose_value_underflows_is_not_found():
+    # |lambda| ~ e^-2000 underflows to 0, where Q is NaN: Newton stops at the guess
+    trk = track(0, FAM_S, (-0.001, -0.002), GuessKind.disappearing0())
+    assert [r.classification for r in trk.records] == [Classification.NOT_FOUND] * 2
+    assert all(r.refined == r.guess and r.energy == 0 for r in trk.records)

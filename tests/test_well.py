@@ -32,6 +32,7 @@ from resonance_lab import (
     s_matrix_eigenvalue,
     zero_energy_kind,
 )
+from resonance_lab.well import _q_terms
 from equivalent_forms import q_derivative_form
 from oracles import mu_by_path, s_matrix_real_form
 
@@ -174,6 +175,42 @@ def test_char_q_on_a_grid_is_the_scalar_calls_bit_for_bit(ell, a, rho, grid):
     scales = [char_q_scale(ell, SurfacePoint.from_polar(r, t), well) for r, t in grid]
     got = char_q_scale(ell, points, well)
     assert np.array_equal(got.view(np.int64), np.array(scales).view(np.int64))
+
+
+@given(
+    ell=st.integers(0, 8),
+    rho=st.floats(0.5, 2.0),
+    # |lambda| <= 3 on sheets -1..1, each point in a well of its own depth
+    points=st.lists(
+        st.tuples(st.floats(1e-3, 3.0), st.floats(-1.5 * math.pi, 1.5 * math.pi), st.floats(0.5, 6.0)),
+        min_size=2,
+        max_size=9,
+    ),
+)
+def test_q_with_one_depth_per_point_is_the_scalar_calls_bit_for_bit(ell, rho, points):
+    r, t, a = (np.array(column) for column in zip(*points))
+    want = [char_q(ell, SurfacePoint.from_polar(*p[:2]), Well(p[2], rho)) for p in points]
+    with np.errstate(all="ignore"):
+        t1, t2 = _q_terms(ell, SurfacePoint.from_polar(r, t), a, rho)
+        # finder's layout: rows of points, one depth per row
+        r1, r2 = _q_terms(ell, SurfacePoint.from_polar(r[:, None], t[:, None]), a[:, None], rho)
+    for got in (t1 - t2, (r1 - r2).ravel()):
+        assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+
+
+def test_resonant_state_keeps_its_bits():
+    # repr of the values before the derivatives it reads were deferred
+    want = {
+        (2, 1, 0.09, 0.5): "(0.39453885418360735-24.04793123196086j)",
+        (2, 1, 0.09, 2.5): "(0.10947255363548022-4.967857514462756j)",
+        (1, 0, -0.09, 1.0): "(-4.834490387785434-3.0531133177191805e-16j)",
+        (3, 2, 0.09, 0.5): "(0.04055796369438355+236.0995547575261j)",
+        (3, 2, 0.09, 2.5): "(0.008550480959229717+23.378906198694178j)",
+    }
+    kinds = {1: GuessKind.persist_lw(-1), 2: GuessKind.persist_sqrt(0), 3: GuessKind.persist_sqrt(1)}
+    for (ell, order, eps, r), value in want.items():
+        lam, well = refined_zero(ell, order, eps, kinds[ell])
+        assert repr(resonant_state(ell, lam, well, r)) == value
 
 
 def test_char_q_negative_order_matches_positive():
