@@ -20,10 +20,10 @@ Every call evaluates one integer order.  A SurfacePoint may hold a whole
 array of logarithms, a grid; hankel then evaluates every point in one call,
 as bessel_j and bessel_y do for an array of complex arguments, and returns
 the bits of one call per point.  For that the array path writes each
-complex product and quotient as float operations in CPython's order
-(_Py_c_prod and _Py_c_quot in Objects/complexobject.c), and square roots
-as cmath.sqrt computes them: numpy's own complex `*`, `/` and sqrt round
-differently.
+complex product as float operations in CPython's order (_Py_c_prod in
+Objects/complexobject.c), and square roots as cmath.sqrt computes them:
+numpy's own complex `*` and sqrt round differently.  An array derivative
+is the scalar expression evaluated at each element.
 """
 
 from __future__ import annotations
@@ -45,9 +45,13 @@ from .errors import DomainError, RangeError
 EULER_GAMMA = np.euler_gamma
 
 # validated evaluation box; scipy is accurate well beyond, but nothing in
-# the problem needs more and the tests only certify this range
+# the problem needs more and the tests only certify this range.  Below the
+# smallest normal float the derivative's n/z overflows, and e^w of a point
+# of the cover underflows on its way to 0, so neither is evaluated there
+MIN_ABS_ARGUMENT = sys.float_info.min
 MAX_ABS_ARGUMENT = 100.0
 # points of the cover are checked in log scale: exp(log 100) is 100.00000000000004
+_LOG_MIN_ABS_ARGUMENT = math.log(MIN_ABS_ARGUMENT)
 _LOG_MAX_ABS_ARGUMENT = math.log(MAX_ABS_ARGUMENT)
 MAX_ORDER = 80
 MAX_ZERO_ORDER = 20
@@ -82,20 +86,16 @@ class SurfacePoint:
     @classmethod
     def from_polar(cls, modulus, argument) -> "SurfacePoint":
         """The point modulus * e^{i argument}; arrays broadcast to a grid of
-        points, each log modulus taken by math.log as for a single point."""
-        if not (isinstance(modulus, np.ndarray) or isinstance(argument, np.ndarray)):
-            if not (modulus > 0):
-                raise DomainError("modulus must be positive")
-            if not (math.isfinite(modulus) and math.isfinite(argument)):
-                raise DomainError(f"modulus {modulus} and argument {argument} must be finite")
-            return cls(complex(math.log(modulus), argument))
+        points.  Each log modulus is math.log of one Python float, and
+        scalars give a Python complex log_value."""
         modulus, argument = np.asarray(modulus, float), np.asarray(argument, float)
         if not (modulus > 0).all():
             raise DomainError("modulus must be positive")
         if not (np.isfinite(modulus).all() and np.isfinite(argument).all()):
-            raise DomainError("moduli and arguments must be finite")
-        log_modulus = np.array([math.log(r) for r in modulus.flat]).reshape(modulus.shape)
-        return cls(_complex(log_modulus, argument))
+            raise DomainError(f"modulus {modulus} and argument {argument} must be finite")
+        log_modulus = np.reshape([math.log(r) for r in modulus.ravel().tolist()], modulus.shape)
+        w = _complex(log_modulus, argument)
+        return cls(w if w.ndim else w.item())
 
     @property
     def value(self) -> complex:
@@ -136,19 +136,19 @@ class CylinderValue:
 
     @cached_property
     def derivative(self) -> complex:
-        """The recurrence C'_n = C_{n-1} - (n/z) C_n at n = |ell|, reflected as value is."""
+        """The recurrence C'_n = C_{n-1} - (n/z) C_n at n = |ell|, reflected as
+        value is, in Python complex arithmetic at each element of an array;
+        RangeError where |z| < MIN_ABS_ARGUMENT, as n/z overflows there."""
         n = abs(self._ell)
         flip = self._ell < 0 and n % 2 == 1
-        c0 = -self.value if flip else self.value
         z = self._at.value if isinstance(self._at, SurfacePoint) else self._at
-        if isinstance(z, complex):
-            derivative = self.low - (n / z) * c0
-        else:
-            # CPython's complex arithmetic signals nothing, nor does its mirror
-            with np.errstate(all="ignore"):
-                derivative = _prod(_quot(n, z), c0)
-                np.subtract(self.low, derivative, out=derivative)
-        return -derivative if flip else derivative
+        out = []
+        for c, low, at in zip(*(np.ravel(x).tolist() for x in (self.value, self.low, z))):
+            if not abs(at) >= MIN_ABS_ARGUMENT:
+                raise RangeError(f"derivative at |z| = {abs(at)!r} < {MIN_ABS_ARGUMENT!r}")
+            derivative = low - (n / at) * (-c if flip else c)
+            out.append(-derivative if flip else derivative)
+        return np.array(out, complex).reshape(np.shape(z)) if np.ndim(z) else out[0]
 
 
 def _integer(value, what: str) -> None:
@@ -160,21 +160,22 @@ def _integer(value, what: str) -> None:
         raise DomainError(f"{what} {value} is not an integer") from None
 
 
-def _checked_order(ell, modulus: float, log_modulus: float | None = None):
+def _checked_order(ell, least: float, most: float | None = None, log: bool = False):
     """|ell|, once order and argument are inside the validated range.
 
-    A point of the cover passes log|z| too, and that is what is checked.
-    Written as `not x <= bound` so that NaN is rejected too; array calls
-    pass their largest modulus or log modulus, NaN if any element is.
+    least and most are the smallest and largest |z| of an array call; one
+    argument passes its |z| alone.  Points of the cover pass log|z|, with
+    log set, and that is what is checked, from log MIN_ABS_ARGUMENT up.
+    Written as `not bound <= x` so that NaN is rejected too; array calls
+    pass NaN if any element is.  |z| = 0 is a DomainError.
     """
-    if log_modulus is None:
-        inside = modulus <= MAX_ABS_ARGUMENT
-    else:
-        inside = log_modulus <= _LOG_MAX_ABS_ARGUMENT
-    if not inside:
-        raise RangeError(
-            f"|z| = {modulus!r} outside validated range <= {MAX_ABS_ARGUMENT}"
-        )
+    top = least if most is None else most
+    low, high = (_LOG_MIN_ABS_ARGUMENT, _LOG_MAX_ABS_ARGUMENT) if log else (0.0, MAX_ABS_ARGUMENT)
+    if not (low <= least and top <= high):
+        name = "log|z|" if log else "|z|"
+        raise RangeError(f"{name} in [{least!r}, {top!r}] outside validated range [{low!r}, {high!r}]")
+    if least == 0 and not log:
+        raise DomainError("cylinder functions are singular or trivial at z = 0")
     _integer(ell, "order")
     n = abs(ell)
     if n > MAX_ORDER:
@@ -192,7 +193,7 @@ def _complex(re, im) -> np.ndarray:
 
 # CPython's complex arithmetic signals no overflow or invalid operation, so
 # neither do the array paths that mirror it: each public call that reaches
-# _prod, _quot or _sqrt runs them under one np.errstate(all="ignore")
+# _prod or _sqrt runs them under one np.errstate(all="ignore")
 def _prod(a, b) -> np.ndarray:
     """a * b over complex arrays, rounded as CPython's _Py_c_prod; a real
     operand counts as (x, 0.0), as CPython converts it."""
@@ -204,22 +205,6 @@ def _prod(a, b) -> np.ndarray:
     np.multiply(ar, bi, out=im)
     im += ai * br
     return out
-
-
-def _quot(a, b) -> np.ndarray:
-    """a / b over complex arrays with b != 0, rounded as CPython's
-    _Py_c_quot: numerator and denominator are scaled by the ratio of the
-    smaller to the larger part of b.  Each element reads one of the two
-    branches; the other may divide by zero, so callers run under np.errstate."""
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    by_real = np.abs(br) >= np.abs(bi)
-    ratio = np.where(by_real, bi / br, br / bi)
-    denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
-    re = np.where(by_real, ar + ai * ratio, ar * ratio + ai)
-    im = np.where(by_real, ai - ar * ratio, ai * ratio - ar)
-    re /= denom
-    im /= denom
-    return _complex(re, im)
 
 
 def _sqrt(z) -> np.ndarray:
@@ -257,9 +242,10 @@ def _principal(kind, ell, z, log_modulus=None) -> CylinderValue:
     if not isinstance(z, (complex, float, numbers.Number)):
         raise DomainError(f"argument {z!r} is neither a number nor an array")
     z = complex(z)
-    if z == 0:
-        raise DomainError("cylinder functions are singular or trivial at z = 0")
-    n = _checked_order(ell, abs(z), log_modulus)
+    if log_modulus is None:
+        n = _checked_order(ell, abs(z))
+    else:
+        n = _checked_order(ell, log_modulus, log=True)
     x = z.real if z.imag == 0.0 and z.real > 0.0 else z
     return _value(ell, z, complex(kind(n, x)), complex(kind(n - 1, x)))
 
@@ -268,9 +254,8 @@ def _principal(kind, ell, z, log_modulus=None) -> CylinderValue:
 def _principal_grid(kind, ell, z: np.ndarray) -> CylinderValue:
     """_principal over a complex array, one range check for all elements:
     the scalar calls' bits, real positive elements on the real path."""
-    n = _checked_order(ell, np.hypot(z.real, z.imag).max(initial=0.0))
-    if not z.all():
-        raise DomainError("cylinder functions are singular or trivial at z = 0")
+    modulus = np.hypot(z.real, z.imag)
+    n = _checked_order(ell, modulus.min(initial=1.0), modulus.max(initial=1.0))
     c0, c_low = np.asarray(kind(n, z)), np.asarray(kind(n - 1, z))
     real = (z.imag == 0.0) & (z.real > 0.0)
     if real.any():
@@ -288,7 +273,8 @@ def bessel_j(ell, z) -> CylinderValue:
         One order; negative orders are reflected via J_{-ell} = (-1)^ell J_ell.
         An array of orders is a DomainError: order_table evaluates many.
     z : complex, or array of float or complex
-        Nonzero argument with |z| <= 100.
+        Nonzero argument with |z| <= 100; below MIN_ABS_ARGUMENT the
+        values are returned, but reading the derivative raises RangeError.
 
     Returns
     -------
@@ -324,9 +310,9 @@ def order_table(kind: str, top: np.ndarray, x: np.ndarray, spare: int = 0) -> np
     ell = -1..top[c] + spare, C_ell in row ell + 1 (0 past it).  One scipy call per element,
     and one range check for all, on top and x: the spare orders are not checked.  Bit-equal
     to the values and lows of the real path of bessel_j and bessel_y."""
-    _checked_order(top.max(initial=0), x.max(initial=0.0))
-    if not (x.min(initial=1.0) > 0 and top.min(initial=0) >= 0):
+    if (x <= 0).any() or top.min(initial=0) < 0:
         raise DomainError("an order table needs tops >= 0 and real arguments > 0")
+    _checked_order(top.max(initial=0), x.min(initial=1.0), x.max(initial=1.0))
     height = top.max(initial=0) + spare + 2
     row, col = np.nonzero(np.arange(height)[:, None] <= top + spare + 1)
     rows = np.zeros((height, len(x)))
@@ -366,7 +352,8 @@ def hankel(kind: int, ell, point: SurfacePoint | complex) -> CylinderValue:
     ell : int
         One order; negative orders are reflected.
     point : SurfacePoint or complex
-        Argument.  A plain complex number is lifted at principal phase.  A
+        Argument with MIN_ABS_ARGUMENT <= |z| <= 100, checked on log|z|.
+        A plain complex number is lifted at principal phase.  A
         SurfacePoint holding an array is a grid of points: the result is
         then complex arrays, bit-equal to the calls at each point, with one
         range check for the whole grid.
@@ -389,7 +376,7 @@ def _on_cover(kind: int, ell, point: SurfacePoint) -> CylinderValue:
     w = point.log_value
     if isinstance(w, np.ndarray):
         return _on_grid(kind, ell, point)
-    n = _checked_order(ell, math.exp(w.real), w.real)
+    n = _checked_order(ell, w.real, log=True)
     theta0, m = _reduce_argument(w.imag)
     z0 = cmath.exp(complex(w.real, theta0))
     j0, y0 = _continued_jy(n, z0, m)
@@ -408,8 +395,7 @@ def _on_grid(kind: int, ell, point: SurfacePoint) -> CylinderValue:
     """H_ell^(kind) (kind 1, 2) as _on_cover over a grid of points, with one
     range check for all."""
     w = point.log_value
-    top = w.real.max(initial=-math.inf)
-    n = _checked_order(ell, math.exp(top), top)
+    n = _checked_order(ell, w.real.min(initial=0.0), w.real.max(initial=0.0), log=True)
     c0, c_low = _continued_grid(kind, n, w)
     return _value(ell, point, c0, c_low)
 

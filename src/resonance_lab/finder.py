@@ -60,6 +60,9 @@ STEP_TOL = 1e-12
 MAX_ITER = 20
 # sector_scan reports a zero where |Q_0| dips below this share of its median
 SCAN_DEPTH_TOL = 1e-3
+# a grid Q call costs about as much as 12 scalar ones, so _q_rows makes one
+# only from this many points up (per-call timings on the track-sweep deck)
+GRID_MIN_POINTS = 12
 
 
 class Classification(enum.Enum):
@@ -227,13 +230,14 @@ def _q_rows(n: int, rows: list, wells: list, terms: bool) -> list:
     """Q_n (or, with terms, its two terms) at each log-point of each row, in
     the row's well, as Python complex.
 
-    One row is evaluated point by point through char_q (or _q_terms); more
-    rows are one grid call of _q_terms, one depth per row (the wells of a
-    track share rho), which gives the same bits.  A row reads None where
-    its evaluation leaves the validated range (RangeError, OverflowError): a
-    grid call that raises one is redone row by row.
+    Fewer than GRID_MIN_POINTS points, one row always among them, are
+    evaluated point by point through char_q (or _q_terms); more are one
+    grid call of _q_terms, one depth per row (the wells of a track share
+    rho), which gives the same bits.  A row reads None where its evaluation
+    leaves the validated range (RangeError, OverflowError): a grid call
+    that raises one is redone row by row.
     """
-    if len(rows) > 1:
+    if sum(map(len, rows)) >= GRID_MIN_POINTS:
         depth = np.array([[well.a] for well in wells])
         try:
             with np.errstate(all="ignore"):

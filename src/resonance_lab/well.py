@@ -156,17 +156,11 @@ def char_q(ell: int, lam: SurfacePoint | complex, well: Well) -> complex:
 
 def char_q_scale(ell: int, lam: SurfacePoint | complex, well: Well) -> float:
     """Local magnitude |t1| + |t2| of the two Q_ell terms, for residuals;
-    over a grid as char_q."""
-    point = _as_point(lam)
-    if not isinstance(point.log_value, np.ndarray):
-        t1, t2 = _q_terms(ell, point, well.a, well.rho)
-        return abs(t1) + abs(t2)
-    # CPython's abs is hypot, but returns its own NaN where a part is NaN
+    over a grid as char_q, in Python arithmetic at each point."""
     with np.errstate(all="ignore"):
-        t1, t2 = _q_terms(ell, point, well.a, well.rho)
-        scale = np.hypot(t1.real, t1.imag) + np.hypot(t2.real, t2.imag)
-    scale[np.isnan(scale)] = math.nan
-    return scale
+        t1, t2 = _q_terms(ell, _as_point(lam), well.a, well.rho)
+    scale = [abs(a) + abs(b) for a, b in zip(np.ravel(t1).tolist(), np.ravel(t2).tolist())]
+    return np.array(scale).reshape(np.shape(t1)) if np.ndim(t1) else scale[0]
 
 
 def zero_energy_kind(ell: int, well: Well) -> ZeroEnergyKind:

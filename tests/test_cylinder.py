@@ -37,6 +37,7 @@ def bits(values):
 
 def test_surface_point_round_trip():
     p = SurfacePoint.from_polar(2.0, 3 * PI)  # not the principal sheet
+    assert type(p.log_value) is complex
     assert p.modulus == pytest.approx(2.0)
     assert p.argument == 3 * PI
     # collapsing to a plain complex number loses the sheet
@@ -477,6 +478,21 @@ def test_domain_and_range_errors():
         hankel(1, 0, SurfacePoint.from_polar(np.array([1.0, 100.0 * (1 + 1e-12)]), 0.0))
     with pytest.raises(DomainError):
         hankel(3, 0, SurfacePoint.from_polar(1.0, 0.0))
+    # log|z| = -2000: e^w underflows to 0, so the cover's lower bound is checked on log|z|
+    tiny = SurfacePoint(complex(-2000, 1.5707963267948966))
+    for call in (
+        lambda: hankel(1, 0, tiny),
+        lambda: hankel(2, 3, SurfacePoint(np.array([0.0, tiny.log_value]))),
+        lambda: bessel_y(0, tiny),
+        lambda: bessel_y(2, SurfacePoint(complex(-2000, 4.0))),
+        lambda: char_q(0, tiny, Well(2.0)),
+        # a subnormal plain argument has values, but its derivative's n/z overflows
+        lambda: bessel_j(3, 1e-320).derivative,
+        lambda: bessel_y(1, np.array([1.0, 1e-320])).derivative,
+    ):
+        with pytest.raises(RangeError):
+            call()
+    assert bessel_j(3, 1e-320).value == 0
     with pytest.raises(RangeError):
         bessel_zero(21, 1)
     with pytest.raises(RangeError):
@@ -520,10 +536,20 @@ def test_grid_calls_equal_the_scalar_calls_bit_for_bit(ell, grid):
     points = SurfacePoint.from_polar(*(np.array(column) for column in zip(*grid)))
     singles = [SurfacePoint.from_polar(r, t) for r, t in grid]
     assert np.array_equal(bits(points.log_value), bits([p.log_value for p in singles]))
+    # and a 2-d grid shaped like sector_scan's, moduli down and arguments across
+    moduli, arguments = (np.array(column) for column in zip(*grid[:3]))
+    sector = SurfacePoint.from_polar(moduli[:, None], arguments)
     for kind in (1, 2):
         table = hankel(kind, ell, points)
         for part in ("value", "derivative", "low"):
             want = [getattr(hankel(kind, ell, p), part) for p in singles]
+            assert np.array_equal(bits(getattr(table, part)), bits(want))
+        table = hankel(kind, ell, sector)
+        for part in ("value", "derivative", "low"):
+            want = [
+                [getattr(hankel(kind, ell, SurfacePoint.from_polar(r, t)), part) for t in arguments]
+                for r in moduli
+            ]
             assert np.array_equal(bits(getattr(table, part)), bits(want))
     # bessel_j and bessel_y over the grid's values, a complex array
     z = points.value

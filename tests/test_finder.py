@@ -372,8 +372,14 @@ QUAD_GRID = [math.copysign(k * k * 0.02, k) for k in range(-5, 6) if k]
 def test_lockstep_track_is_the_sequential_track(ell, kind):
     grid = [-0.15 * k for k in range(1, 11)] if ell == 0 else QUAD_GRID
     family = FAMILY_OF[ell]
-    want = records_and_drifts(lambda: track_sequential(ell, family, grid, kind).records)
-    assert records_and_drifts(lambda: track(ell, family, grid, kind).records) == want
+    # and 2-5-point tracks, whose lockstep steps stay under GRID_MIN_POINTS
+    # or cross it: the middle of the grid, spanning both signs of eps
+    middle = len(grid) // 2
+    for size in (len(grid), 2, 3, 4, 5):
+        start = 0 if ell == 0 else middle - size // 2
+        short = grid[start : start + size]
+        want = records_and_drifts(lambda: track_sequential(ell, family, short, kind).records)
+        assert records_and_drifts(lambda: track(ell, family, short, kind).records) == want
 
 
 def test_lockstep_track_keeps_basin_range_and_drift_records(monkeypatch):

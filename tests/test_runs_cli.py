@@ -476,6 +476,10 @@ def test_config_errors_exit_one_without_output(argv, tmp_path, capsys):
         pytest.param(["bessel-eval", "j", "0", "1", "inf"], id="bessel-j-arg-inf"),
         pytest.param(["bessel-eval", "h1", "0", "1", "nan"], id="bessel-h1-arg-nan"),
         pytest.param(["bessel-eval", "h2", "0", "1", "inf"], id="bessel-h2-arg-inf"),
+        # below the smallest normal float: e^w underflows on the cover, and
+        # the derivative's n/z overflows
+        pytest.param(["bessel-eval", "h1", "0", "1e-320", "0"], id="bessel-h1-subnormal"),
+        pytest.param(["bessel-eval", "j", "3", "1e-320", "0"], id="bessel-j-subnormal"),
         pytest.param(["lambert-eval", "0", "nan", "0"], id="lambert-re-nan"),
         pytest.param(["lambert-eval", "1", "0", "nan"], id="lambert-im-nan"),
         pytest.param(["lambert-eval", "--", "-1", "inf", "0"], id="lambert-re-inf"),

@@ -175,6 +175,14 @@ def test_char_q_on_a_grid_is_the_scalar_calls_bit_for_bit(ell, a, rho, grid):
     scales = [char_q_scale(ell, SurfacePoint.from_polar(r, t), well) for r, t in grid]
     got = char_q_scale(ell, points, well)
     assert np.array_equal(got.view(np.int64), np.array(scales).view(np.int64))
+    # a 2-d grid shaped like sector_scan's, moduli down and arguments across
+    moduli, arguments = (np.array(column) for column in zip(*grid[:3]))
+    sector = SurfacePoint.from_polar(moduli[:, None], arguments)
+    scales = [
+        [char_q_scale(ell, SurfacePoint.from_polar(r, t), well) for t in arguments] for r in moduli
+    ]
+    got = char_q_scale(ell, sector, well)
+    assert np.array_equal(got.view(np.int64), np.array(scales).view(np.int64))
 
 
 @given(
