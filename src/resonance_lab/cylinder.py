@@ -16,11 +16,15 @@ m times.  Principal-sheet values come from scipy.special; derivatives use
 the downward recurrence C'_ell = C_{ell-1} - (ell/z) C_ell, evaluated when a
 caller first reads one.
 
-Every call evaluates one integer order.  A SurfacePoint may hold a whole
-array of logarithms, a grid; hankel then evaluates every point in one call,
-as bessel_j and bessel_y do for an array of complex arguments, and returns
-the bits of one call per point.  For that the array path writes each
-complex product as float operations in CPython's order (_Py_c_prod in
+Every call evaluates one integer order.  One argument is the one-element
+case of a Batch: a tuple of arguments whose values are computed in Python
+complex arithmetic at each element, from one scipy call per Bessel function
+over all of them (AMOS, Amos ACM TOMS 644 1986, and cephes give the same
+bits per element as for one argument).  A SurfacePoint may also hold a
+whole array of logarithms, a grid; hankel then evaluates every point in one
+call, as bessel_j and bessel_y do for an array of complex arguments, and
+returns the bits of one call per point.  For that the array path writes
+each complex product as float operations in CPython's order (_Py_c_prod in
 Objects/complexobject.c), and square roots as cmath.sqrt computes them:
 numpy's own complex `*` and sqrt round differently.  An array derivative
 is the scalar expression evaluated at each element.
@@ -58,15 +62,34 @@ MAX_ZERO_ORDER = 20
 MAX_ZERO_INDEX = 20
 
 
+class Batch(tuple):
+    """Arguments evaluated together, as one kernel call: Python complex
+    numbers, or logarithms of points of the cover as a SurfacePoint's
+    log_value.  The results are Batches too, each element with the bits of
+    the call at that argument alone.  A list or tuple is no Batch, so a
+    kernel still rejects one as an argument."""
+
+
+def _items(x) -> tuple:
+    """The elements of a Batch, or (x,) for one value (an array counts as one)."""
+    return x if isinstance(x, Batch) else (x,)
+
+
+def _like(x, items: list):
+    """items as x holds its values: a Batch for a Batch, else the one value."""
+    return Batch(items) if isinstance(x, Batch) else items[0]
+
+
 @dataclass(frozen=True)
 class SurfacePoint:
     """A point lambda on the logarithmic cover, stored as w = log(lambda).
 
     Re w is log|lambda| and Im w is arg(lambda), unrestricted.  Points whose
     arguments differ by 2*pi are distinct.  lambda = 0 has no representation.
-    log_value may also be a complex array: a grid of points, which hankel
-    and char_q evaluate in one call.  value, argument and scaled
-    act on each point of a grid; modulus is for a single point.
+    log_value may also be a Batch of logarithms, which hankel evaluates in
+    one call, or a complex array: a grid of points, which hankel and char_q
+    evaluate in one call.  value and scaled act on each point of a Batch or
+    grid, argument on each point of a grid; modulus is for a single point.
     """
 
     log_value: complex
@@ -100,9 +123,10 @@ class SurfacePoint:
     @property
     def value(self) -> complex:
         """The underlying complex number exp(w), sheet information collapsed."""
-        if isinstance(self.log_value, np.ndarray):
-            return np.exp(self.log_value)
-        return cmath.exp(self.log_value)
+        w = self.log_value
+        if isinstance(w, np.ndarray):
+            return np.exp(w)
+        return _like(w, [cmath.exp(x) for x in _items(w)])
 
     @property
     def modulus(self) -> float:
@@ -116,12 +140,13 @@ class SurfacePoint:
         """The point factor*lambda for a positive finite factor (phase kept)."""
         if not (0 < factor < math.inf):
             raise DomainError(f"scaling factor {factor} must be positive and finite")
-        return SurfacePoint(self.log_value + math.log(factor))
+        shift, w = math.log(factor), self.log_value
+        return SurfacePoint(_like(w, [x + shift for x in _items(w)]))
 
 
 @dataclass(frozen=True)
 class CylinderValue:
-    """C_ell(z), C'_ell(z) and low = C_{|ell|-1}(z), unreflected (complex, or arrays).
+    """C_ell(z), C'_ell(z) and low = C_{|ell|-1}(z), unreflected (complex, Batches or arrays).
 
     value and low are evaluated with the call; the derivative is computed when
     it is first read, from them and the argument, so a caller that reads only
@@ -137,8 +162,8 @@ class CylinderValue:
     @cached_property
     def derivative(self) -> complex:
         """The recurrence C'_n = C_{n-1} - (n/z) C_n at n = |ell|, reflected as
-        value is, in Python complex arithmetic at each element of an array;
-        RangeError where |z| < MIN_ABS_ARGUMENT, as n/z overflows there."""
+        value is, in Python complex arithmetic at each element of a Batch or
+        an array; RangeError where |z| < MIN_ABS_ARGUMENT, as n/z overflows there."""
         n = abs(self._ell)
         flip = self._ell < 0 and n % 2 == 1
         z = self._at.value if isinstance(self._at, SurfacePoint) else self._at
@@ -148,6 +173,8 @@ class CylinderValue:
                 raise RangeError(f"derivative at |z| = {abs(at)!r} < {MIN_ABS_ARGUMENT!r}")
             derivative = low - (n / at) * (-c if flip else c)
             out.append(-derivative if flip else derivative)
+        if isinstance(z, Batch):
+            return Batch(out)
         return np.array(out, complex).reshape(np.shape(z)) if np.ndim(z) else out[0]
 
 
@@ -160,16 +187,18 @@ def _integer(value, what: str) -> None:
         raise DomainError(f"{what} {value} is not an integer") from None
 
 
-def _checked_order(ell, least: float, most: float | None = None, log: bool = False):
-    """|ell|, once order and argument are inside the validated range.
+def _checked_order(ell, moduli: list, log: bool = False):
+    """|ell|, once order and arguments are inside the validated range.
 
-    least and most are the smallest and largest |z| of an array call; one
-    argument passes its |z| alone.  Points of the cover pass log|z|, with
-    log set, and that is what is checked, from log MIN_ABS_ARGUMENT up.
-    Written as `not bound <= x` so that NaN is rejected too; array calls
-    pass NaN if any element is.  |z| = 0 is a DomainError.
+    moduli are the |z| of the call's arguments; an array call may pass its
+    smallest and largest alone.  Points of the cover pass log|z|, with log
+    set, and that is what is checked, from log MIN_ABS_ARGUMENT up.  A NaN
+    is rejected: it makes the sum NaN, where min and max may skip it, and
+    `not bound <= x` holds for it.  No moduli check as |z| = 1.  |z| = 0 is
+    a DomainError.
     """
-    top = least if most is None else most
+    nan = math.isnan(sum(moduli))
+    least, top = (math.nan,) * 2 if nan else (min(moduli, default=1.0), max(moduli, default=1.0))
     low, high = (_LOG_MIN_ABS_ARGUMENT, _LOG_MAX_ABS_ARGUMENT) if log else (0.0, MAX_ABS_ARGUMENT)
     if not (low <= least and top <= high):
         name = "log|z|" if log else "|z|"
@@ -228,26 +257,60 @@ def _value(ell, at, c0, c_low) -> CylinderValue:
     point of the cover), odd negative orders reflected; scipy supplies
     C_{-1} = -C_1, so n = 0 needs no special case."""
     if ell < 0 and ell % 2:
-        return CylinderValue(-c0, c_low, ell, at)
+        return CylinderValue(_like(c0, [-c for c in _items(c0)]), c_low, ell, at)
     return CylinderValue(c0, c_low, ell, at)
 
 
+# the orders (n, n - 1) of _pair as a column, for each n: indexing it costs
+# less than building the column on each call
+_ORDER_PAIRS = np.arange(MAX_ORDER + 1.0)[:, None, None] - [[0.0], [1.0]]
+
+
+def _pair(kind, n: int, x: list) -> list:
+    """[C_n(x), C_{n-1}(x)], each a list over the floats or complex numbers
+    x, from one scipy call: each element has the bits of kind(n, x[k]).
+    The list goes to the ufunc as it is, which costs less than np.array."""
+    return kind(_ORDER_PAIRS[n], x).tolist()
+
+
+def _finite_on_cover(n: int, c0, c_low) -> None:
+    """RangeError unless C_n and C_{n-1} (arrays, or lists) are finite: at
+    small |z| and high order |Y_n(z)| ~ (n-1)! (2/|z|)^n / pi exceeds the
+    largest float inside the validated range, and J +- iY turns that into NaN."""
+    if isinstance(c0, np.ndarray):
+        finite = np.isfinite(c0).all() and np.isfinite(c_low).all()
+    else:
+        finite = all(map(cmath.isfinite, c0 + c_low))
+    if not finite:
+        raise RangeError(f"order {n}: a cylinder value overflows at this point of the cover")
+
+
 def _principal(kind, ell, z, log_modulus=None) -> CylinderValue:
-    """J or Y at principal phase: scalars in complex
-    arithmetic (real positive z as a float, which keeps Im exactly 0),
-    arrays as complex in _principal_grid.  z = e^w for a point w of the
-    cover comes with log_modulus = Re w, which the range check reads."""
+    """J or Y at principal phase: one number, or each element of a Batch, in
+    complex arithmetic (real positive elements as floats, which keeps Im
+    exactly 0), with one scipy call for the real elements and one for the
+    others; arrays as complex in _principal_grid.  z = e^w for a point w of
+    the cover comes with log_modulus = Re w, which the range check reads."""
     if isinstance(z, np.ndarray):
         return _principal_grid(kind, ell, np.asarray(z, complex))
-    if not isinstance(z, (complex, float, numbers.Number)):
+    if not isinstance(z, (Batch, numbers.Number)):
         raise DomainError(f"argument {z!r} is neither a number nor an array")
-    z = complex(z)
+    zs = z if isinstance(z, Batch) else (complex(z),)
     if log_modulus is None:
-        n = _checked_order(ell, abs(z))
+        n = _checked_order(ell, [abs(x) for x in zs])
     else:
-        n = _checked_order(ell, log_modulus, log=True)
-    x = z.real if z.imag == 0.0 and z.real > 0.0 else z
-    return _value(ell, z, complex(kind(n, x)), complex(kind(n - 1, x)))
+        n = _checked_order(ell, [log_modulus], log=True)
+    real = [x.imag == 0.0 and x.real > 0.0 for x in zs]
+    if not any(real):
+        c0, c_low = _pair(kind, n, zs)
+    else:
+        c0, c_low = [None] * len(zs), [None] * len(zs)
+        for on_real in set(real):
+            at = [k for k, r in enumerate(real) if r == on_real]
+            x = [zs[k].real if on_real else zs[k] for k in at]
+            for k, a, b in zip(at, *_pair(kind, n, x)):
+                c0[k], c_low[k] = complex(a), complex(b)
+    return _value(ell, _like(z, zs), _like(z, c0), _like(z, c_low))
 
 
 @np.errstate(all="ignore")
@@ -255,7 +318,7 @@ def _principal_grid(kind, ell, z: np.ndarray) -> CylinderValue:
     """_principal over a complex array, one range check for all elements:
     the scalar calls' bits, real positive elements on the real path."""
     modulus = np.hypot(z.real, z.imag)
-    n = _checked_order(ell, modulus.min(initial=1.0), modulus.max(initial=1.0))
+    n = _checked_order(ell, [modulus.min(initial=1.0), modulus.max(initial=1.0)])
     c0, c_low = np.asarray(kind(n, z)), np.asarray(kind(n - 1, z))
     real = (z.imag == 0.0) & (z.real > 0.0)
     if real.any():
@@ -290,18 +353,21 @@ def bessel_j(ell, z) -> CylinderValue:
 def bessel_y(ell, z) -> CylinderValue:
     """Y_ell(z) and Y'_ell(z) at principal phase; conventions as bessel_j.
 
-    z may also be one SurfacePoint (a grid is a DomainError): off the
-    principal sheet (arg z outside (-pi, pi]) Y is continued by the
-    connection formula, as in hankel.
+    z may also be one SurfacePoint (a grid or a Batch is a DomainError):
+    off the principal sheet (arg z outside (-pi, pi]) Y is continued by the
+    connection formula, as in hankel.  At a SurfacePoint, a value or low
+    that overflows is a RangeError, as in hankel.
     """
     if not isinstance(z, SurfacePoint):
         return _principal(yv, ell, z)
     w = z.log_value
-    if isinstance(w, np.ndarray):
-        raise DomainError("bessel_y takes one point of the cover, not a grid")
-    if -math.pi < w.imag <= math.pi:
-        return _principal(yv, ell, z.value, w.real)
-    return _on_cover(0, ell, z)
+    if isinstance(w, (np.ndarray, Batch)):
+        raise DomainError("bessel_y takes one point of the cover")
+    if not -math.pi < w.imag <= math.pi:
+        return _on_cover(0, ell, z)
+    y = _principal(yv, ell, z.value, w.real)
+    _finite_on_cover(abs(ell), [y.value], [y.low])
+    return y
 
 
 @np.errstate(all="ignore")
@@ -312,7 +378,7 @@ def order_table(kind: str, top: np.ndarray, x: np.ndarray, spare: int = 0) -> np
     to the values and lows of the real path of bessel_j and bessel_y."""
     if (x <= 0).any() or top.min(initial=0) < 0:
         raise DomainError("an order table needs tops >= 0 and real arguments > 0")
-    _checked_order(top.max(initial=0), x.min(initial=1.0), x.max(initial=1.0))
+    _checked_order(top.max(initial=0), [x.min(initial=1.0), x.max(initial=1.0)])
     height = top.max(initial=0) + spare + 2
     row, col = np.nonzero(np.arange(height)[:, None] <= top + spare + 1)
     rows = np.zeros((height, len(x)))
@@ -332,14 +398,18 @@ def _reduce_argument(theta: float) -> tuple[float, int]:
     return theta - m * math.pi, m
 
 
-def _continued_jy(n: int, z0: complex, m: int) -> tuple[complex, complex]:
-    """(J_n, Y_n) at z0 e^{i m pi}, n >= -1, continued from principal-phase z0."""
-    j0 = complex(jv(n, z0))
-    y0 = complex(yv(n, z0))
-    if m == 0:
-        return j0, y0
-    sign = -1.0 if (m * n) % 2 else 1.0
-    return sign * j0, sign * (y0 + 2j * m * j0)
+def _continued_jy(n: int, z0: list, m: list) -> tuple[list, list]:
+    """([J_n, J_{n-1}], [Y_n, Y_{n-1}]), each a list over k, at z0[k] e^{i m[k] pi},
+    n >= 0, continued from principal-phase z0[k]: one jv and one yv call."""
+    j, y = _pair(jv, n, z0), _pair(yv, n, z0)
+    if any(m):
+        for order, j_row, y_row in zip((n, n - 1), j, y):
+            for k, mk in enumerate(m):
+                if mk:
+                    sign = -1.0 if (mk * order) % 2 else 1.0
+                    j0, y0 = j_row[k], y_row[k]
+                    j_row[k], y_row[k] = sign * j0, sign * (y0 + 2j * mk * j0)
+    return j, y
 
 
 def hankel(kind: int, ell, point: SurfacePoint | complex) -> CylinderValue:
@@ -354,14 +424,16 @@ def hankel(kind: int, ell, point: SurfacePoint | complex) -> CylinderValue:
     point : SurfacePoint or complex
         Argument with MIN_ABS_ARGUMENT <= |z| <= 100, checked on log|z|.
         A plain complex number is lifted at principal phase.  A
-        SurfacePoint holding an array is a grid of points: the result is
-        then complex arrays, bit-equal to the calls at each point, with one
-        range check for the whole grid.
+        SurfacePoint holding a Batch gives Batches, and one holding an
+        array is a grid of points that gives complex arrays; either is
+        bit-equal to the calls at each point, with one range check for all.
 
     Returns
     -------
     CylinderValue
         Continuous in the phase across sheet boundaries; low is H_{|ell|-1}.
+        A value or low that overflows (high order at small |z|) is a
+        RangeError.
     """
     if kind not in (1, 2):
         raise DomainError("kind must be 1 or 2")
@@ -372,22 +444,27 @@ def hankel(kind: int, ell, point: SurfacePoint | complex) -> CylinderValue:
 
 def _on_cover(kind: int, ell, point: SurfacePoint) -> CylinderValue:
     """Y_ell (kind 0) or H_ell^(kind) (kind 1, 2) at a point of the cover,
-    from J and Y continued off theta0 in (-pi/2, pi/2]."""
+    or at each point of a Batch, from J and Y continued off theta0 in
+    (-pi/2, pi/2]."""
     w = point.log_value
     if isinstance(w, np.ndarray):
         return _on_grid(kind, ell, point)
-    n = _checked_order(ell, w.real, log=True)
-    theta0, m = _reduce_argument(w.imag)
-    z0 = cmath.exp(complex(w.real, theta0))
-    j0, y0 = _continued_jy(n, z0, m)
-    j1, y1 = _continued_jy(n - 1, z0, m)
+    ws = _items(w)
+    n = _checked_order(ell, [x.real for x in ws], log=True)
+    z0, m = [], []
+    for x in ws:
+        theta0, k = _reduce_argument(x.imag)
+        z0.append(cmath.exp(complex(x.real, theta0)))
+        m.append(k)
+    (j0, j1), (y0, y1) = _continued_jy(n, z0, m)
     if kind == 0:
         c0, c_low = y0, y1
     elif kind == 1:
-        c0, c_low = j0 + 1j * y0, j1 + 1j * y1
+        c0, c_low = [a + 1j * b for a, b in zip(j0, y0)], [a + 1j * b for a, b in zip(j1, y1)]
     else:
-        c0, c_low = j0 - 1j * y0, j1 - 1j * y1
-    return _value(ell, point, c0, c_low)
+        c0, c_low = [a - 1j * b for a, b in zip(j0, y0)], [a - 1j * b for a, b in zip(j1, y1)]
+    _finite_on_cover(n, c0, c_low)
+    return _value(ell, point, _like(w, c0), _like(w, c_low))
 
 
 @np.errstate(all="ignore")
@@ -395,8 +472,9 @@ def _on_grid(kind: int, ell, point: SurfacePoint) -> CylinderValue:
     """H_ell^(kind) (kind 1, 2) as _on_cover over a grid of points, with one
     range check for all."""
     w = point.log_value
-    n = _checked_order(ell, w.real.min(initial=0.0), w.real.max(initial=0.0), log=True)
+    n = _checked_order(ell, [w.real.min(initial=0.0), w.real.max(initial=0.0)], log=True)
     c0, c_low = _continued_grid(kind, n, w)
+    _finite_on_cover(n, c0, c_low)
     return _value(ell, point, c0, c_low)
 
 

@@ -18,7 +18,9 @@ the iteration on whatever sheet the guess started and makes sheet drift an
 observable (warned) event rather than a silent wraparound.  A track refines
 all its guesses in lockstep, one batched Q evaluation per Newton step, with
 the records of one chain per guess; its continuation from the previous root
-runs point after point through refine.
+runs point after point through refine.  Each Q evaluation is one Batch of
+points: one scipy call per Bessel function, and the scalar arithmetic at
+each point, so a batch gives the bits of char_q calls at its points.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import EULER_GAMMA, SurfacePoint, _integer
+from .cylinder import EULER_GAMMA, Batch, SurfacePoint, _integer
 from .errors import (
     DomainError,
     Inconclusive,
@@ -60,9 +62,6 @@ STEP_TOL = 1e-12
 MAX_ITER = 20
 # sector_scan reports a zero where |Q_0| dips below this share of its median
 SCAN_DEPTH_TOL = 1e-3
-# a grid Q call costs about as much as 12 scalar ones, so _q_rows makes one
-# only from this many points up (per-call timings on the track-sweep deck)
-GRID_MIN_POINTS = 12
 
 
 class Classification(enum.Enum):
@@ -230,32 +229,40 @@ def _q_rows(n: int, rows: list, wells: list, terms: bool) -> list:
     """Q_n (or, with terms, its two terms) at each log-point of each row, in
     the row's well, as Python complex.
 
-    Fewer than GRID_MIN_POINTS points, one row always among them, are
-    evaluated point by point through char_q (or _q_terms); more are one
-    grid call of _q_terms, one depth per row (the wells of a track share
-    rho), which gives the same bits.  A row reads None where its evaluation
-    leaves the validated range (RangeError, OverflowError): a grid call
-    that raises one is redone row by row.
+    All points go to one _q_terms call as a Batch, one depth per point (the
+    wells of a track share rho), so each Bessel function is one scipy call
+    and each point keeps the bits of a char_q call there.  A row reads None
+    where its evaluation leaves the validated range (RangeError,
+    OverflowError): a batch that raises one is redone row by row.
     """
-    if sum(map(len, rows)) >= GRID_MIN_POINTS:
-        depth = np.array([[well.a] for well in wells])
-        try:
-            with np.errstate(all="ignore"):
-                t1, t2 = _q_terms(n, SurfacePoint(np.array(rows)), depth, wells[0].rho)
-                if not terms:
-                    return (t1 - t2).tolist()
-            return [list(zip(*pair)) for pair in zip(t1.tolist(), t2.tolist())]
-        except (RangeError, OverflowError):
-            pass
+    if not rows:
+        return []
+    try:
+        return _q_batch(n, rows, wells, terms)
+    except (RangeError, OverflowError):
+        if len(rows) == 1:
+            return [None]
     out = []
     for row, well in zip(rows, wells):
         try:
-            if terms:
-                out.append([_q_terms(n, SurfacePoint(w), well.a, well.rho) for w in row])
-            else:
-                out.append([char_q(n, SurfacePoint(w), well) for w in row])
+            out += _q_batch(n, [row], [well], terms)
         except (RangeError, OverflowError):
             out.append(None)
+    return out
+
+
+def _q_batch(n: int, rows: list, wells: list, terms: bool) -> list:
+    """_q_rows for rows that all stay in range, from one _q_terms call."""
+    points, depths = [], []
+    for row, well in zip(rows, wells):
+        points += row
+        depths += [well.a] * len(row)
+    t1, t2 = _q_terms(n, SurfacePoint(Batch(points)), Batch(depths), wells[0].rho)
+    values = list(zip(t1, t2)) if terms else [a - b for a, b in zip(t1, t2)]
+    out, k = [], 0
+    for row in rows:
+        out.append(values[k : k + len(row)])
+        k += len(row)
     return out
 
 
@@ -368,7 +375,7 @@ def refine(
     basin |lambda| <= 3.  A SheetDriftWarning is issued when the refined
     argument moved more than pi/2 from the guess.  This is the one-start
     case of the Newton loop that track runs over all its guesses at once,
-    so every step is three scalar char_q calls.
+    so every step is one Batch of three points.
     """
     return _refine_all(abs(ell), [guess], [well], [epsilon])[0]
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import SurfacePoint, _prod, _sqrt, bessel_j, hankel
+from .cylinder import Batch, SurfacePoint, _items, _like, _prod, _sqrt, bessel_j, hankel
 from .errors import BranchError, DomainError, MatchError, SingularityError
 
 # |J_{|ell|-1}(rho a)| at or below this counts as J vanishing: the well then
@@ -79,18 +79,26 @@ def mu(lam: SurfacePoint | complex, a) -> complex:
 
     The principal square root keeps Re mu >= 0, which is the continuous
     continuation from the positive real lambda axis throughout |lambda| < a.
-    Callers must not cross the branch point lambda^2 = -a^2.  A grid of
-    points gives an array, bit-equal to the calls at each point; a may then
-    be an array too, one depth per point, broadcast with the grid.
+    Callers must not cross the branch point lambda^2 = -a^2.  A Batch of
+    lambdas, or a SurfacePoint holding one, gives a Batch, the expression at
+    each point, and a may then be a Batch too, one depth per point.  A grid
+    of points gives an array, bit-equal to the calls at each point; a may
+    then be an array too, one depth per point, broadcast with the grid.
     """
-    if not ((a > 0).all() if isinstance(a, np.ndarray) else a > 0):
+    lam_value = lam.value if isinstance(lam, SurfacePoint) else lam
+    if not isinstance(lam_value, np.ndarray):
+        values = lam_value if isinstance(lam_value, Batch) else (complex(lam_value),)
+        out = []
+        for x, d in zip(values, a if isinstance(a, Batch) else [a] * len(values)):
+            if not d > 0:
+                raise DomainError("a must be positive")
+            radicand = x * x + d * d
+            if radicand == 0:
+                raise BranchError("lambda^2 = -a^2 is the branch point of mu")
+            out.append(cmath.sqrt(radicand))
+        return _like(lam_value, out)
+    if not (np.asarray(a) > 0).all():
         raise DomainError("a must be positive")
-    lam_value = lam.value if isinstance(lam, SurfacePoint) else complex(lam)
-    if isinstance(lam_value, complex):
-        radicand = lam_value * lam_value + a * a
-        if radicand == 0:
-            raise BranchError("lambda^2 = -a^2 is the branch point of mu")
-        return cmath.sqrt(radicand)
     with np.errstate(all="ignore"):
         radicand = _prod(lam_value, lam_value)
         radicand += a * a
@@ -104,28 +112,32 @@ def _as_point(lam: SurfacePoint | complex) -> SurfacePoint:
 
 
 def _edge(ell: int, point: SurfacePoint, a, rho: float):
-    """(mu, J_n(rho mu), H_n^(1)(lambda rho)) at n = |ell| in the well of
-    depth a and radius rho: the edge values that Q, S and the resonant state
-    are built from.  Over a grid, a may hold one depth per point.  hankel
-    goes first, so a non-finite phase or a non-integer order is rejected
-    before point.value is read."""
+    """(lambda, mu, J_n(rho mu), H_n^(1)(lambda rho)) at n = |ell| in the
+    well of depth a and radius rho: the edge values that Q, S and the
+    resonant state are built from.  Over a Batch or a grid, a may hold one
+    depth per point.  hankel goes first, so a non-finite phase or a
+    non-integer order is rejected before point.value is read."""
     n = abs(ell)
     h = hankel(1, n, point.scaled(rho))
-    m = mu(point, a)
-    rho_m = rho * m if isinstance(m, complex) else _prod(rho, m)
-    return m, bessel_j(n, rho_m), h
+    lam = point.value
+    m = mu(lam, a)
+    rho_m = _prod(rho, m) if isinstance(m, np.ndarray) else _like(m, [rho * x for x in _items(m)])
+    return lam, m, bessel_j(n, rho_m), h
 
 
 def _q_terms(ell: int, point: SurfacePoint, a, rho: float) -> tuple[complex, complex]:
     """The two terms whose difference is Q_ell; |t1| + |t2| is the scale.
-    ell is one order; a grid of points gives arrays, with products rounded
-    as CPython's, under the np.errstate the caller holds.  a is the depth,
-    one float or one per point of the grid."""
-    m, j, h = _edge(ell, point, a, rho)
-    lam = point.value
-    if isinstance(h.value, complex):
-        return m * j.low * h.value, lam * j.value * h.low
-    return _prod(_prod(m, j.low), h.value), _prod(_prod(lam, j.value), h.low)
+    ell is one order.  A Batch of points gives two Batches, each term in
+    Python complex arithmetic at each point, from one scipy call per Bessel
+    function; a grid gives arrays, with products rounded as CPython's,
+    under the np.errstate the caller holds.  a is the depth, one float or
+    one per point of the Batch or grid."""
+    lam, m, j, h = _edge(ell, point, a, rho)
+    if isinstance(lam, np.ndarray):
+        return _prod(_prod(m, j.low), h.value), _prod(_prod(lam, j.value), h.low)
+    t1 = [x * y * z for x, y, z in zip(*map(_items, (m, j.low, h.value)))]
+    t2 = [x * y * z for x, y, z in zip(*map(_items, (lam, j.value, h.low)))]
+    return _like(lam, t1), _like(lam, t2)
 
 
 def char_q(ell: int, lam: SurfacePoint | complex, well: Well) -> complex:
@@ -212,10 +224,10 @@ def resonant_state(
     if not (r > 0):
         raise DomainError("radius r must be positive")
     n = abs(ell)
-    m, j, h = _edge(ell, lam, well.a, well.rho)
+    lam_value, m, j, h = _edge(ell, lam, well.a, well.rho)
     if abs(j.value) <= 1e-290:
         raise MatchError("interior solution vanishes at the edge; cannot match")
-    t1, t2 = m * j.derivative * h.value, lam.value * j.value * h.derivative
+    t1, t2 = m * j.derivative * h.value, lam_value * j.value * h.derivative
     mismatch = abs(t1 - t2) / (abs(t1) + abs(t2) + 1e-300)
     if mismatch > 1e-8:
         raise MatchError(

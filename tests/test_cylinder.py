@@ -17,7 +17,7 @@ from resonance_lab import (
     char_q,
     hankel,
 )
-from resonance_lab.cylinder import EULER_GAMMA, _reduce_argument, order_table
+from resonance_lab.cylinder import EULER_GAMMA, Batch, _reduce_argument, order_table
 
 import oracles
 from equivalent_forms import derivative_by_recurrence
@@ -28,6 +28,22 @@ PI = math.pi
 def bits(values):
     """The int64 words of complex values, so that signed zeros count."""
     return np.asarray(values, complex).view(np.int64)
+
+
+def cover_call(call, ell, moduli):
+    """call(), a kernel at points of the cover with these moduli, or None if
+    it raises RangeError.  It may raise only where Y_n, n = |ell|, overflows:
+    where its small-argument size (n-1)! (2/|z|)^n / pi passes the largest
+    float, e^709.8, which a margin of e^10 either way keeps clear of rounding."""
+    n = abs(ell)
+    log_size = max(math.lgamma(n) + n * math.log(2 / r) - math.log(PI) if n else 0.0 for r in moduli)
+    try:
+        got = call()
+    except RangeError:
+        assert log_size > 700
+        return None
+    assert log_size < 720
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +515,25 @@ def test_domain_and_range_errors():
         bessel_zero(0, 21)
 
 
+def test_values_that_overflow_on_the_cover_are_range_errors():
+    # |Y_n(z)| ~ (n-1)! (2/|z|)^n / pi passes the largest float inside the
+    # validated range, and H = J +- iY would read NaN
+    point = SurfacePoint.from_polar(1e-3, 0.3)
+    for call in (
+        lambda: hankel(1, 80, point),
+        lambda: hankel(2, 3, SurfacePoint.from_polar(1e-200, 0.3)),
+        lambda: hankel(1, 80, SurfacePoint.from_polar(np.array([0.5, 1e-3]), 0.3)),
+        lambda: hankel(1, 80, SurfacePoint(Batch([complex(-0.5, 0.3), point.log_value]))),
+        lambda: bessel_y(80, point),
+        lambda: bessel_y(80, SurfacePoint.from_polar(1e-3, 4.0)),
+        lambda: char_q(80, point, Well(2.0)),
+    ):
+        with pytest.raises(RangeError, match="overflows"):
+            call()
+    # a plain argument keeps its infinity, which phase reads in its Y tables
+    assert bessel_y(80, 1e-3).value == -math.inf
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -539,12 +574,24 @@ def test_grid_calls_equal_the_scalar_calls_bit_for_bit(ell, grid):
     # and a 2-d grid shaped like sector_scan's, moduli down and arguments across
     moduli, arguments = (np.array(column) for column in zip(*grid[:3]))
     sector = SurfacePoint.from_polar(moduli[:, None], arguments)
+    # a Batch of the same points, in Python complex arithmetic
+    batch = SurfacePoint(Batch(p.log_value for p in singles))
     for kind in (1, 2):
-        table = hankel(kind, ell, points)
-        for part in ("value", "derivative", "low"):
-            want = [getattr(hankel(kind, ell, p), part) for p in singles]
-            assert np.array_equal(bits(getattr(table, part)), bits(want))
-        table = hankel(kind, ell, sector)
+        for many in (points, batch):
+            table = cover_call(lambda: hankel(kind, ell, many), ell, [r for r, _ in grid])
+            if table is None:
+                # a grid or Batch raises where one of its points raises alone
+                with pytest.raises(RangeError):
+                    [hankel(kind, ell, p) for p in singles]
+                continue
+            for part in ("value", "derivative", "low"):
+                want = [getattr(hankel(kind, ell, p), part) for p in singles]
+                assert np.array_equal(bits(getattr(table, part)), bits(want))
+        table = cover_call(lambda: hankel(kind, ell, sector), ell, moduli)
+        if table is None:
+            with pytest.raises(RangeError):
+                [hankel(kind, ell, SurfacePoint.from_polar(r, t)) for r in moduli for t in arguments]
+            continue
         for part in ("value", "derivative", "low"):
             want = [
                 [getattr(hankel(kind, ell, SurfacePoint.from_polar(r, t)), part) for t in arguments]
@@ -555,10 +602,11 @@ def test_grid_calls_equal_the_scalar_calls_bit_for_bit(ell, grid):
     z = points.value
     z = z[np.hypot(z.real, z.imag) <= 100.0]
     for fn in (bessel_j, bessel_y):
-        table = fn(ell, z)
-        for part in ("value", "derivative", "low"):
-            want = [getattr(fn(ell, complex(x)), part) for x in z]
-            assert np.array_equal(bits(getattr(table, part)), bits(want))
+        for many in (z, Batch(z.tolist())):
+            table = fn(ell, many)
+            for part in ("value", "derivative", "low"):
+                want = [getattr(fn(ell, complex(x)), part) for x in z]
+                assert np.array_equal(bits(getattr(table, part)), bits(want))
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +622,9 @@ def test_grid_calls_equal_the_scalar_calls_bit_for_bit(ell, grid):
 def test_derivatives_read_later_keep_their_bits(ell, modulus, arg):
     point = SurfacePoint.from_polar(modulus, arg)
     z = point.value
-    calls = [(hankel(kind, ell, point), z) for kind in (1, 2)] + [(bessel_y(ell, point), z)]
+    cover = [lambda kind=kind: hankel(kind, ell, point) for kind in (1, 2)]
+    cover.append(lambda: bessel_y(ell, point))
+    calls = [(c, z) for c in (cover_call(call, ell, [modulus]) for call in cover) if c is not None]
     if abs(z) <= 100.0:
         calls += [(fn(ell, z), z) for fn in (bessel_j, bessel_y)]
     if modulus <= 100.0:

@@ -30,6 +30,7 @@ from resonance_lab import (
     sector_scan,
     track,
 )
+from resonance_lab.cylinder import Batch
 from resonance_lab.errors import RangeError
 from equivalent_forms import refine_sequential, track_sequential
 
@@ -372,8 +373,8 @@ QUAD_GRID = [math.copysign(k * k * 0.02, k) for k in range(-5, 6) if k]
 def test_lockstep_track_is_the_sequential_track(ell, kind):
     grid = [-0.15 * k for k in range(1, 11)] if ell == 0 else QUAD_GRID
     family = FAMILY_OF[ell]
-    # and 2-5-point tracks, whose lockstep steps stay under GRID_MIN_POINTS
-    # or cross it: the middle of the grid, spanning both signs of eps
+    # and 2-5-point tracks, whose lockstep steps batch 1-5 rows: the middle
+    # of the grid, spanning both signs of eps
     middle = len(grid) // 2
     for size in (len(grid), 2, 3, 4, 5):
         start = 0 if ell == 0 else middle - size // 2
@@ -404,13 +405,13 @@ def test_lockstep_track_keeps_basin_range_and_drift_records(monkeypatch):
         try:
             return q_terms(n, point, a, rho)
         except RangeError:
-            grid_raised.append(isinstance(point.log_value, np.ndarray))
+            grid_raised.append(isinstance(point.log_value, Batch) and len(point.log_value) > 3)
             raise
 
     monkeypatch.setattr(finder, "_q_terms", spy)
     want = records_and_drifts(lambda: track_sequential(1, FAM_P, eps_grid, kind).records)
     assert records_and_drifts(lambda: track(1, FAM_P, eps_grid, kind).records) == want
-    # a batch left the range and was redone point by point; one start drifted
+    # a batch of several rows left the range and was redone row by row; one start drifted
     assert True in grid_raised
     assert len(want[1]) == 1
     for eps, start in odd.items():

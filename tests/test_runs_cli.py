@@ -480,6 +480,8 @@ def test_config_errors_exit_one_without_output(argv, tmp_path, capsys):
         # the derivative's n/z overflows
         pytest.param(["bessel-eval", "h1", "0", "1e-320", "0"], id="bessel-h1-subnormal"),
         pytest.param(["bessel-eval", "j", "3", "1e-320", "0"], id="bessel-j-subnormal"),
+        # inside the validated range, but Y_80(0.001) overflows a float
+        pytest.param(["bessel-eval", "h1", "80", "0.001", "0.3"], id="bessel-h1-overflow"),
         pytest.param(["lambert-eval", "0", "nan", "0"], id="lambert-re-nan"),
         pytest.param(["lambert-eval", "1", "0", "nan"], id="lambert-im-nan"),
         pytest.param(["lambert-eval", "--", "-1", "inf", "0"], id="lambert-re-inf"),

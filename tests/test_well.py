@@ -32,6 +32,8 @@ from resonance_lab import (
     s_matrix_eigenvalue,
     zero_energy_kind,
 )
+from resonance_lab import finder
+from resonance_lab.cylinder import Batch
 from resonance_lab.well import _q_terms
 from equivalent_forms import q_derivative_form
 from oracles import mu_by_path, s_matrix_real_form
@@ -188,22 +190,49 @@ def test_char_q_on_a_grid_is_the_scalar_calls_bit_for_bit(ell, a, rho, grid):
 @given(
     ell=st.integers(0, 8),
     rho=st.floats(0.5, 2.0),
-    # |lambda| <= 3 on sheets -1..1, each point in a well of its own depth
+    # |lambda| <= 3 on sheets -1..1, each point in a well of its own depth;
+    # at argument 0, rho mu is real and positive, and J takes its real path
     points=st.lists(
-        st.tuples(st.floats(1e-3, 3.0), st.floats(-1.5 * math.pi, 1.5 * math.pi), st.floats(0.5, 6.0)),
+        st.tuples(
+            st.floats(1e-3, 3.0),
+            st.one_of(st.just(0.0), st.floats(-1.5 * math.pi, 1.5 * math.pi)),
+            st.floats(0.5, 6.0),
+        ),
         min_size=2,
         max_size=9,
     ),
+    outside=st.integers(0, 9),
 )
-def test_q_with_one_depth_per_point_is_the_scalar_calls_bit_for_bit(ell, rho, points):
+def test_q_with_one_depth_per_point_is_the_scalar_calls_bit_for_bit(ell, rho, points, outside):
     r, t, a = (np.array(column) for column in zip(*points))
     want = [char_q(ell, SurfacePoint.from_polar(*p[:2]), Well(p[2], rho)) for p in points]
     with np.errstate(all="ignore"):
         t1, t2 = _q_terms(ell, SurfacePoint.from_polar(r, t), a, rho)
-        # finder's layout: rows of points, one depth per row
+        # rows of points, one depth per row
         r1, r2 = _q_terms(ell, SurfacePoint.from_polar(r[:, None], t[:, None]), a[:, None], rho)
-    for got in (t1 - t2, (r1 - r2).ravel()):
-        assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+    # and a Batch, Python complex at each point
+    logs = [SurfacePoint.from_polar(*p[:2]).log_value for p in points]
+    b1, b2 = _q_terms(ell, SurfacePoint(Batch(logs)), Batch(p[2] for p in points), rho)
+    for got in (t1 - t2, (r1 - r2).ravel(), [x - y for x, y in zip(b1, b2)]):
+        assert np.array_equal(np.asarray(got).view(np.int64), np.array(want).view(np.int64))
+    # finder's layout: a Newton row (w, w + h, w - h) per point in its own
+    # well, and one row that leaves |lambda rho| <= 100, which reads None
+    # while the others keep their bits
+    rows = [(w, w + 1e-7, w - 1e-7) for w in logs]
+    wells = [Well(p[2], rho) for p in points]
+    at = outside % (len(rows) + 1)
+    rows.insert(at, (complex(math.log(150.0 / rho), 1.0),) * 3)
+    wells.insert(at, Well(2.0, rho))
+    for terms in (False, True):
+        got = finder._q_rows(ell, rows, wells, terms)
+        assert got.pop(at) is None
+        scalar = _q_terms if terms else lambda n, x, a, rho: char_q(n, x, Well(a, rho))
+        want = [
+            [scalar(ell, SurfacePoint(x), well.a, rho) for x in row]
+            for k, (row, well) in enumerate(zip(rows, wells))
+            if k != at
+        ]
+        assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
 
 
 def test_resonant_state_keeps_its_bits():
