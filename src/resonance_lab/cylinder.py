@@ -23,7 +23,11 @@ over all of them (AMOS, Amos ACM TOMS 644 1986, and cephes give the same
 bits per element as for one argument).  A SurfacePoint may also hold a
 whole array of logarithms, a grid; hankel then evaluates every point in one
 call, as bessel_j and bessel_y do for an array of complex arguments, and
-returns the bits of one call per point.  For that the array path writes
+returns the bits of one call per point.  A grid call makes one scipy call
+per Bessel function over both orders n, n-1 of all its points; scipy's loops
+release the GIL, so a large grid's call is split into chunks that run on
+threads, at most one per CPU the process may use, each writing its part of
+one output, with the same bits and no option to set.  The array path writes
 each complex product as float operations in CPython's order (_Py_c_prod in
 Objects/complexobject.c), and square roots as cmath.sqrt computes them:
 numpy's own complex `*` and sqrt round differently.  An array derivative
@@ -33,10 +37,14 @@ is the scalar expression evaluated at each element.
 from __future__ import annotations
 
 import cmath
+import contextvars
 import math
 import numbers
 import operator
+import os
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -60,6 +68,10 @@ _LOG_MAX_ABS_ARGUMENT = math.log(MAX_ABS_ARGUMENT)
 MAX_ORDER = 80
 MAX_ZERO_ORDER = 20
 MAX_ZERO_INDEX = 20
+# a grid's scipy call runs in chunks of at least this many points, at most
+# one per CPU; below about this chunk, on 2 cores, handing one to a thread
+# costs more than it saves
+MIN_CHUNK_POINTS = 512
 
 
 class Batch(tuple):
@@ -273,6 +285,65 @@ def _pair(kind, n: int, x: list) -> list:
     return kind(_ORDER_PAIRS[n], x).tolist()
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on: the most threads a grid call uses."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _workers() -> ThreadPoolExecutor:
+    """The threads that run a grid call's chunks but the first, made on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(thread_name_prefix="resonance-lab")
+        return _pool
+
+
+def _forget_workers() -> None:
+    """A forked child has none of its parent's threads: it makes its own pool."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _grid_pair(kind, n: int, z: np.ndarray) -> np.ndarray:
+    """C_n and C_{n-1} at each element of the float or complex array z, stacked
+    on a new first axis, from kind(_ORDER_PAIRS[n], z) over z's elements in
+    order.  From 2 * MIN_CHUNK_POINTS elements on, with more than one CPU,
+    that call is split into one chunk per CPU (each of MIN_CHUNK_POINTS or
+    more), each writing its columns of one output: this thread evaluates the
+    first, _workers the others, each in a copy of the caller's context, so
+    under its np.errstate.  A ufunc is elementwise, so every element has the
+    bits of the one call."""
+    x, orders = z.ravel(), _ORDER_PAIRS[n]
+    parts = min(_cpus(), len(x) // MIN_CHUNK_POINTS)
+    if parts < 2:
+        return kind(orders, x).reshape((2,) + z.shape)
+    out = np.empty((2, len(x)), x.dtype)
+    cuts = [len(x) * k // parts for k in range(parts + 1)]
+    pool = _workers()
+    futures = [
+        pool.submit(contextvars.copy_context().run, kind, orders, x[a:b], out=out[:, a:b])
+        for a, b in zip(cuts[1:-1], cuts[2:])
+    ]
+    try:
+        kind(orders, x[: cuts[1]], out=out[:, : cuts[1]])
+    finally:
+        for future in futures:
+            future.result()
+    return out.reshape((2,) + z.shape)
+
+
 def _finite_on_cover(n: int, c0, c_low) -> None:
     """RangeError unless C_n and C_{n-1} (arrays, or lists) are finite: at
     small |z| and high order |Y_n(z)| ~ (n-1)! (2/|z|)^n / pi exceeds the
@@ -319,11 +390,10 @@ def _principal_grid(kind, ell, z: np.ndarray) -> CylinderValue:
     the scalar calls' bits, real positive elements on the real path."""
     modulus = np.hypot(z.real, z.imag)
     n = _checked_order(ell, [modulus.min(initial=1.0), modulus.max(initial=1.0)])
-    c0, c_low = np.asarray(kind(n, z)), np.asarray(kind(n - 1, z))
+    c0, c_low = _grid_pair(kind, n, z)
     real = (z.imag == 0.0) & (z.real > 0.0)
     if real.any():
-        x = z.real[real]
-        c0[real], c_low[real] = kind(n, x), kind(n - 1, x)
+        c0[real], c_low[real] = _grid_pair(kind, n, z.real[real])
     return _value(ell, z, c0, c_low)
 
 
@@ -485,26 +555,26 @@ def _continued_grid(kind: int, n: int, w: np.ndarray):
         raise DomainError("arguments must be finite")
     m = np.ceil((w.imag - math.pi / 2) / math.pi - 1e-15)
     z0 = np.exp(_complex(w.real, w.imag - m * math.pi))
-    (j0, y0), (j1, y1) = (_continued_jy_grid(k, z0, m) for k in (n, n - 1))
+    j, y = _continued_jy_grid(n, z0, m)
     if kind == 1:
-        j0 += _prod(1j, y0)
-        j1 += _prod(1j, y1)
+        j += _prod(1j, y)
     else:
-        j0 -= _prod(1j, y0)
-        j1 -= _prod(1j, y1)
-    return j0, j1
+        j -= _prod(1j, y)
+    return j[0], j[1]
 
 
 def _continued_jy_grid(n: int, z0: np.ndarray, m: np.ndarray):
-    """_continued_jy at each element of z0 and m."""
-    j0, y0 = jv(n, z0), yv(n, z0)
+    """_continued_jy at each element of z0 and m: J and Y, each with the
+    orders n, n - 1 on its first axis."""
+    orders = _ORDER_PAIRS[n]
+    j, y = _grid_pair(jv, n, z0), _grid_pair(yv, n, z0)
     moved = m != 0
     if moved.any():
-        m, j = m[moved], j0[moved]
-        sign = np.where((m * n) % 2, -1.0, 1.0)
-        y0[moved] = _prod(sign, y0[moved] + _prod(_prod(2j, m), j))
-        j0[moved] = _prod(sign, j)
-    return j0, y0
+        m, jm = m[moved], j[:, moved]
+        sign = np.where((m * orders) % 2, -1.0, 1.0)
+        y[:, moved] = _prod(sign, y[:, moved] + _prod(_prod(2j, m), jm))
+        j[:, moved] = _prod(sign, jm)
+    return j, y
 
 
 def bessel_zero(ell: int, k: int) -> float:

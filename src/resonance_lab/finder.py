@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import EULER_GAMMA, Batch, SurfacePoint, _integer
+from .cylinder import EULER_GAMMA, Batch, SurfacePoint, _cpus, _integer
 from .errors import (
     DomainError,
     Inconclusive,
@@ -142,13 +142,14 @@ class SectorScan:
 
 
 def thread_budget() -> int:
-    """Always 1: tracks run on the calling thread.
+    """The threads a large grid's scipy call is split across, the calling
+    thread included: one per CPU this process may run on.  Tracks and
+    Newton run on the calling thread.
 
-    Not part of the public API.  It remains only because perfbench/worker.py
-    records finder.thread_budget() in its run environment; it goes when the
-    benchmark stops reading it.
+    Not part of the public API: perfbench/worker.py records it in its run
+    environment.
     """
-    return 1
+    return _cpus()
 
 
 def _check_structure(ell: int, family: CouplingFamily) -> None:

@@ -1,10 +1,15 @@
 import cmath
 import math
+import os
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import jv, yv
 
 from resonance_lab import (
     DomainError,
@@ -17,7 +22,15 @@ from resonance_lab import (
     char_q,
     hankel,
 )
-from resonance_lab.cylinder import EULER_GAMMA, Batch, _reduce_argument, order_table
+from resonance_lab import cylinder
+from resonance_lab.cylinder import (
+    EULER_GAMMA,
+    MIN_CHUNK_POINTS,
+    Batch,
+    _grid_pair,
+    _reduce_argument,
+    order_table,
+)
 
 import oracles
 from equivalent_forms import derivative_by_recurrence
@@ -607,6 +620,97 @@ def test_grid_calls_equal_the_scalar_calls_bit_for_bit(ell, grid):
             for part in ("value", "derivative", "low"):
                 want = [getattr(fn(ell, complex(x)), part) for x in z]
                 assert np.array_equal(bits(getattr(table, part)), bits(want))
+
+
+# ---------------------------------------------------------------------------
+# grid calls split across threads
+# ---------------------------------------------------------------------------
+
+# the fewest points a grid call splits in two
+SPLIT = 2 * MIN_CHUNK_POINTS
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The process may run on two CPUs, whatever the host gives it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def spied(kind, calls):
+    """kind, recording in calls the size of each call's argument and the
+    np.errstate it runs under."""
+
+    def call(orders, x, **kwargs):
+        calls.append((x.size, np.geterr()["invalid"]))
+        return kind(orders, x, **kwargs)
+
+    return call
+
+
+@pytest.mark.parametrize("n", [0, 5])
+@pytest.mark.parametrize("kind", [jv, yv], ids=["jv", "yv"])
+@pytest.mark.parametrize("dtype", [complex, float])
+@pytest.mark.parametrize(
+    "shape, chunks",
+    [((SPLIT - 1,), [SPLIT - 1]), ((SPLIT,), [SPLIT // 2] * 2), ((SPLIT + 513,), [768, 769]),
+     ((33, 31), [1023]), ((32, 32), [512, 512]), ((29, 53), [768, 769])],
+)
+def test_split_calls_equal_the_one_call_bit_for_bit(two_cpus, n, kind, dtype, shape, chunks):
+    assert SPLIT == 1024  # the sizes above are set for it
+    rng = np.random.default_rng(n)
+    modulus = np.exp(rng.uniform(math.log(1e-3), math.log(100.0), shape))
+    z = modulus * np.exp(1j * rng.uniform(-PI, PI, shape)) if dtype is complex else modulus
+    calls = []
+    # each chunk runs under the caller's np.errstate, in whichever thread
+    with np.errstate(invalid="ignore"):
+        got = _grid_pair(spied(kind, calls), n, z)
+    assert sorted(calls) == [(size, "ignore") for size in chunks]
+    assert got.shape == (2,) + shape and got.dtype == z.dtype
+    want = [kind(n, z), kind(n - 1, z)]
+    assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+
+
+def test_a_worker_chunk_that_overflows_is_a_range_error_without_warnings(two_cpus):
+    # the second chunk, which a worker thread evaluates, holds |z| = 1e-3,
+    # where Y_80 overflows
+    moduli = np.repeat([0.5, 1e-3], MIN_CHUNK_POINTS)
+    grid = SurfacePoint.from_polar(moduli, 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: hankel(1, 80, grid), lambda: char_q(80, grid, Well(2.0))):
+            with pytest.raises(RangeError, match="overflows"):
+                call()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_evaluates_a_split_grid(two_cpus):
+    grid = SurfacePoint.from_polar(np.linspace(0.1, 3.0, SPLIT), np.linspace(-4.0, 4.0, SPLIT))
+    want = hankel(1, 3, grid).value  # the parent's pool now has a thread
+    pid = os.fork()
+    if pid == 0:
+        same = False
+        try:
+            same = np.array_equal(hankel(1, 3, grid).value.view(np.int64), want.view(np.int64))
+        finally:
+            os._exit(0 if same else 1)
+    deadline = time.monotonic() + 30.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+    assert done[0] == pid, "the child's grid call did not finish"
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_one_cpu_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(cylinder, "_pool", None)
+    threads = threading.active_count()
+    grid = SurfacePoint.from_polar(np.linspace(0.1, 3.0, 4 * SPLIT), 0.3)
+    char_q(0, grid, Well(2.0))
+    assert cylinder._pool is None
+    assert threading.active_count() == threads
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import os
 import warnings
 
 import numpy as np
@@ -30,7 +31,7 @@ from resonance_lab import (
     sector_scan,
     track,
 )
-from resonance_lab.cylinder import Batch
+from resonance_lab.cylinder import MIN_CHUNK_POINTS, Batch
 from resonance_lab.errors import RangeError
 from equivalent_forms import refine_sequential, track_sequential
 
@@ -319,17 +320,17 @@ def scan_by_scalar_calls(well, radius, n_radii, n_angles):
     return q[best], median, location.log_value, q[best] < finder.SCAN_DEPTH_TOL * median
 
 
-@pytest.mark.parametrize(
-    "well, radius, n_radii, n_angles",
-    [
-        # a zero on the axis, found on a grid with a theta = 0 node (odd count)
-        (FAM_S.well(-0.5), 0.03, 200, 61),
-        # no zero in the sector: the even count has no theta = 0 node
-        (Well(3.0), 0.3, 40, 60),
-        (FAM_S.well(0.3), 0.5, 37, 21),
-        (Well(2.0, 1.5), 0.1, 25, 2),
-    ],
-)
+SCAN_GRIDS = [
+    # a zero on the axis, found on a grid with a theta = 0 node (odd count)
+    (FAM_S.well(-0.5), 0.03, 200, 61),
+    # no zero in the sector: the even count has no theta = 0 node
+    (Well(3.0), 0.3, 40, 60),
+    (FAM_S.well(0.3), 0.5, 37, 21),
+    (Well(2.0, 1.5), 0.1, 25, 2),
+]
+
+
+@pytest.mark.parametrize("well, radius, n_radii, n_angles", SCAN_GRIDS)
 def test_sector_scan_equals_the_scalar_loop(well, radius, n_radii, n_angles):
     # every grid has theta = -pi/2 nodes, continued from the sheet below
     scan = sector_scan(well, radius=radius, n_radii=n_radii, n_angles=n_angles)
@@ -337,6 +338,19 @@ def test_sector_scan_equals_the_scalar_loop(well, radius, n_radii, n_angles):
     assert got == scan_by_scalar_calls(well, radius, n_radii, n_angles)
     assert type(scan.minimum) is type(scan.median) is float
     assert type(scan.found_zero) is bool
+
+
+def test_the_largest_scan_grid_is_split_across_threads():
+    # on two CPUs or more, the scipy calls of the 200 x 61 grid above run in
+    # chunks on threads, and of the 40 x 60 grid too; the others are one call
+    sizes = [n_radii * n_angles for _, _, n_radii, n_angles in SCAN_GRIDS]
+    assert [size >= 2 * MIN_CHUNK_POINTS for size in sizes] == [True, True, False, False]
+
+
+def test_thread_budget_counts_the_cpus_a_grid_call_uses(monkeypatch):
+    assert finder.thread_budget() == len(os.sched_getaffinity(0))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert finder.thread_budget() == 1
 
 
 @pytest.mark.parametrize(
