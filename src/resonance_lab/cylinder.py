@@ -24,10 +24,11 @@ bits per element as for one argument).  A SurfacePoint may also hold a
 whole array of logarithms, a grid; hankel then evaluates every point in one
 call, as bessel_j and bessel_y do for an array of complex arguments, and
 returns the bits of one call per point.  A grid call makes one scipy call
-per Bessel function over both orders n, n-1 of all its points; scipy's loops
-release the GIL, so a large grid's call is split into chunks that run on
-threads, at most one per CPU the process may use, each writing its part of
-one output, with the same bits and no option to set.  The array path writes
+per Bessel function over both orders n, n-1 of all its points, and an order
+table one over all its orders and arguments; scipy's loops release the GIL,
+so a large call of either is split into chunks that run on threads, at most
+one per CPU the process may use, each writing its part of one output, with
+the same bits and no option to set.  The array path writes
 each complex product as float operations in CPython's order (_Py_c_prod in
 Objects/complexobject.c), and square roots as cmath.sqrt computes them:
 numpy's own complex `*` and sqrt round differently.  An array derivative
@@ -49,6 +50,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy import special
 from scipy.special import jn_zeros, jv, yv
 
 from .errors import DomainError, RangeError
@@ -68,9 +70,9 @@ _LOG_MAX_ABS_ARGUMENT = math.log(MAX_ABS_ARGUMENT)
 MAX_ORDER = 80
 MAX_ZERO_ORDER = 20
 MAX_ZERO_INDEX = 20
-# a grid's scipy call runs in chunks of at least this many points, at most
-# one per CPU; below about this chunk, on 2 cores, handing one to a thread
-# costs more than it saves
+# a grid's or order table's scipy call runs in chunks of at least this many
+# elements, at most one per CPU; below about this chunk, on 2 cores, handing
+# one to a thread costs more than it saves
 MIN_CHUNK_POINTS = 512
 
 
@@ -286,7 +288,7 @@ def _pair(kind, n: int, x: list) -> list:
 
 
 def _cpus() -> int:
-    """The CPUs this process may run on: the most threads a grid call uses."""
+    """The CPUs this process may run on: the most threads a scipy call uses."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
@@ -298,7 +300,7 @@ _pool_lock = threading.Lock()
 
 
 def _workers() -> ThreadPoolExecutor:
-    """The threads that run a grid call's chunks but the first, made on first use."""
+    """The threads that run a split scipy call's chunks but the first, made on first use."""
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -316,32 +318,47 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_workers)
 
 
-def _grid_pair(kind, n: int, z: np.ndarray) -> np.ndarray:
-    """C_n and C_{n-1} at each element of the float or complex array z, stacked
-    on a new first axis, from kind(_ORDER_PAIRS[n], z) over z's elements in
-    order.  From 2 * MIN_CHUNK_POINTS elements on, with more than one CPU,
-    that call is split into one chunk per CPU (each of MIN_CHUNK_POINTS or
-    more), each writing its columns of one output: this thread evaluates the
-    first, _workers the others, each in a copy of the caller's context, so
-    under its np.errstate.  A ufunc is elementwise, so every element has the
-    bits of the one call."""
-    x, orders = z.ravel(), _ORDER_PAIRS[n]
+def _chunk(err: dict, kind, orders, x, out) -> None:
+    """kind(orders, x, out=out) under scipy.special's error state err, which
+    scipy keeps per thread."""
+    with special.errstate(**err):
+        kind(orders, x, out=out)
+
+
+def _split(kind, orders, x: np.ndarray) -> np.ndarray:
+    """kind(orders, x) over the 1-d array x, orders one per element of x or a
+    column that broadcasts against all of it.  From 2 * MIN_CHUNK_POINTS
+    elements on, with more than one CPU, the call is split along x into one
+    chunk per CPU (each of MIN_CHUNK_POINTS or more), each writing its part
+    of one output: this thread evaluates the first, _workers the others,
+    each in a copy of the caller's context, so under its np.errstate and
+    its scipy.special error state.  Chunk k takes every parts-th element
+    from k on, so each gets the same mix of cheap and dear elements (an
+    order table's costly high orders come last).  A ufunc is elementwise,
+    so every element has the bits of the one call."""
     parts = min(_cpus(), len(x) // MIN_CHUNK_POINTS)
     if parts < 2:
-        return kind(orders, x).reshape((2,) + z.shape)
-    out = np.empty((2, len(x)), x.dtype)
-    cuts = [len(x) * k // parts for k in range(parts + 1)]
-    pool = _workers()
-    futures = [
-        pool.submit(contextvars.copy_context().run, kind, orders, x[a:b], out=out[:, a:b])
-        for a, b in zip(cuts[1:-1], cuts[2:])
+        return kind(orders, x)
+    out = np.empty(np.broadcast(orders, x).shape, np.result_type(x, 1.0))
+    err, pool = special.geterr(), _workers()
+    head, *rest = [
+        (err, kind, orders[k::parts] if orders.ndim == 1 else orders, x[k::parts], out[..., k::parts])
+        for k in range(parts)
     ]
+    futures = [pool.submit(contextvars.copy_context().run, _chunk, *chunk) for chunk in rest]
     try:
-        kind(orders, x[: cuts[1]], out=out[:, : cuts[1]])
+        _chunk(*head)
     finally:
         for future in futures:
             future.result()
-    return out.reshape((2,) + z.shape)
+    return out
+
+
+def _grid_pair(kind, n: int, z: np.ndarray) -> np.ndarray:
+    """C_n and C_{n-1} at each element of the float or complex array z, stacked
+    on a new first axis, from kind(_ORDER_PAIRS[n], z) over z's elements in
+    order, split across the CPUs by _split."""
+    return _split(kind, _ORDER_PAIRS[n], z.ravel()).reshape((2,) + z.shape)
 
 
 def _finite_on_cover(n: int, c0, c_low) -> None:
@@ -387,14 +404,18 @@ def _principal(kind, ell, z, log_modulus=None) -> CylinderValue:
 @np.errstate(all="ignore")
 def _principal_grid(kind, ell, z: np.ndarray) -> CylinderValue:
     """_principal over a complex array, one range check for all elements:
-    the scalar calls' bits, real positive elements on the real path."""
+    the scalar calls' bits, real positive elements on the real path and the
+    others as complex, each evaluated once."""
     modulus = np.hypot(z.real, z.imag)
     n = _checked_order(ell, [modulus.min(initial=1.0), modulus.max(initial=1.0)])
-    c0, c_low = _grid_pair(kind, n, z)
     real = (z.imag == 0.0) & (z.real > 0.0)
-    if real.any():
-        c0[real], c_low[real] = _grid_pair(kind, n, z.real[real])
-    return _value(ell, z, c0, c_low)
+    if not real.any():
+        return _value(ell, z, *_grid_pair(kind, n, z))
+    c = np.empty((2,) + z.shape, complex)
+    for part, values in ((real, z.real), (~real, z)):
+        if part.any():
+            c[:, part] = _grid_pair(kind, n, values[part])
+    return _value(ell, z, *c)
 
 
 def bessel_j(ell, z) -> CylinderValue:
@@ -443,16 +464,17 @@ def bessel_y(ell, z) -> CylinderValue:
 @np.errstate(all="ignore")
 def order_table(kind: str, top: np.ndarray, x: np.ndarray, spare: int = 0) -> np.ndarray:
     """J (kind "j") or Y ("y") at each real x[c] > 0 of a 1-d array and orders
-    ell = -1..top[c] + spare, C_ell in row ell + 1 (0 past it).  One scipy call per element,
-    and one range check for all, on top and x: the spare orders are not checked.  Bit-equal
-    to the values and lows of the real path of bessel_j and bessel_y."""
+    ell = -1..top[c] + spare, C_ell in row ell + 1 (0 past it).  One scipy call over all
+    elements, split across the CPUs as a grid's is, and one range check for all, on top and x:
+    the spare orders are not checked.  Bit-equal to the values and lows of the real path of
+    bessel_j and bessel_y."""
     if (x <= 0).any() or top.min(initial=0) < 0:
         raise DomainError("an order table needs tops >= 0 and real arguments > 0")
     _checked_order(top.max(initial=0), [x.min(initial=1.0), x.max(initial=1.0)])
     height = top.max(initial=0) + spare + 2
     row, col = np.nonzero(np.arange(height)[:, None] <= top + spare + 1)
     rows = np.zeros((height, len(x)))
-    rows[row, col] = {"j": jv, "y": yv}[kind](row - 1, x[col])
+    rows[row, col] = _split({"j": jv, "y": yv}[kind], row - 1, x[col])
     return rows
 
 

@@ -142,8 +142,8 @@ class SectorScan:
 
 
 def thread_budget() -> int:
-    """The threads a large grid's scipy call is split across, the calling
-    thread included: one per CPU this process may run on.  Tracks and
+    """The threads a large grid's or order table's scipy call is split
+    across, the calling thread included: one per CPU this process may run on.  Tracks and
     Newton run on the calling thread.
 
     Not part of the public API: perfbench/worker.py records it in its run

@@ -18,7 +18,8 @@ the split sigma is read from the phase of Q_ell, as S_ell = -conj(Q_ell)/Q_ell
 
 Everything here is real arithmetic.  sigma'_ell and phi_ell have one evaluation, over
 ell = 0..l_max at each lambda of an array, which reads J(mu rho), J(lambda rho) and
-Y(lambda rho) from one order table each; the scalar calls are its one-point case.
+Y(lambda rho) from one order table each, one scipy call per table, which a large table
+splits across the CPUs; the scalar calls are its one-point case.
 """
 
 from __future__ import annotations

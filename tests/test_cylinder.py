@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import special
 from scipy.special import jv, yv
 
 from resonance_lab import (
@@ -671,15 +672,78 @@ def test_split_calls_equal_the_one_call_bit_for_bit(two_cpus, n, kind, dtype, sh
 
 
 def test_a_worker_chunk_that_overflows_is_a_range_error_without_warnings(two_cpus):
-    # the second chunk, which a worker thread evaluates, holds |z| = 1e-3,
-    # where Y_80 overflows
-    moduli = np.repeat([0.5, 1e-3], MIN_CHUNK_POINTS)
+    # the second chunk, the odd elements, which a worker thread evaluates,
+    # holds |z| = 1e-3, where Y_80 overflows
+    moduli = np.tile([0.5, 1e-3], MIN_CHUNK_POINTS)
     grid = SurfacePoint.from_polar(moduli, 0.3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call in (lambda: hankel(1, 80, grid), lambda: char_q(80, grid, Well(2.0))):
             with pytest.raises(RangeError, match="overflows"):
                 call()
+
+
+def test_scipy_error_state_holds_in_worker_chunks(two_cpus):
+    # Y_80 overflows at 1e-3 and not at 0.5; 1e-3 sits in the odd elements of
+    # the grid, and in the odd columns of the table, whose rows are 14 long,
+    # so only the worker's chunk meets it
+    grid = np.tile([0.5, 1e-3], MIN_CHUNK_POINTS)
+    x = np.tile([0.5, 1e-3], 7)
+    top = np.full(len(x), 80)
+    assert np.isinf(yv(80, grid)).any() and np.isfinite(yv(np.arange(-1, 81.0), 0.5)).all()
+    for call in (lambda: _grid_pair(yv, 80, grid), lambda: order_table("y", top, x)):
+        with special.errstate(all="raise"), pytest.raises(special.SpecialFunctionError, match="overflow"):
+            call()
+        assert np.isinf(call()).any()  # scipy's default state ignores the overflow
+
+
+@pytest.mark.parametrize("kind", ["j", "y"])
+def test_split_order_tables_equal_the_one_call_bit_for_bit(two_cpus, monkeypatch, kind):
+    # tops 0..80 over 40 arguments, over 2 * MIN_CHUNK_POINTS elements, so
+    # the one call of the table runs as two chunks, one on another thread
+    rng = np.random.default_rng(3)
+    top = rng.integers(0, 81, 40)
+    x = np.exp(rng.uniform(math.log(1e-2), math.log(100.0), 40))
+    fn, calls = {"j": jv, "y": yv}[kind], []
+
+    def call(orders, at, **kwargs):
+        calls.append((at.size, threading.get_ident()))
+        return fn(orders, at, **kwargs)
+
+    monkeypatch.setattr(cylinder, fn.__name__, call)
+    table = order_table(kind, top, x)
+    size = (top + 2).sum()
+    assert size >= 2 * MIN_CHUNK_POINTS
+    assert sorted(chunk for chunk, _ in calls) == [size // 2, size - size // 2]
+    assert {thread for _, thread in calls} - {threading.get_ident()}
+    height = top.max() + 2
+    row, col = np.nonzero(np.arange(height)[:, None] <= top + 1)
+    want = np.zeros((height, len(x)))
+    want[row, col] = fn(row - 1, x[col])
+    assert np.array_equal(table.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("fn, kind", [(bessel_j, jv), (bessel_y, yv)])
+def test_array_calls_evaluate_each_element_once(monkeypatch, fn, kind):
+    # a real positive element takes the real path and no other; the rest, complex
+    rng = np.random.default_rng(5)
+    mixed = rng.uniform(0.1, 3.0, 100) * np.where(np.arange(100) % 3, 1.0, np.exp(0.4j))
+    for z in (rng.uniform(0.1, 3.0, 100), mixed):
+        sizes = []
+
+        def call(orders, x, **kwargs):
+            sizes.append((x.size, x.dtype.kind))
+            return kind(orders, x, **kwargs)
+
+        monkeypatch.setattr(cylinder, kind.__name__, call)
+        got = fn(2, z)
+        monkeypatch.setattr(cylinder, kind.__name__, kind)
+        real = z.imag == 0.0
+        parts = [(real.sum(), "f"), ((~real).sum(), "c")]
+        assert sorted(sizes) == sorted(part for part in parts if part[0])
+        for part in ("value", "low"):
+            want = [getattr(fn(2, complex(v)), part) for v in z]
+            assert np.array_equal(bits(getattr(got, part)), bits(want))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -458,21 +459,31 @@ def test_phase_table_build():
 @pytest.mark.parametrize("include_modes", [None, 6])
 def test_phase_table_evaluates_each_bessel_order_once(monkeypatch, include_modes):
     # J(lambda rho) and Y(lambda rho) over orders -1..need at each lambda, and J(mu rho)
-    # over -1..need + 1, one scipy element each
-    grid, count = np.linspace(0.05, 4.5, 40), [0]
+    # over -1..need + 1, one scipy element each; on two CPUs the 400-point tables'
+    # calls run in chunks, one on another thread
+    count, threads = [0], set()
 
     def counting(kernel):
-        def call(order, x):
+        def call(order, x, **kwargs):
             count[0] += np.broadcast(order, x).size
-            return kernel(order, x)
+            threads.add(threading.get_ident())
+            return kernel(order, x, **kwargs)
         return call
 
     cylinder = resonance_lab.cylinder
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     for name in ("jv", "yv"):
         monkeypatch.setattr(cylinder, name, counting(getattr(cylinder, name)))
-    table = PhaseTable.build(grid, WELL_G, include_modes)
-    need = np.maximum(table.l_max, include_modes or 0)
-    assert count[0] == 3 * (need + 2).sum() + len(grid)
+    for points in (40, 400):
+        grid = np.linspace(0.05, 4.5, points)
+        count[0] = 0
+        threads.clear()
+        table = PhaseTable.build(grid, WELL_G, include_modes)
+        need = np.maximum(table.l_max, include_modes or 0)
+        assert count[0] == 3 * (need + 2).sum() + len(grid)
+        split = (need + 2).sum() >= 2 * cylinder.MIN_CHUNK_POINTS
+        assert split == (points == 400)
+        assert (len(threads) > 1) == split
 
 
 def test_phase_table_grid_validation():
