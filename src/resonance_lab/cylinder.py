@@ -17,13 +17,14 @@ the downward recurrence C'_ell = C_{ell-1} - (ell/z) C_ell, evaluated when a
 caller first reads one.
 
 Every call evaluates one integer order.  One argument is the one-element
-case of a Batch: a tuple of arguments whose values are computed in Python
-complex arithmetic at each element, from one scipy call per Bessel function
-over all of them (AMOS, Amos ACM TOMS 644 1986, and cephes give the same
-bits per element as for one argument).  A SurfacePoint may also hold a
-whole array of logarithms, a grid; hankel then evaluates every point in one
-call, as bessel_j and bessel_y do for an array of complex arguments, and
-returns the bits of one call per point.  A grid call makes one scipy call
+case of a list body (_cover_pair, _principal_pair), which the finder calls
+with many: values computed in Python complex arithmetic at each element,
+from one scipy call per Bessel function over all of them (AMOS, Amos ACM
+TOMS 644 1986, and cephes give the same bits per element as for one
+argument).  A SurfacePoint may also hold a whole array of logarithms, a
+grid; hankel then evaluates every point in one call, as bessel_j and
+bessel_y do for an array of complex arguments, and returns the bits of one
+call per point.  A grid call makes one scipy call
 per Bessel function over both orders n, n-1 of all its points, and an order
 table one over all its orders and arguments; scipy's loops release the GIL,
 so a large call of either is split into chunks that run on threads, at most
@@ -76,34 +77,15 @@ MAX_ZERO_INDEX = 20
 MIN_CHUNK_POINTS = 512
 
 
-class Batch(tuple):
-    """Arguments evaluated together, as one kernel call: Python complex
-    numbers, or logarithms of points of the cover as a SurfacePoint's
-    log_value.  The results are Batches too, each element with the bits of
-    the call at that argument alone.  A list or tuple is no Batch, so a
-    kernel still rejects one as an argument."""
-
-
-def _items(x) -> tuple:
-    """The elements of a Batch, or (x,) for one value (an array counts as one)."""
-    return x if isinstance(x, Batch) else (x,)
-
-
-def _like(x, items: list):
-    """items as x holds its values: a Batch for a Batch, else the one value."""
-    return Batch(items) if isinstance(x, Batch) else items[0]
-
-
 @dataclass(frozen=True)
 class SurfacePoint:
     """A point lambda on the logarithmic cover, stored as w = log(lambda).
 
     Re w is log|lambda| and Im w is arg(lambda), unrestricted.  Points whose
     arguments differ by 2*pi are distinct.  lambda = 0 has no representation.
-    log_value may also be a Batch of logarithms, which hankel evaluates in
-    one call, or a complex array: a grid of points, which hankel and char_q
-    evaluate in one call.  value and scaled act on each point of a Batch or
-    grid, argument on each point of a grid; modulus is for a single point.
+    log_value may also be a complex array: a grid of points, which hankel
+    and char_q evaluate in one call.  value, scaled and argument act on each
+    point of a grid; modulus is for a single point.
     """
 
     log_value: complex
@@ -138,9 +120,7 @@ class SurfacePoint:
     def value(self) -> complex:
         """The underlying complex number exp(w), sheet information collapsed."""
         w = self.log_value
-        if isinstance(w, np.ndarray):
-            return np.exp(w)
-        return _like(w, [cmath.exp(x) for x in _items(w)])
+        return np.exp(w) if isinstance(w, np.ndarray) else cmath.exp(w)
 
     @property
     def modulus(self) -> float:
@@ -154,13 +134,12 @@ class SurfacePoint:
         """The point factor*lambda for a positive finite factor (phase kept)."""
         if not (0 < factor < math.inf):
             raise DomainError(f"scaling factor {factor} must be positive and finite")
-        shift, w = math.log(factor), self.log_value
-        return SurfacePoint(_like(w, [x + shift for x in _items(w)]))
+        return SurfacePoint(self.log_value + math.log(factor))
 
 
 @dataclass(frozen=True)
 class CylinderValue:
-    """C_ell(z), C'_ell(z) and low = C_{|ell|-1}(z), unreflected (complex, Batches or arrays).
+    """C_ell(z), C'_ell(z) and low = C_{|ell|-1}(z), unreflected (complex, or arrays).
 
     value and low are evaluated with the call; the derivative is computed when
     it is first read, from them and the argument, so a caller that reads only
@@ -176,8 +155,8 @@ class CylinderValue:
     @cached_property
     def derivative(self) -> complex:
         """The recurrence C'_n = C_{n-1} - (n/z) C_n at n = |ell|, reflected as
-        value is, in Python complex arithmetic at each element of a Batch or
-        an array; RangeError where |z| < MIN_ABS_ARGUMENT, as n/z overflows there."""
+        value is, in Python complex arithmetic at each element of an array;
+        RangeError where |z| < MIN_ABS_ARGUMENT, as n/z overflows there."""
         n = abs(self._ell)
         flip = self._ell < 0 and n % 2 == 1
         z = self._at.value if isinstance(self._at, SurfacePoint) else self._at
@@ -187,8 +166,6 @@ class CylinderValue:
                 raise RangeError(f"derivative at |z| = {abs(at)!r} < {MIN_ABS_ARGUMENT!r}")
             derivative = low - (n / at) * (-c if flip else c)
             out.append(-derivative if flip else derivative)
-        if isinstance(z, Batch):
-            return Batch(out)
         return np.array(out, complex).reshape(np.shape(z)) if np.ndim(z) else out[0]
 
 
@@ -270,9 +247,7 @@ def _value(ell, at, c0, c_low) -> CylinderValue:
     """The CylinderValue of C_n, C_{n-1} at n = |ell| and argument at (z, or a
     point of the cover), odd negative orders reflected; scipy supplies
     C_{-1} = -C_1, so n = 0 needs no special case."""
-    if ell < 0 and ell % 2:
-        return CylinderValue(_like(c0, [-c for c in _items(c0)]), c_low, ell, at)
-    return CylinderValue(c0, c_low, ell, at)
+    return CylinderValue(-c0 if ell < 0 and ell % 2 else c0, c_low, ell, at)
 
 
 # the orders (n, n - 1) of _pair as a column, for each n: indexing it costs
@@ -373,41 +348,49 @@ def _finite_on_cover(n: int, c0, c_low) -> None:
         raise RangeError(f"order {n}: a cylinder value overflows at this point of the cover")
 
 
-def _principal(kind, ell, z, log_modulus=None) -> CylinderValue:
-    """J or Y at principal phase: one number, or each element of a Batch, in
-    complex arithmetic (real positive elements as floats, which keeps Im
-    exactly 0), with one scipy call for the real elements and one for the
-    others; arrays as complex in _principal_grid.  z = e^w for a point w of
-    the cover comes with log_modulus = Re w, which the range check reads."""
+def _principal(kind: str, ell, z, log_modulus=None) -> CylinderValue:
+    """J (kind "j") or Y ("y") at principal phase: one number, the
+    one-element case of _principal_pair; arrays in _principal_grid."""
     if isinstance(z, np.ndarray):
         return _principal_grid(kind, ell, np.asarray(z, complex))
-    if not isinstance(z, (Batch, numbers.Number)):
+    if not isinstance(z, numbers.Number):
         raise DomainError(f"argument {z!r} is neither a number nor an array")
-    zs = z if isinstance(z, Batch) else (complex(z),)
+    z = complex(z)
+    (c0,), (c_low,) = _principal_pair(kind, ell, [z], log_modulus)
+    return _value(ell, z, c0, c_low)
+
+
+def _principal_pair(kind: str, ell, zs: list, log_modulus=None) -> tuple[list, list]:
+    """J or Y (kind "j", "y") of orders n = |ell| and n - 1, unreflected, as
+    lists over the Python complex zs at principal phase, from one scipy call
+    for the real positive elements (as floats, which keeps Im exactly 0) and
+    one for the others.  z = e^w for one point w of the cover comes with
+    log_modulus = Re w, which the range check reads."""
     if log_modulus is None:
         n = _checked_order(ell, [abs(x) for x in zs])
     else:
         n = _checked_order(ell, [log_modulus], log=True)
+    kind = {"j": jv, "y": yv}[kind]
     real = [x.imag == 0.0 and x.real > 0.0 for x in zs]
     if not any(real):
-        c0, c_low = _pair(kind, n, zs)
-    else:
-        c0, c_low = [None] * len(zs), [None] * len(zs)
-        for on_real in set(real):
-            at = [k for k, r in enumerate(real) if r == on_real]
-            x = [zs[k].real if on_real else zs[k] for k in at]
-            for k, a, b in zip(at, *_pair(kind, n, x)):
-                c0[k], c_low[k] = complex(a), complex(b)
-    return _value(ell, _like(z, zs), _like(z, c0), _like(z, c_low))
+        return _pair(kind, n, zs)
+    c0, c_low = [None] * len(zs), [None] * len(zs)
+    for on_real in set(real):
+        at = [k for k, r in enumerate(real) if r == on_real]
+        x = [zs[k].real if on_real else zs[k] for k in at]
+        for k, a, b in zip(at, *_pair(kind, n, x)):
+            c0[k], c_low[k] = complex(a), complex(b)
+    return c0, c_low
 
 
 @np.errstate(all="ignore")
-def _principal_grid(kind, ell, z: np.ndarray) -> CylinderValue:
+def _principal_grid(kind: str, ell, z: np.ndarray) -> CylinderValue:
     """_principal over a complex array, one range check for all elements:
     the scalar calls' bits, real positive elements on the real path and the
     others as complex, each evaluated once."""
     modulus = np.hypot(z.real, z.imag)
     n = _checked_order(ell, [modulus.min(initial=1.0), modulus.max(initial=1.0)])
+    kind = {"j": jv, "y": yv}[kind]
     real = (z.imag == 0.0) & (z.real > 0.0)
     if not real.any():
         return _value(ell, z, *_grid_pair(kind, n, z))
@@ -438,25 +421,25 @@ def bessel_j(ell, z) -> CylinderValue:
         An array z, a float one read as complex, gives complex arrays
         bit-equal to the scalar calls.
     """
-    return _principal(jv, ell, z)
+    return _principal("j", ell, z)
 
 
 def bessel_y(ell, z) -> CylinderValue:
     """Y_ell(z) and Y'_ell(z) at principal phase; conventions as bessel_j.
 
-    z may also be one SurfacePoint (a grid or a Batch is a DomainError):
+    z may also be one SurfacePoint (a grid is a DomainError):
     off the principal sheet (arg z outside (-pi, pi]) Y is continued by the
     connection formula, as in hankel.  At a SurfacePoint, a value or low
     that overflows is a RangeError, as in hankel.
     """
     if not isinstance(z, SurfacePoint):
-        return _principal(yv, ell, z)
+        return _principal("y", ell, z)
     w = z.log_value
-    if isinstance(w, (np.ndarray, Batch)):
+    if isinstance(w, np.ndarray):
         raise DomainError("bessel_y takes one point of the cover")
     if not -math.pi < w.imag <= math.pi:
         return _on_cover(0, ell, z)
-    y = _principal(yv, ell, z.value, w.real)
+    y = _principal("y", ell, z.value, w.real)
     _finite_on_cover(abs(ell), [y.value], [y.low])
     return y
 
@@ -516,9 +499,9 @@ def hankel(kind: int, ell, point: SurfacePoint | complex) -> CylinderValue:
     point : SurfacePoint or complex
         Argument with MIN_ABS_ARGUMENT <= |z| <= 100, checked on log|z|.
         A plain complex number is lifted at principal phase.  A
-        SurfacePoint holding a Batch gives Batches, and one holding an
-        array is a grid of points that gives complex arrays; either is
-        bit-equal to the calls at each point, with one range check for all.
+        SurfacePoint holding an array is a grid of points that gives
+        complex arrays, bit-equal to the calls at each point, with one
+        range check for all.
 
     Returns
     -------
@@ -535,13 +518,20 @@ def hankel(kind: int, ell, point: SurfacePoint | complex) -> CylinderValue:
 
 
 def _on_cover(kind: int, ell, point: SurfacePoint) -> CylinderValue:
-    """Y_ell (kind 0) or H_ell^(kind) (kind 1, 2) at a point of the cover,
-    or at each point of a Batch, from J and Y continued off theta0 in
-    (-pi/2, pi/2]."""
+    """Y_ell (kind 0) or H_ell^(kind) (kind 1, 2) at a point of the cover:
+    the one-element case of _cover_pair; grids in _on_grid."""
     w = point.log_value
     if isinstance(w, np.ndarray):
         return _on_grid(kind, ell, point)
-    ws = _items(w)
+    (c0,), (c_low,) = _cover_pair(kind, ell, [w])
+    return _value(ell, point, c0, c_low)
+
+
+def _cover_pair(kind: int, ell, ws: list) -> tuple[list, list]:
+    """Y (kind 0) or H^(kind) (kind 1, 2) of orders n = |ell| and n - 1,
+    unreflected, as lists over the logarithms ws of points of the cover,
+    from J and Y continued off theta0 in (-pi/2, pi/2]; one range check for
+    all, and RangeError where a value overflows."""
     n = _checked_order(ell, [x.real for x in ws], log=True)
     z0, m = [], []
     for x in ws:
@@ -556,12 +546,12 @@ def _on_cover(kind: int, ell, point: SurfacePoint) -> CylinderValue:
     else:
         c0, c_low = [a - 1j * b for a, b in zip(j0, y0)], [a - 1j * b for a, b in zip(j1, y1)]
     _finite_on_cover(n, c0, c_low)
-    return _value(ell, point, _like(w, c0), _like(w, c_low))
+    return c0, c_low
 
 
 @np.errstate(all="ignore")
 def _on_grid(kind: int, ell, point: SurfacePoint) -> CylinderValue:
-    """H_ell^(kind) (kind 1, 2) as _on_cover over a grid of points, with one
+    """H_ell^(kind) (kind 1, 2) as _cover_pair over a grid of points, with one
     range check for all."""
     w = point.log_value
     n = _checked_order(ell, [w.real.min(initial=0.0), w.real.max(initial=0.0)], log=True)
@@ -571,7 +561,7 @@ def _on_grid(kind: int, ell, point: SurfacePoint) -> CylinderValue:
 
 
 def _continued_grid(kind: int, n: int, w: np.ndarray):
-    """(H_n, H_{n-1}) of the given kind at each e^w of a grid: _on_cover's
+    """(H_n, H_{n-1}) of the given kind at each e^w of a grid: _cover_pair's
     _reduce_argument and _continued_jy by element."""
     if not np.isfinite(w.imag).all():
         raise DomainError("arguments must be finite")

@@ -18,9 +18,10 @@ the iteration on whatever sheet the guess started and makes sheet drift an
 observable (warned) event rather than a silent wraparound.  A track refines
 all its guesses in lockstep, one batched Q evaluation per Newton step, with
 the records of one chain per guess; its continuation from the previous root
-runs point after point through refine.  Each Q evaluation is one Batch of
-points: one scipy call per Bessel function, and the scalar arithmetic at
-each point, so a batch gives the bits of char_q calls at its points.
+runs point after point through refine.  Each Q evaluation is one call of
+well's list body over plain lists of points: one scipy call per Bessel
+function, and the scalar arithmetic at each point, so it gives the bits of
+char_q calls at its points.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import EULER_GAMMA, Batch, SurfacePoint, _cpus, _integer
+from .cylinder import EULER_GAMMA, SurfacePoint, _cpus, _integer
 from .errors import (
     DomainError,
     Inconclusive,
@@ -46,7 +47,7 @@ from .well import (
     CouplingFamily,
     Well,
     ZeroEnergyKind,
-    _q_terms,
+    _q_lists,
     char_q,
     zero_energy_kind,
 )
@@ -230,11 +231,11 @@ def _q_rows(n: int, rows: list, wells: list, terms: bool) -> list:
     """Q_n (or, with terms, its two terms) at each log-point of each row, in
     the row's well, as Python complex.
 
-    All points go to one _q_terms call as a Batch, one depth per point (the
-    wells of a track share rho), so each Bessel function is one scipy call
-    and each point keeps the bits of a char_q call there.  A row reads None
-    where its evaluation leaves the validated range (RangeError,
-    OverflowError): a batch that raises one is redone row by row.
+    All points go to one _q_lists call, one depth per point (the wells of a
+    track share rho), so each Bessel function is one scipy call and each
+    point keeps the bits of a char_q call there.  A row reads None where
+    its evaluation leaves the validated range (RangeError, OverflowError):
+    a call over several rows that raises one is redone row by row.
     """
     if not rows:
         return []
@@ -253,18 +254,12 @@ def _q_rows(n: int, rows: list, wells: list, terms: bool) -> list:
 
 
 def _q_batch(n: int, rows: list, wells: list, terms: bool) -> list:
-    """_q_rows for rows that all stay in range, from one _q_terms call."""
-    points, depths = [], []
-    for row, well in zip(rows, wells):
-        points += row
-        depths += [well.a] * len(row)
-    t1, t2 = _q_terms(n, SurfacePoint(Batch(points)), Batch(depths), wells[0].rho)
-    values = list(zip(t1, t2)) if terms else [a - b for a, b in zip(t1, t2)]
-    out, k = [], 0
-    for row in rows:
-        out.append(values[k : k + len(row)])
-        k += len(row)
-    return out
+    """_q_rows for rows that all stay in range, from one _q_lists call."""
+    points = [w for row in rows for w in row]
+    depths = [well.a for row, well in zip(rows, wells) for _ in row]
+    t1, t2 = _q_lists(n, points, depths, wells[0].rho)
+    values = iter(zip(t1, t2) if terms else [a - b for a, b in zip(t1, t2)])
+    return [[next(values) for _ in row] for row in rows]
 
 
 def _refine_all(
@@ -376,7 +371,7 @@ def refine(
     basin |lambda| <= 3.  A SheetDriftWarning is issued when the refined
     argument moved more than pi/2 from the guess.  This is the one-start
     case of the Newton loop that track runs over all its guesses at once,
-    so every step is one Batch of three points.
+    so every step is one Q evaluation of three points.
     """
     return _refine_all(abs(ell), [guess], [well], [epsilon])[0]
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import Batch, SurfacePoint, _items, _like, _prod, _sqrt, bessel_j, hankel
+from .cylinder import SurfacePoint, _cover_pair, _principal_pair, _prod, _sqrt, bessel_j, hankel
 from .errors import BranchError, DomainError, MatchError, SingularityError
 
 # |J_{|ell|-1}(rho a)| at or below this counts as J vanishing: the well then
@@ -79,24 +79,14 @@ def mu(lam: SurfacePoint | complex, a) -> complex:
 
     The principal square root keeps Re mu >= 0, which is the continuous
     continuation from the positive real lambda axis throughout |lambda| < a.
-    Callers must not cross the branch point lambda^2 = -a^2.  A Batch of
-    lambdas, or a SurfacePoint holding one, gives a Batch, the expression at
-    each point, and a may then be a Batch too, one depth per point.  A grid
-    of points gives an array, bit-equal to the calls at each point; a may
-    then be an array too, one depth per point, broadcast with the grid.
+    Callers must not cross the branch point lambda^2 = -a^2.  One lambda is
+    _mu, the expression _q_lists evaluates at each point.  A grid of points
+    gives an array, bit-equal to the calls at each point; a may then be an
+    array too, one depth per point, broadcast with the grid.
     """
     lam_value = lam.value if isinstance(lam, SurfacePoint) else lam
     if not isinstance(lam_value, np.ndarray):
-        values = lam_value if isinstance(lam_value, Batch) else (complex(lam_value),)
-        out = []
-        for x, d in zip(values, a if isinstance(a, Batch) else [a] * len(values)):
-            if not d > 0:
-                raise DomainError("a must be positive")
-            radicand = x * x + d * d
-            if radicand == 0:
-                raise BranchError("lambda^2 = -a^2 is the branch point of mu")
-            out.append(cmath.sqrt(radicand))
-        return _like(lam_value, out)
+        return _mu(complex(lam_value), a)
     if not (np.asarray(a) > 0).all():
         raise DomainError("a must be positive")
     with np.errstate(all="ignore"):
@@ -107,37 +97,59 @@ def mu(lam: SurfacePoint | complex, a) -> complex:
         return _sqrt(radicand)
 
 
+def _mu(x: complex, a) -> complex:
+    """mu at one Python complex lambda x and depth a, in Python complex arithmetic."""
+    if not a > 0:
+        raise DomainError("a must be positive")
+    radicand = x * x + a * a
+    if radicand == 0:
+        raise BranchError("lambda^2 = -a^2 is the branch point of mu")
+    return cmath.sqrt(radicand)
+
+
 def _as_point(lam: SurfacePoint | complex) -> SurfacePoint:
     return lam if isinstance(lam, SurfacePoint) else SurfacePoint.from_complex(lam)
 
 
 def _edge(ell: int, point: SurfacePoint, a, rho: float):
     """(lambda, mu, J_n(rho mu), H_n^(1)(lambda rho)) at n = |ell| in the
-    well of depth a and radius rho: the edge values that Q, S and the
-    resonant state are built from.  Over a Batch or a grid, a may hold one
-    depth per point.  hankel goes first, so a non-finite phase or a
-    non-integer order is rejected before point.value is read."""
+    well of depth a and radius rho: the edge values that Q's grid form and
+    the resonant state are built from.  Over a grid, a may hold one depth
+    per point.  hankel goes first, so a non-finite phase or a non-integer
+    order is rejected before point.value is read."""
     n = abs(ell)
     h = hankel(1, n, point.scaled(rho))
     lam = point.value
     m = mu(lam, a)
-    rho_m = _prod(rho, m) if isinstance(m, np.ndarray) else _like(m, [rho * x for x in _items(m)])
-    return lam, m, bessel_j(n, rho_m), h
+    return lam, m, bessel_j(n, _prod(rho, m) if isinstance(m, np.ndarray) else rho * m), h
 
 
 def _q_terms(ell: int, point: SurfacePoint, a, rho: float) -> tuple[complex, complex]:
     """The two terms whose difference is Q_ell; |t1| + |t2| is the scale.
-    ell is one order.  A Batch of points gives two Batches, each term in
-    Python complex arithmetic at each point, from one scipy call per Bessel
-    function; a grid gives arrays, with products rounded as CPython's,
-    under the np.errstate the caller holds.  a is the depth, one float or
-    one per point of the Batch or grid."""
+    ell is one order and a the depth.  One point is the one-element case of
+    _q_lists; a grid gives arrays, products rounded as CPython's under the
+    caller's np.errstate, and a may hold one depth per point of the grid."""
+    w = point.log_value
+    if not isinstance(w, np.ndarray):
+        (t1,), (t2,) = _q_lists(abs(ell), [w], [a], rho)
+        return t1, t2
     lam, m, j, h = _edge(ell, point, a, rho)
-    if isinstance(lam, np.ndarray):
-        return _prod(_prod(m, j.low), h.value), _prod(_prod(lam, j.value), h.low)
-    t1 = [x * y * z for x, y, z in zip(*map(_items, (m, j.low, h.value)))]
-    t2 = [x * y * z for x, y, z in zip(*map(_items, (lam, j.value, h.low)))]
-    return _like(lam, t1), _like(lam, t2)
+    return _prod(_prod(m, j.low), h.value), _prod(_prod(lam, j.value), h.low)
+
+
+def _q_lists(n: int, ws: list, depths: list, rho: float) -> tuple[list, list]:
+    """The two terms of Q_n at each logarithm of ws, each point in a well of
+    radius rho and of its own depth in depths, as lists of Python complex:
+    H^(1) at lambda rho (first, as in _edge), mu and J at rho mu, one scipy
+    call per Bessel function, then Python complex arithmetic at each point."""
+    shift = math.log(rho)
+    h0, h1 = _cover_pair(1, n, [x + shift for x in ws])
+    lam = [cmath.exp(x) for x in ws]
+    m = [_mu(x, d) for x, d in zip(lam, depths)]
+    j0, j1 = _principal_pair("j", n, [rho * x for x in m])
+    t1 = [x * y * z for x, y, z in zip(m, j1, h0)]
+    t2 = [x * y * z for x, y, z in zip(lam, j0, h1)]
+    return t1, t2
 
 
 def char_q(ell: int, lam: SurfacePoint | complex, well: Well) -> complex:

@@ -1,13 +1,14 @@
 import cmath
 import math
 import os
+import sys
 import threading
 import time
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import special
 from scipy.special import jv, yv
@@ -27,9 +28,11 @@ from resonance_lab import cylinder
 from resonance_lab.cylinder import (
     EULER_GAMMA,
     MIN_CHUNK_POINTS,
-    Batch,
+    _cover_pair,
     _grid_pair,
+    _principal_pair,
     _reduce_argument,
+    _value,
     order_table,
 )
 
@@ -47,17 +50,34 @@ def bits(values):
 def cover_call(call, ell, moduli):
     """call(), a kernel at points of the cover with these moduli, or None if
     it raises RangeError.  It may raise only where Y_n, n = |ell|, overflows:
-    where its small-argument size (n-1)! (2/|z|)^n / pi passes the largest
-    float, e^709.8, which a margin of e^10 either way keeps clear of rounding."""
+    where scipy's yv(n, |z|) passes the largest float, e^709.8, which a
+    margin of e^10 either way keeps clear of rounding.  An overflow of yv
+    counts as beyond e^709.8, by the small-argument size (n-1)! (2/|z|)^n / pi
+    where that is further."""
     n = abs(ell)
-    log_size = max(math.lgamma(n) + n * math.log(2 / r) - math.log(PI) if n else 0.0 for r in moduli)
+    top = math.log(sys.float_info.max)
+
+    def log_size(r):
+        y = abs(yv(n, r))
+        if y < math.inf:
+            return math.log(y)
+        return max(top, math.lgamma(n) + n * math.log(2 / r) - math.log(PI))
+
+    size = max(log_size(r) for r in moduli)
     try:
         got = call()
     except RangeError:
-        assert log_size > 700
+        assert size > top - 10
         return None
-    assert log_size < 720
+    assert size < top + 10
     return got
+
+
+def listed(ell, at, pair):
+    """A list body's (C_n, C_{n-1}) at the arguments at, as the CylinderValue
+    of a call there: odd negative orders reflected, the derivative read from
+    the recurrence at each element."""
+    return _value(ell, np.array(at, complex), *(np.array(c, complex) for c in pair))
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +557,7 @@ def test_values_that_overflow_on_the_cover_are_range_errors():
         lambda: hankel(1, 80, point),
         lambda: hankel(2, 3, SurfacePoint.from_polar(1e-200, 0.3)),
         lambda: hankel(1, 80, SurfacePoint.from_polar(np.array([0.5, 1e-3]), 0.3)),
-        lambda: hankel(1, 80, SurfacePoint(Batch([complex(-0.5, 0.3), point.log_value]))),
+        lambda: _cover_pair(1, 80, [complex(-0.5, 0.3), point.log_value]),
         lambda: bessel_y(80, point),
         lambda: bessel_y(80, SurfacePoint.from_polar(1e-3, 4.0)),
         lambda: char_q(80, point, Well(2.0)),
@@ -581,6 +601,8 @@ cover_arguments = st.one_of(
     ell=st.integers(-80, 80),
     grid=st.lists(st.tuples(st.floats(1e-3, 100.0), cover_arguments), min_size=1, max_size=8),
 )
+# Y_73 overflows here, where its small-argument size reads e^699.19
+@example(ell=73, grid=[(0.0036, 0.0)])
 def test_grid_calls_equal_the_scalar_calls_bit_for_bit(ell, grid):
     points = SurfacePoint.from_polar(*(np.array(column) for column in zip(*grid)))
     singles = [SurfacePoint.from_polar(r, t) for r, t in grid]
@@ -588,13 +610,16 @@ def test_grid_calls_equal_the_scalar_calls_bit_for_bit(ell, grid):
     # and a 2-d grid shaped like sector_scan's, moduli down and arguments across
     moduli, arguments = (np.array(column) for column in zip(*grid[:3]))
     sector = SurfacePoint.from_polar(moduli[:, None], arguments)
-    # a Batch of the same points, in Python complex arithmetic
-    batch = SurfacePoint(Batch(p.log_value for p in singles))
+    # the list body over the same points, in Python complex arithmetic
+    logs = [p.log_value for p in singles]
     for kind in (1, 2):
-        for many in (points, batch):
-            table = cover_call(lambda: hankel(kind, ell, many), ell, [r for r, _ in grid])
+        for many in (
+            lambda: hankel(kind, ell, points),
+            lambda: listed(ell, [p.value for p in singles], _cover_pair(kind, ell, logs)),
+        ):
+            table = cover_call(many, ell, [r for r, _ in grid])
             if table is None:
-                # a grid or Batch raises where one of its points raises alone
+                # a grid or list raises where one of its points raises alone
                 with pytest.raises(RangeError):
                     [hankel(kind, ell, p) for p in singles]
                 continue
@@ -615,9 +640,8 @@ def test_grid_calls_equal_the_scalar_calls_bit_for_bit(ell, grid):
     # bessel_j and bessel_y over the grid's values, a complex array
     z = points.value
     z = z[np.hypot(z.real, z.imag) <= 100.0]
-    for fn in (bessel_j, bessel_y):
-        for many in (z, Batch(z.tolist())):
-            table = fn(ell, many)
+    for fn, kind in ((bessel_j, "j"), (bessel_y, "y")):
+        for table in (fn(ell, z), listed(ell, z, _principal_pair(kind, ell, z.tolist()))):
             for part in ("value", "derivative", "low"):
                 want = [getattr(fn(ell, complex(x)), part) for x in z]
                 assert np.array_equal(bits(getattr(table, part)), bits(want))
@@ -787,6 +811,7 @@ def test_one_cpu_starts_no_thread(monkeypatch):
     modulus=st.floats(1e-3, 100.0),
     arg=cover_arguments,
 )
+@example(ell=73, modulus=0.0036, arg=0.0)
 def test_derivatives_read_later_keep_their_bits(ell, modulus, arg):
     point = SurfacePoint.from_polar(modulus, arg)
     z = point.value

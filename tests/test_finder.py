@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from resonance_lab import finder
+from resonance_lab import cylinder, finder
 from resonance_lab import (
     Classification,
     CouplingFamily,
@@ -31,7 +31,7 @@ from resonance_lab import (
     sector_scan,
     track,
 )
-from resonance_lab.cylinder import MIN_CHUNK_POINTS, Batch
+from resonance_lab.cylinder import MIN_CHUNK_POINTS
 from resonance_lab.errors import RangeError
 from equivalent_forms import refine_sequential, track_sequential
 
@@ -413,16 +413,16 @@ def test_lockstep_track_keeps_basin_range_and_drift_records(monkeypatch):
         finder, "initial_guess", lambda ell, eps, fam, k: odd.get(eps) or guess_of(ell, eps, fam, k)
     )
     grid_raised = []
-    q_terms = finder._q_terms
+    q_lists = finder._q_lists
 
-    def spy(n, point, a, rho):
+    def spy(n, ws, depths, rho):
         try:
-            return q_terms(n, point, a, rho)
+            return q_lists(n, ws, depths, rho)
         except RangeError:
-            grid_raised.append(isinstance(point.log_value, Batch) and len(point.log_value) > 3)
+            grid_raised.append(len(ws) > 3)
             raise
 
-    monkeypatch.setattr(finder, "_q_terms", spy)
+    monkeypatch.setattr(finder, "_q_lists", spy)
     want = records_and_drifts(lambda: track_sequential(1, FAM_P, eps_grid, kind).records)
     assert records_and_drifts(lambda: track(1, FAM_P, eps_grid, kind).records) == want
     # a batch of several rows left the range and was redone row by row; one start drifted
@@ -435,6 +435,40 @@ def test_lockstep_track_keeps_basin_range_and_drift_records(monkeypatch):
     out_of_range = refine(1, odd[0.09], FAM_P.well(0.09), 0.09)
     assert out_of_range.classification is Classification.NOT_FOUND
     assert out_of_range.refined.modulus > 100
+
+
+def test_each_newton_step_makes_three_scipy_calls(monkeypatch):
+    # J and Y at lambda rho, and J at rho mu, each one call over all points
+    # of a step, for one start and for several; the residual step as well
+    calls = []
+    for kind in (cylinder.jv, cylinder.yv):
+
+        def call(orders, x, kind=kind, **kwargs):
+            calls.append(kind.__name__)
+            return kind(orders, x, **kwargs)
+
+        monkeypatch.setattr(cylinder, kind.__name__, call)
+    steps = []
+    q_rows = finder._q_rows
+
+    def spy(*args, **kwargs):
+        calls.clear()
+        out = q_rows(*args, **kwargs)
+        steps.append(sorted(calls))
+        return out
+
+    monkeypatch.setattr(finder, "_q_rows", spy)
+    eps = (0.05, 0.07, 0.09, 0.11)
+    kind = GuessKind.persist_lw(-1)
+    starts = [initial_guess(1, e, FAM_P, kind) for e in eps]
+    wells = [FAM_P.well(e) for e in eps]
+    for k in (1, len(eps)):
+        steps.clear()
+        records = finder._refine_all(1, starts[:k], wells[:k], eps[:k])
+        assert all(r.classification is Classification.RESONANCE for r in records)
+        # at least one Newton step, then the residuals
+        assert len(steps) >= 2
+        assert steps == [["jv", "jv", "yv"]] * len(steps)
 
 
 def test_a_guess_whose_value_underflows_is_not_found():

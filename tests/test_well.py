@@ -33,8 +33,7 @@ from resonance_lab import (
     zero_energy_kind,
 )
 from resonance_lab import finder
-from resonance_lab.cylinder import Batch
-from resonance_lab.well import _q_terms
+from resonance_lab.well import _q_lists, _q_terms
 from equivalent_forms import q_derivative_form
 from oracles import mu_by_path, s_matrix_real_form
 
@@ -210,9 +209,9 @@ def test_q_with_one_depth_per_point_is_the_scalar_calls_bit_for_bit(ell, rho, po
         t1, t2 = _q_terms(ell, SurfacePoint.from_polar(r, t), a, rho)
         # rows of points, one depth per row
         r1, r2 = _q_terms(ell, SurfacePoint.from_polar(r[:, None], t[:, None]), a[:, None], rho)
-    # and a Batch, Python complex at each point
+    # and the list body, Python complex at each point
     logs = [SurfacePoint.from_polar(*p[:2]).log_value for p in points]
-    b1, b2 = _q_terms(ell, SurfacePoint(Batch(logs)), Batch(p[2] for p in points), rho)
+    b1, b2 = _q_lists(ell, logs, [p[2] for p in points], rho)
     for got in (t1 - t2, (r1 - r2).ravel(), [x - y for x, y in zip(b1, b2)]):
         assert np.array_equal(np.asarray(got).view(np.int64), np.array(want).view(np.int64))
     # finder's layout: a Newton row (w, w + h, w - h) per point in its own
@@ -233,6 +232,37 @@ def test_q_with_one_depth_per_point_is_the_scalar_calls_bit_for_bit(ell, rho, po
             if k != at
         ]
         assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2, 5])
+def test_q_rows_are_the_scalar_calls_on_every_sheet(ell):
+    # finder's Newton rows (w, w + h, w - h), each in a well of its own
+    # depth: one on each sheet m = -2..2, and one at argument 0, where rho mu
+    # is real and positive and J takes its real path
+    rho, h = 1.3, finder.FD_STEP
+    logs = [complex(math.log(0.4), m * math.pi + 0.7) for m in range(-2, 3)]
+    logs.append(complex(math.log(0.9), 0.0))
+    rows = [(w, w + h, w - h) for w in logs]
+    wells = [Well(2.0 + 0.5 * k, rho) for k in range(len(rows))]
+    outside, well = (complex(math.log(150.0 / rho), 1.0),) * 3, Well(2.0, rho)
+    # all rows in one call, then again with a row that leaves |lambda rho| <= 100:
+    # it reads None, and the other rows are redone row by row
+    for extra in (0, 1):
+        call_rows = rows[:3] + [outside] * extra + rows[3:]
+        call_wells = wells[:3] + [well] * extra + wells[3:]
+        q = finder._q_rows(ell, call_rows, call_wells, terms=False)
+        terms = finder._q_rows(ell, call_rows, call_wells, terms=True)
+        if extra:
+            assert q.pop(3) is None and terms.pop(3) is None
+        scale = [[abs(t1) + abs(t2) for t1, t2 in row] for row in terms]
+        for got, fn in ((q, char_q), (scale, char_q_scale)):
+            # the scalar calls, and each row as a grid, whose arithmetic is numpy's
+            want = [[fn(ell, SurfacePoint(x), w) for x in row] for row, w in zip(rows, wells)]
+            with np.errstate(all="ignore"):
+                grid = [fn(ell, SurfacePoint(np.array(row)), w) for row, w in zip(rows, wells)]
+            for reference in (want, grid):
+                reference = np.array(reference).view(np.int64)
+                assert np.array_equal(np.array(got).view(np.int64), reference)
 
 
 def test_resonant_state_keeps_its_bits():
