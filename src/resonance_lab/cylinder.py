@@ -29,11 +29,10 @@ per Bessel function over both orders n, n-1 of all its points, and an order
 table one over all its orders and arguments; scipy's loops release the GIL,
 so a large call of either is split into chunks that run on threads, at most
 one per CPU the process may use, each writing its part of one output, with
-the same bits and no option to set.  The array path writes
-each complex product as float operations in CPython's order (_Py_c_prod in
-Objects/complexobject.c), and square roots as cmath.sqrt computes them:
-numpy's own complex `*` and sqrt round differently.  An array derivative
-is the scalar expression evaluated at each element.
+the same bits and no option to set.  A grid's continuation is numpy's own
+complex arithmetic, whose products here are exact or round once, as
+CPython's do.  An array derivative is the scalar expression evaluated at
+each element.
 """
 
 from __future__ import annotations
@@ -209,38 +208,6 @@ def _complex(re, im) -> np.ndarray:
     out = np.empty(np.broadcast(re, im).shape, complex)
     out.real, out.imag = re, im
     return out
-
-
-# CPython's complex arithmetic signals no overflow or invalid operation, so
-# neither do the array paths that mirror it: each public call that reaches
-# _prod or _sqrt runs them under one np.errstate(all="ignore")
-def _prod(a, b) -> np.ndarray:
-    """a * b over complex arrays, rounded as CPython's _Py_c_prod; a real
-    operand counts as (x, 0.0), as CPython converts it."""
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    out = np.empty(np.broadcast(a, b).shape, complex)
-    re, im = out.real, out.imag
-    np.multiply(ar, br, out=re)
-    re -= ai * bi
-    np.multiply(ar, bi, out=im)
-    im += ai * br
-    return out
-
-
-def _sqrt(z) -> np.ndarray:
-    """cmath.sqrt over a complex array without zeros, as CPython computes it
-    (cmath_sqrt_impl); libm's csqrt, behind np.sqrt, rounds a subnormal part
-    of the root differently.  Parts are scaled by 1/8, or by 2**53 where
-    |z| is below the smallest normal float."""
-    ax, ay = np.abs(z.real), np.abs(z.imag)
-    s = 2.0 * np.sqrt(ax / 8.0 + np.hypot(ax / 8.0, ay / 8.0))
-    tiny = (ax < sys.float_info.min) & (ay < sys.float_info.min)
-    if tiny.any():
-        up = np.ldexp(ax[tiny], 53)
-        s[tiny] = np.ldexp(np.sqrt(up + np.hypot(up, np.ldexp(ay[tiny], 53))), -27)
-    d = ay / (2.0 * s)
-    right = z.real >= 0.0
-    return _complex(np.where(right, s, d), np.copysign(np.where(right, d, s), z.imag))
 
 
 def _value(ell, at, c0, c_low) -> CylinderValue:
@@ -568,10 +535,7 @@ def _continued_grid(kind: int, n: int, w: np.ndarray):
     m = np.ceil((w.imag - math.pi / 2) / math.pi - 1e-15)
     z0 = np.exp(_complex(w.real, w.imag - m * math.pi))
     j, y = _continued_jy_grid(n, z0, m)
-    if kind == 1:
-        j += _prod(1j, y)
-    else:
-        j -= _prod(1j, y)
+    (np.add if kind == 1 else np.subtract)(j, 1j * y, out=j)
     return j[0], j[1]
 
 
@@ -584,8 +548,8 @@ def _continued_jy_grid(n: int, z0: np.ndarray, m: np.ndarray):
     if moved.any():
         m, jm = m[moved], j[:, moved]
         sign = np.where((m * orders) % 2, -1.0, 1.0)
-        y[:, moved] = _prod(sign, y[:, moved] + _prod(_prod(2j, m), jm))
-        j[:, moved] = _prod(sign, jm)
+        y[:, moved] = sign * (y[:, moved] + 2j * m * jm)
+        j[:, moved] = sign * jm
     return j, y
 
 

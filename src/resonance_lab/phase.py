@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cylinder import EULER_GAMMA, order_table
+from .cylinder import EULER_GAMMA, _integer, order_table
 from .errors import DomainError, QuadratureError, RangeError
 from .well import Well, ZeroEnergyKind, zero_energy_kind
 
@@ -250,8 +250,10 @@ class PhaseTable:
         grid = np.asarray(lambda_grid, dtype=float)
         if grid.ndim != 1 or len(grid) == 0 or not (grid[0] > 0 and np.all(np.diff(grid) > 0)):
             raise DomainError("lambda grid must be a nonempty 1-d array, positive and increasing")
-        if include_modes is not None and include_modes < 0:
-            raise DomainError(f"include_modes = {include_modes} must be >= 0")
+        if include_modes is not None:
+            _integer(include_modes, "include_modes")
+            if include_modes < 0:
+                raise DomainError(f"include_modes = {include_modes} must be >= 0")
         (table, _), totals, l_max = _phase_table(grid, well, include_modes or 0)
         per_mode = None if include_modes is None else dict(enumerate(table[: include_modes + 1]))
         return cls(lambda_grid=grid, total=totals, l_max=l_max, per_mode=per_mode)

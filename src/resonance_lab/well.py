@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import SurfacePoint, _cover_pair, _principal_pair, _prod, _sqrt, bessel_j, hankel
+from .cylinder import SurfacePoint, _cover_pair, _principal_pair, bessel_j, hankel
 from .errors import BranchError, DomainError, MatchError, SingularityError
 
 # |J_{|ell|-1}(rho a)| at or below this counts as J vanishing: the well then
@@ -81,20 +81,19 @@ def mu(lam: SurfacePoint | complex, a) -> complex:
     continuation from the positive real lambda axis throughout |lambda| < a.
     Callers must not cross the branch point lambda^2 = -a^2.  One lambda is
     _mu, the expression _q_lists evaluates at each point.  A grid of points
-    gives an array, bit-equal to the calls at each point; a may then be an
-    array too, one depth per point, broadcast with the grid.
+    gives an array, the same expression in numpy's arithmetic, which
+    agrees with the calls at each point to 1e-13 relative.
     """
     lam_value = lam.value if isinstance(lam, SurfacePoint) else lam
     if not isinstance(lam_value, np.ndarray):
         return _mu(complex(lam_value), a)
-    if not (np.asarray(a) > 0).all():
+    if not a > 0:
         raise DomainError("a must be positive")
     with np.errstate(all="ignore"):
-        radicand = _prod(lam_value, lam_value)
-        radicand += a * a
+        radicand = lam_value * lam_value + a * a
         if not radicand.all():
             raise BranchError("lambda^2 = -a^2 is the branch point of mu")
-        return _sqrt(radicand)
+        return np.sqrt(radicand)
 
 
 def _mu(x: complex, a) -> complex:
@@ -111,30 +110,30 @@ def _as_point(lam: SurfacePoint | complex) -> SurfacePoint:
     return lam if isinstance(lam, SurfacePoint) else SurfacePoint.from_complex(lam)
 
 
-def _edge(ell: int, point: SurfacePoint, a, rho: float):
+def _edge(ell: int, point: SurfacePoint, a: float, rho: float):
     """(lambda, mu, J_n(rho mu), H_n^(1)(lambda rho)) at n = |ell| in the
-    well of depth a and radius rho: the edge values that Q's grid form and
-    the resonant state are built from.  Over a grid, a may hold one depth
-    per point.  hankel goes first, so a non-finite phase or a non-integer
-    order is rejected before point.value is read."""
+    well of depth a and radius rho, at one point or over a grid: the edge
+    values that Q's grid form and the resonant state are built from.
+    hankel goes first, so a non-finite phase or a non-integer order is
+    rejected before point.value is read."""
     n = abs(ell)
     h = hankel(1, n, point.scaled(rho))
     lam = point.value
     m = mu(lam, a)
-    return lam, m, bessel_j(n, _prod(rho, m) if isinstance(m, np.ndarray) else rho * m), h
+    return lam, m, bessel_j(n, rho * m), h
 
 
-def _q_terms(ell: int, point: SurfacePoint, a, rho: float) -> tuple[complex, complex]:
+def _q_terms(ell: int, point: SurfacePoint, a: float, rho: float) -> tuple[complex, complex]:
     """The two terms whose difference is Q_ell; |t1| + |t2| is the scale.
     ell is one order and a the depth.  One point is the one-element case of
-    _q_lists; a grid gives arrays, products rounded as CPython's under the
-    caller's np.errstate, and a may hold one depth per point of the grid."""
+    _q_lists; a grid gives arrays, from _edge in numpy's arithmetic under
+    the caller's np.errstate."""
     w = point.log_value
     if not isinstance(w, np.ndarray):
         (t1,), (t2,) = _q_lists(abs(ell), [w], [a], rho)
         return t1, t2
     lam, m, j, h = _edge(ell, point, a, rho)
-    return _prod(_prod(m, j.low), h.value), _prod(_prod(lam, j.value), h.low)
+    return m * j.low * h.value, lam * j.value * h.low
 
 
 def _q_lists(n: int, ws: list, depths: list, rho: float) -> tuple[list, list]:
@@ -164,8 +163,9 @@ def char_q(ell: int, lam: SurfacePoint | complex, well: Well) -> complex:
     other zeros on the cover are resonances.  Negative ell maps to |ell|.
 
     ell is one order (an array of orders is a DomainError).  lam may be a
-    SurfacePoint holding a grid of points: Q is then a complex array with
-    the bits of the calls at each point, from one range check.
+    SurfacePoint holding a grid of points: Q is then a complex array, from
+    one range check, in numpy's arithmetic, and within 1e-13 char_q_scale
+    of the calls at each point.
     """
     point = _as_point(lam)
     if not isinstance(point.log_value, np.ndarray):
@@ -174,17 +174,16 @@ def char_q(ell: int, lam: SurfacePoint | complex, well: Well) -> complex:
     # as in CPython's complex arithmetic, nothing signals
     with np.errstate(all="ignore"):
         t1, t2 = _q_terms(ell, point, well.a, well.rho)
-        t1 -= t2
-    return t1
+        return t1 - t2
 
 
 def char_q_scale(ell: int, lam: SurfacePoint | complex, well: Well) -> float:
-    """Local magnitude |t1| + |t2| of the two Q_ell terms, for residuals;
-    over a grid as char_q, in Python arithmetic at each point."""
+    """Local magnitude |t1| + |t2| of the two Q_ell terms, for residuals,
+    at one point or over a grid; a grid's agrees with the calls at each
+    point to 1e-13 relative, as char_q's does."""
     with np.errstate(all="ignore"):
         t1, t2 = _q_terms(ell, _as_point(lam), well.a, well.rho)
-    scale = [abs(a) + abs(b) for a, b in zip(np.ravel(t1).tolist(), np.ravel(t2).tolist())]
-    return np.array(scale).reshape(np.shape(t1)) if np.ndim(t1) else scale[0]
+        return abs(t1) + abs(t2)
 
 
 def zero_energy_kind(ell: int, well: Well) -> ZeroEnergyKind:

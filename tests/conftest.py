@@ -7,6 +7,7 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 # the budget at which rare bit-for-bit failures of the grid sweeps showed:
-# pytest --hypothesis-profile=deep -k grid_calls_equal_the_scalar_calls
+# pytest --hypothesis-profile=deep -k grid_calls_equal_the_scalar_calls, and
+# -k char_q_on_a_grid_agrees_with_the_scalar_calls
 settings.register_profile("deep", settings.get_profile("default"), max_examples=1500)
 settings.load_profile("default")

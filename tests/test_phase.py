@@ -493,8 +493,9 @@ def test_phase_table_grid_validation():
         PhaseTable.build(np.array([0.2, 0.1]), WELL_G)
     with pytest.raises(DomainError):
         PhaseTable.build(np.array([-0.1, 0.2]), WELL_G)
-    # a negative mode count would slice per_mode from the end of the table
-    for modes in (-1, -3):
-        with pytest.raises(DomainError):
+    # a negative mode count would slice per_mode from the end of the table;
+    # a count that is no integer is named as include_modes
+    for modes in (-1, -3, 1.5, "2"):
+        with pytest.raises(DomainError, match="include_modes"):
             PhaseTable.build(TABLE_GRID, WELL_G, include_modes=modes)
     assert set(PhaseTable.build(TABLE_GRID, WELL_G, include_modes=0).per_mode) == {0}

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from pathlib import Path
 
 import pytest
 
@@ -149,54 +150,29 @@ def test_figure_runs_are_deterministic(tmp_path):
         assert p1.read_bytes() == p2.read_bytes()
 
 
-# SHA-256 of every file the six presets write; CSVs are hashed with their
-# `residual` cells masked, since that column may move at round-off level
-PRESET_SHA256 = {
+# the six presets' CSVs are perfbench/golden/'s byte for byte, `residual`
+# included; their plot scripts, which golden does not hold, by SHA-256
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+PLOT_SHA256 = {
     "figure1.gp": "d3ed3d2aae1d84048896808db025a2a51c7312b612217d75f2a23b42ee7745ff",
-    "figure1_left.csv": "7009674b367457cb1d6a1dedaa5150608833d9ef27eba1522aa733fd3460d99e",
-    "figure1_middle.csv": "b74ce402b2cde867215b94ece98da2fd5ee3b021a25cc414c49d49849ef7a1f9",
-    "figure1_right.csv": "eb0834f6e157d2fd0189cf343c9dd777199269df74ec768b2cdb71d7f582f1f1",
-    "figure2.csv": "9e44d081e5aff7742007c35dac7302c8ed3a9e5a094124885807e6c730da1095",
     "figure2.gp": "b0deb3bba89ef125216fe9cee4c9e8e01655c07a2ec49891c145ed874ff97483",
     "figure3.gp": "74d8cc5332ceee5939d4c299f52953598a4aa51c8d5e1b22315aa12c76336e2e",
-    "figure3_left.csv": "d6d1e43feaa2094bbcd1529b94edf71849b33768a26b28f052f924b35126d440",
-    "figure3_right.csv": "0ea6d64e85148aa48609a6dfe1e0a32c22c4364c7303c65f1c35b52b1d3e4abc",
     "figure4.gp": "037a104c523ed51b6f713adf2fa7ef032dcead0ae51655eccbf564d4d5521818",
-    "figure4_phase.csv": "ea524a92054d9fe7ca22db21ef467bf57ed1a4ef864b0a8cc58ba5bdc7cbead7",
-    "figure4_resonances.csv": "ccaee8c1149f7acdbc65e08e9f64daa3c4238fca1e169e19fb0411420f32836c",
     "figure5.gp": "379f6441b948976f897c389cb9566ff1b949a2cd6c0225380ee693fc7675bf63",
-    "figure5_n-1.csv": "7009674b367457cb1d6a1dedaa5150608833d9ef27eba1522aa733fd3460d99e",
-    "figure5_n-2.csv": "ec62954d559f41e0150fa8d61b841521ac412dff401a9887b1ff8b4282ce0898",
     "figure6.gp": "a3df354e9b8797ace8706f86080911dea71c77de14fb234e3346539ebb91f3a3",
-    "figure6_left.csv": "af61f19e583c2f9c0a74a7902777134280ed675eecff6b094238b578dd9f5ce1",
-    "figure6_right.csv": "ee99b306f0e28f54cb85ea5e2a2c11d494e133b4a31947cf8f73ba74483ef2dc",
 }
-
-
-def _masked_bytes(path):
-    data = path.read_bytes()
-    if path.suffix != ".csv":
-        return data
-    lines = data.split(b"\n")
-    header = lines[1].split(b",")
-    if b"residual" in header:
-        col = header.index(b"residual")
-        for i, line in enumerate(lines[2:], start=2):
-            if line:
-                cells = line.split(b",")
-                cells[col] = b"*"
-                lines[i] = b",".join(cells)
-    return b"\n".join(lines)
 
 
 def test_presets_match_golden_hashes(tmp_path):
     for figure in range(1, 7):
         assert main(["--figure", str(figure), "--output", str(tmp_path)]) == 0
-    got = {
-        p.name: hashlib.sha256(_masked_bytes(p)).hexdigest()
-        for p in tmp_path.iterdir()
-    }
-    assert got == PRESET_SHA256
+    csvs = sorted(p.name for p in GOLDEN.glob("*.csv"))
+    assert len(csvs) == 12
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(csvs + list(PLOT_SHA256))
+    for name in csvs:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in PLOT_SHA256}
+    assert got == PLOT_SHA256
 
 
 def test_unknown_figure_and_panel(tmp_path):
