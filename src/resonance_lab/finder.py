@@ -19,9 +19,11 @@ observable (warned) event rather than a silent wraparound.  A track refines
 all its guesses in lockstep, one batched Q evaluation per Newton step, with
 the records of one chain per guess; its continuation from the previous root
 runs point after point through refine.  Each Q evaluation is one call of
-well's list body over plain lists of points: one scipy call per Bessel
-function, and the scalar arithmetic at each point, so it gives the bits of
-char_q calls at its points.
+well's list body over plain lists of points, which returns the two terms
+(t1, t2) of Q at each: one scipy call per Bessel function, and the scalar
+arithmetic at each point, so t1 - t2 has the bits of a char_q call there.
+Every record, found or not, is built in one place, which alone decides
+NOT_FOUND.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -47,6 +50,7 @@ from .well import (
     CouplingFamily,
     Well,
     ZeroEnergyKind,
+    _one_point,
     _q_lists,
     char_q,
     zero_energy_kind,
@@ -212,24 +216,9 @@ def initial_guess(
     return SurfacePoint(w)
 
 
-def _not_found(eps: float, guess: SurfacePoint, last: SurfacePoint) -> ResonanceRecord:
-    try:
-        energy = last.value ** 2
-    except OverflowError:
-        energy = complex(math.inf, math.inf)
-    return ResonanceRecord(
-        epsilon=eps,
-        guess=guess,
-        refined=last,
-        residual=math.inf,
-        classification=Classification.NOT_FOUND,
-        energy=energy,
-    )
-
-
-def _q_rows(n: int, rows: list, wells: list, terms: bool) -> list:
-    """Q_n (or, with terms, its two terms) at each log-point of each row, in
-    the row's well, as Python complex.
+def _q_rows(n: int, rows: list, wells: list) -> list:
+    """The two terms (t1, t2) of Q_n at each log-point of each row, in the
+    row's well, as Python complex: Q is t1 - t2 and |t1| + |t2| its scale.
 
     All points go to one _q_lists call, one depth per point (the wells of a
     track share rho), so each Bessel function is one scipy call and each
@@ -240,26 +229,14 @@ def _q_rows(n: int, rows: list, wells: list, terms: bool) -> list:
     if not rows:
         return []
     try:
-        return _q_batch(n, rows, wells, terms)
+        points = [w for row in rows for w in row]
+        depths = [well.a for row, well in zip(rows, wells) for _ in row]
+        terms = zip(*_q_lists(n, points, depths, wells[0].rho))
+        return [[next(terms) for _ in row] for row in rows]
     except (RangeError, OverflowError):
         if len(rows) == 1:
             return [None]
-    out = []
-    for row, well in zip(rows, wells):
-        try:
-            out += _q_batch(n, [row], [well], terms)
-        except (RangeError, OverflowError):
-            out.append(None)
-    return out
-
-
-def _q_batch(n: int, rows: list, wells: list, terms: bool) -> list:
-    """_q_rows for rows that all stay in range, from one _q_lists call."""
-    points = [w for row in rows for w in row]
-    depths = [well.a for row, well in zip(rows, wells) for _ in row]
-    t1, t2 = _q_lists(n, points, depths, wells[0].rho)
-    values = iter(zip(t1, t2) if terms else [a - b for a, b in zip(t1, t2)])
-    return [[next(values) for _ in row] for row in rows]
+    return [q for row, well in zip(rows, wells) for q in _q_rows(n, [row], [well])]
 
 
 def _refine_all(
@@ -267,21 +244,23 @@ def _refine_all(
 ) -> list[ResonanceRecord]:
     """Newton refinement of char_q from each start in its own well, all in
     lockstep: each step is one _q_rows call over the central-difference
-    points of every start still running, and one more gives the residuals.
-    The per-point arithmetic is refine's, on Python complex values, so each
-    record is the one a refinement of that start alone gives.
+    points of every start still running, whose Q values are t1 - t2, and
+    one more gives the residuals.  The per-point arithmetic is refine's, on
+    Python complex values, so each record is the one a refinement of that
+    start alone gives.  Every record comes from _record; a start outside
+    the basin, or lost on the way, passes residual inf.
     """
     records: list = [None] * len(starts)
     w = [start.log_value for start in starts]
 
     def lost(i: int) -> None:
-        records[i] = _not_found(epsilons[i], starts[i], SurfacePoint(w[i]))
+        records[i] = _record(epsilons[i], starts[i], SurfacePoint(w[i]), math.inf)
 
     running = []
     for i, start in enumerate(starts):
         # compare in log scale so absurd guesses cannot overflow exp()
         if start.log_value.real > math.log(GUESS_BASIN):
-            records[i] = _not_found(epsilons[i], start, start)
+            lost(i)
         else:
             running.append(i)
     stopped = []
@@ -289,13 +268,13 @@ def _refine_all(
         if not running:
             break
         rows = [(w[i], w[i] + FD_STEP, w[i] - FD_STEP) for i in running]
-        values = _q_rows(n, rows, [wells[i] for i in running], terms=False)
+        values = _q_rows(n, rows, [wells[i] for i in running])
         still = []
         for i, row in zip(running, values):
             if row is None:
                 lost(i)
                 continue
-            f, q_up, q_down = row
+            f, q_up, q_down = [t1 - t2 for t1, t2 in row]
             try:
                 fp = (q_up - q_down) / (2 * FD_STEP)
                 if fp == 0 or not (abs(f) < math.inf and abs(fp) < math.inf):
@@ -308,18 +287,16 @@ def _refine_all(
                 lost(i)
         running = still
     stopped = sorted(stopped + running)
-    values = _q_rows(n, [(w[i],) for i in stopped], [wells[i] for i in stopped], terms=True)
+    values = _q_rows(n, [(w[i],) for i in stopped], [wells[i] for i in stopped])
     for i, row in zip(stopped, values):
-        if row is None:
-            lost(i)
-            continue
-        ((t1, t2),) = row
-        try:
-            scale = abs(t1) + abs(t2)
-            residual = abs(t1 - t2) / scale if scale > 0 else math.inf
-        except OverflowError:
-            lost(i)
-            continue
+        residual = math.inf
+        if row is not None:
+            ((t1, t2),) = row
+            try:
+                scale = abs(t1) + abs(t2)
+                residual = abs(t1 - t2) / scale if scale > 0 else math.inf
+            except OverflowError:
+                pass
         records[i] = _record(epsilons[i], starts[i], SurfacePoint(w[i]), residual)
     return records
 
@@ -327,24 +304,29 @@ def _refine_all(
 def _record(
     eps: float, guess: SurfacePoint, refined: SurfacePoint, residual: float
 ) -> ResonanceRecord:
-    """The record of a Newton run that stopped at refined."""
+    """The record of a Newton run from guess that stopped at refined, the
+    one place NOT_FOUND is decided: unless residual <= RESIDUAL_TOL the
+    record is NOT_FOUND with residual inf (a lost start passes inf).  Only a
+    found record is checked for sheet drift and classified."""
+    try:
+        energy = refined.value ** 2
+    except OverflowError:
+        energy = complex(math.inf, math.inf)
     if not (residual <= RESIDUAL_TOL):
-        return _not_found(eps, guess, refined)
-
-    if abs(refined.argument - guess.argument) > math.pi / 2:
-        warnings.warn(
-            f"refined arg {refined.argument:.4f} drifted from guess arg "
-            f"{guess.argument:.4f}",
-            SheetDriftWarning,
-            stacklevel=4,
+        classification, residual = Classification.NOT_FOUND, math.inf
+    else:
+        if abs(refined.argument - guess.argument) > math.pi / 2:
+            warnings.warn(
+                f"refined arg {refined.argument:.4f} drifted from guess arg "
+                f"{guess.argument:.4f}",
+                SheetDriftWarning,
+                stacklevel=4,
+            )
+        on_axis = abs(refined.argument - math.pi / 2) <= EIGEN_ARG_TOL
+        real_energy = abs(energy.imag) <= 1e-8 * abs(energy)
+        classification = (
+            Classification.EIGENVALUE if on_axis and real_energy else Classification.RESONANCE
         )
-
-    energy = refined.value ** 2
-    on_axis = abs(refined.argument - math.pi / 2) <= EIGEN_ARG_TOL
-    real_energy = abs(energy.imag) <= 1e-8 * abs(energy)
-    classification = (
-        Classification.EIGENVALUE if on_axis and real_energy else Classification.RESONANCE
-    )
     return ResonanceRecord(
         epsilon=eps,
         guess=guess,
@@ -371,8 +353,10 @@ def refine(
     basin |lambda| <= 3.  A SheetDriftWarning is issued when the refined
     argument moved more than pi/2 from the guess.  This is the one-start
     case of the Newton loop that track runs over all its guesses at once,
-    so every step is one Q evaluation of three points.
+    so every step is one Q evaluation of three points.  guess must be one
+    SurfacePoint (DomainError otherwise).
     """
+    _one_point(guess, "guess")
     return _refine_all(abs(ell), [guess], [well], [epsilon])[0]
 
 
@@ -430,9 +414,11 @@ def sector_scan(
 
     found_zero is True when some grid point dips below SCAN_DEPTH_TOL times
     the grid median, the signature of a zero inside the sector.  The grid
-    needs integers n_radii >= 1 and n_angles >= 2; one char_q call
-    evaluates all of it.
+    needs integers n_radii >= 1 and n_angles >= 2 and one real radius,
+    0 < radius < inf; one char_q call evaluates all of it.
     """
+    if not (isinstance(radius, numbers.Real) and 0 < radius < math.inf):
+        raise DomainError(f"scan radius {radius!r} must be one positive finite number")
     _integer(n_radii, "n_radii")
     _integer(n_angles, "n_angles")
     if not (n_radii >= 1 and n_angles >= 2):

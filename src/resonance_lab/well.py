@@ -21,11 +21,12 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import SurfacePoint, _cover_pair, _principal_pair, bessel_j, hankel
+from .cylinder import SurfacePoint, _cover_pair, _integer, _principal_pair, bessel_j, hankel
 from .errors import BranchError, DomainError, MatchError, SingularityError
 
 # |J_{|ell|-1}(rho a)| at or below this counts as J vanishing: the well then
@@ -79,16 +80,17 @@ def mu(lam: SurfacePoint | complex, a) -> complex:
 
     The principal square root keeps Re mu >= 0, which is the continuous
     continuation from the positive real lambda axis throughout |lambda| < a.
-    Callers must not cross the branch point lambda^2 = -a^2.  One lambda is
+    Callers must not cross the branch point lambda^2 = -a^2.  a is one real
+    depth, 0 < a < inf, as in Well (DomainError otherwise).  One lambda is
     _mu, the expression _q_lists evaluates at each point.  A grid of points
     gives an array, the same expression in numpy's arithmetic, which
     agrees with the calls at each point to 1e-13 relative.
     """
+    if not (isinstance(a, numbers.Real) and 0 < a < math.inf):
+        raise DomainError(f"depth a = {a!r} must be one positive finite number")
     lam_value = lam.value if isinstance(lam, SurfacePoint) else lam
     if not isinstance(lam_value, np.ndarray):
         return _mu(complex(lam_value), a)
-    if not a > 0:
-        raise DomainError("a must be positive")
     with np.errstate(all="ignore"):
         radicand = lam_value * lam_value + a * a
         if not radicand.all():
@@ -97,9 +99,8 @@ def mu(lam: SurfacePoint | complex, a) -> complex:
 
 
 def _mu(x: complex, a) -> complex:
-    """mu at one Python complex lambda x and depth a, in Python complex arithmetic."""
-    if not a > 0:
-        raise DomainError("a must be positive")
+    """mu at one Python complex lambda x and a depth a that Well or mu has
+    checked, in Python complex arithmetic."""
     radicand = x * x + a * a
     if radicand == 0:
         raise BranchError("lambda^2 = -a^2 is the branch point of mu")
@@ -108,6 +109,12 @@ def _mu(x: complex, a) -> complex:
 
 def _as_point(lam: SurfacePoint | complex) -> SurfacePoint:
     return lam if isinstance(lam, SurfacePoint) else SurfacePoint.from_complex(lam)
+
+
+def _one_point(lam, what: str) -> None:
+    """DomainError unless lam is one SurfacePoint, not a number or a grid."""
+    if not isinstance(lam, SurfacePoint) or isinstance(lam.log_value, np.ndarray):
+        raise DomainError(f"{what} {lam!r} is not one SurfacePoint")
 
 
 def _edge(ell: int, point: SurfacePoint, a: float, rho: float):
@@ -167,13 +174,9 @@ def char_q(ell: int, lam: SurfacePoint | complex, well: Well) -> complex:
     one range check, in numpy's arithmetic, and within 1e-13 char_q_scale
     of the calls at each point.
     """
-    point = _as_point(lam)
-    if not isinstance(point.log_value, np.ndarray):
-        t1, t2 = _q_terms(ell, point, well.a, well.rho)
-        return t1 - t2
     # as in CPython's complex arithmetic, nothing signals
     with np.errstate(all="ignore"):
-        t1, t2 = _q_terms(ell, point, well.a, well.rho)
+        t1, t2 = _q_terms(ell, _as_point(lam), well.a, well.rho)
         return t1 - t2
 
 
@@ -192,6 +195,7 @@ def zero_energy_kind(ell: int, well: Well) -> ZeroEnergyKind:
     Mode 0 then carries an s-resonance (J_{-1} = -J_1), mode +-1 a
     p-resonance (J_0), and |ell| >= 2 a zero eigenvalue.
     """
+    _integer(ell, "mode")
     n = abs(ell)
     if not abs(bessel_j(n - 1, well.rho * well.a).value) <= ZERO_J_TOL:
         return ZeroEnergyKind.NONE
@@ -234,6 +238,7 @@ def resonant_state(
     """
     if not (r > 0):
         raise DomainError("radius r must be positive")
+    _one_point(lam, "lambda")
     n = abs(ell)
     lam_value, m, j, h = _edge(ell, lam, well.a, well.rho)
     if abs(j.value) <= 1e-290:

@@ -160,6 +160,17 @@ def test_refine_warns_on_sheet_drift():
     assert rec.refined.argument == pytest.approx(math.pi / 2, abs=1e-6)
 
 
+def test_refine_rejects_a_complex_guess():
+    with pytest.raises(DomainError, match="not one SurfacePoint"):
+        refine(1, 0.3j, Well(2.4))
+
+
+def test_refine_rejects_a_grid_guess():
+    grid = SurfacePoint.from_polar(np.array([0.3, 0.4]), 1.0)
+    with pytest.raises(DomainError, match="not one SurfacePoint"):
+        refine(1, grid, Well(2.4))
+
+
 def test_refine_respects_iteration_budget(monkeypatch):
     monkeypatch.setattr(finder, "MAX_ITER", 1)
     guess = initial_guess(2, 0.09, FAM_S, GuessKind.persist_sqrt(0))
@@ -362,6 +373,12 @@ def test_thread_budget_counts_the_cpus_a_grid_call_uses(monkeypatch):
 def test_sector_scan_rejects_degenerate_grid(n_radii, n_angles):
     with pytest.raises(DomainError):
         sector_scan(Well(3.0), n_radii=n_radii, n_angles=n_angles)
+
+
+@pytest.mark.parametrize("radius", [np.array([0.3, 0.4]), 0.0, -0.3, math.inf, math.nan])
+def test_sector_scan_rejects_a_radius_that_is_not_one_positive_number(radius):
+    with pytest.raises(DomainError, match="scan radius"):
+        sector_scan(Well(3.0), radius=radius)
 
 
 # ------------------------------------------------------- lockstep refinement

@@ -74,6 +74,11 @@ def test_mu_branch_point_rejected():
         mu(1.3j, 1.3)
     with pytest.raises(DomainError):
         mu(0.5, -1.0)
+    # the depth is one positive finite number, for one lambda and for a grid
+    for lam in (0.3, np.array([0.3, 0.4j])):
+        for a in (np.array([2.0, 3.0]), math.inf, math.nan, 0.0):
+            with pytest.raises(DomainError):
+                mu(lam, a)
 
 
 @given(
@@ -223,15 +228,13 @@ def test_q_with_one_depth_per_point_is_the_scalar_calls_bit_for_bit(ell, rho, po
     at = outside % (len(rows) + 1)
     rows.insert(at, (complex(math.log(150.0 / rho), 1.0),) * 3)
     wells.insert(at, Well(2.0, rho))
-    for terms in (False, True):
-        got = finder._q_rows(ell, rows, wells, terms)
-        assert got.pop(at) is None
-        scalar = _q_terms if terms else lambda n, x, a, rho: char_q(n, x, Well(a, rho))
-        want = [
-            [scalar(ell, SurfacePoint(x), well.a, rho) for x in row]
-            for k, (row, well) in enumerate(zip(rows, wells))
-            if k != at
-        ]
+    terms = finder._q_rows(ell, rows, wells)
+    assert terms.pop(at) is None
+    del rows[at], wells[at]
+    # the (t1, t2) pairs are _q_terms', and Q = t1 - t2 is char_q's
+    q = [[t1 - t2 for t1, t2 in row] for row in terms]
+    for got, scalar in ((terms, _q_terms), (q, lambda n, x, a, rho: char_q(n, x, Well(a, rho)))):
+        want = [[scalar(ell, SurfacePoint(x), well.a, rho) for x in row] for row, well in zip(rows, wells)]
         assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
 
 
@@ -251,10 +254,11 @@ def test_q_rows_are_the_scalar_calls_on_every_sheet(ell):
     for extra in (0, 1):
         call_rows = rows[:3] + [outside] * extra + rows[3:]
         call_wells = wells[:3] + [well] * extra + wells[3:]
-        q = finder._q_rows(ell, call_rows, call_wells, terms=False)
-        terms = finder._q_rows(ell, call_rows, call_wells, terms=True)
+        terms = finder._q_rows(ell, call_rows, call_wells)
         if extra:
-            assert q.pop(3) is None and terms.pop(3) is None
+            assert terms.pop(3) is None
+        # Q is t1 - t2 of the returned pairs, and its scale |t1| + |t2|
+        q = [[t1 - t2 for t1, t2 in row] for row in terms]
         scale = [[abs(t1) + abs(t2) for t1, t2 in row] for row in terms]
         for got, fn in ((q, char_q), (scale, char_q_scale)):
             # the scalar calls' bits
@@ -388,6 +392,13 @@ def test_zero_energy_kind_is_the_structure_check():
         assert zero_energy_kind(k + 1, Well(a=bessel_zero(k, 1))) is not ZeroEnergyKind.NONE
 
 
+def test_zero_energy_kind_names_the_mode_it_was_given():
+    with pytest.raises(DomainError, match="mode 1.5 is not an integer"):
+        zero_energy_kind(1.5, Well(2.4))
+    with pytest.raises(DomainError, match="mode 2.5 is not an integer"):
+        initial_guess(2.5, 0.1, CouplingFamily(3.83), GuessKind.persist_sqrt(0))
+
+
 # ---------------------------------------------------------------- S-matrix
 
 
@@ -474,6 +485,14 @@ def test_resonant_state_requires_positive_radius():
     lam, well = refined_zero(2, 1, 0.09, GuessKind.persist_sqrt(0))
     with pytest.raises(DomainError):
         resonant_state(2, lam, well, 0.0)
+
+
+def test_resonant_state_rejects_a_complex_or_grid_lambda():
+    with pytest.raises(DomainError, match="not one SurfacePoint"):
+        resonant_state(1, 0.3j, Well(2.4), 1.0)
+    grid = SurfacePoint.from_polar(np.array([0.3, 0.4]), 1.0)
+    with pytest.raises(DomainError, match="not one SurfacePoint"):
+        resonant_state(1, grid, Well(2.4), 1.0)
 
 
 # --------------------------------------------------------------- datatypes
