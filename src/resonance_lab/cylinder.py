@@ -131,8 +131,7 @@ class SurfacePoint:
 
     def scaled(self, factor: float) -> "SurfacePoint":
         """The point factor*lambda for a positive finite factor (phase kept)."""
-        if not (0 < factor < math.inf):
-            raise DomainError(f"scaling factor {factor} must be positive and finite")
+        _positive(factor, "scaling factor")
         return SurfacePoint(self.log_value + math.log(factor))
 
 
@@ -175,6 +174,13 @@ def _integer(value, what: str) -> None:
         operator.index(value)
     except TypeError:
         raise DomainError(f"{what} {value} is not an integer") from None
+
+
+def _positive(value, what: str) -> None:
+    """DomainError unless value is one real number with 0 < value < inf; an
+    array, a string, nan and inf are rejected."""
+    if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+        raise DomainError(f"{what} {value!r} must be one positive finite number")
 
 
 def _checked_order(ell, moduli: list, log: bool = False):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .cylinder import _integer
+from .cylinder import _integer, _positive
 from .errors import DomainError, RangeError
 from .lambert import lambert_w
 
@@ -29,8 +29,7 @@ def delta_resonance(a: float, k: int) -> complex:
     Negative k gives the mirror -conj(lambda_{|k|}).  The result satisfies
     the outgoing matching condition w e^w = a e^a with w = a - 2i lambda.
     """
-    if not (a > 0):
-        raise DomainError("delta strength a must be positive")
+    _positive(a, "delta strength a")
     if a > MAX_STRENGTH:
         raise RangeError(f"a = {a} overflows a*e^a in double precision")
     _integer(k, "resonance index")
@@ -47,10 +46,8 @@ def delta_phase_derivative(a: float, lam: float) -> float:
     + lambda^2) is multiplied through by sin^2(lambda), removing the
     cot/csc singularities (they are removable in the combination).
     """
-    if not (0 < a < math.inf):
-        raise DomainError("delta strength a must be positive and finite")
-    if not (0 < lam < math.inf):
-        raise DomainError("sigma' is defined for real finite lambda > 0")
+    _positive(a, "delta strength a")
+    _positive(lam, "lambda")
     s = math.sin(lam)
     c = math.cos(lam)
     num = a * s * s + lam * lam

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import EULER_GAMMA, SurfacePoint, _cpus, _integer
+from .cylinder import EULER_GAMMA, SurfacePoint, _cpus, _integer, _positive
 from .errors import (
     DomainError,
     Inconclusive,
@@ -172,10 +172,12 @@ def initial_guess(
     """Leading-order location of the mode-ell zero at coupling offset eps.
 
     Raises StructureError when the family has no zero-energy structure in
-    this mode at eps = 0, and DomainError for eps = 0, a non-finite eps, or
-    a disappearing0 guess with eps > 0 (the zero has left every small sector).
+    this mode at eps = 0, and DomainError for a mode that is not an integer,
+    an eps that is not one finite nonzero real number, or a disappearing0
+    guess with eps > 0 (the zero has left every small sector).
     """
-    if eps == 0 or not math.isfinite(eps):
+    _integer(ell, "mode")
+    if not (isinstance(eps, numbers.Real) and eps != 0 and math.isfinite(eps)):
         raise DomainError(f"eps = {eps} must be finite and nonzero (0 is the degenerate point)")
     n = abs(ell)
     rho = family.rho
@@ -414,11 +416,10 @@ def sector_scan(
 
     found_zero is True when some grid point dips below SCAN_DEPTH_TOL times
     the grid median, the signature of a zero inside the sector.  The grid
-    needs integers n_radii >= 1 and n_angles >= 2 and one real radius,
-    0 < radius < inf; one char_q call evaluates all of it.
+    needs integers n_radii >= 1 and n_angles >= 2; one char_q call
+    evaluates all of it.
     """
-    if not (isinstance(radius, numbers.Real) and 0 < radius < math.inf):
-        raise DomainError(f"scan radius {radius!r} must be one positive finite number")
+    _positive(radius, "scan radius")
     _integer(n_radii, "n_radii")
     _integer(n_angles, "n_angles")
     if not (n_radii >= 1 and n_angles >= 2):

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cylinder import EULER_GAMMA, _integer, order_table
+from .cylinder import EULER_GAMMA, _integer, _positive, order_table
 from .errors import DomainError, QuadratureError, RangeError
 from .well import Well, ZeroEnergyKind, zero_energy_kind
 
@@ -76,8 +76,7 @@ def phase_shift_derivative(ell: int, lam: float, well: Well) -> float:
     """Exact sigma'_ell(lambda) for real lambda > 0, at n = |ell|, with no division by J'_n:
     2 a^2 J_{n-1}(mu rho) J_{n+1}(mu rho) / (pi^2 lambda |Q_n|^2), Q_n = char_q(n, lambda);
     0, its limit, where |Q_n| is past the float range (high modes at small lambda)."""
-    if not (lam > 0):
-        raise DomainError("sigma'_ell is defined for real lambda > 0")
+    _positive(lam, "lambda")
     return float(_mode_values(np.array([float(lam)]), np.array([abs(ell)]), well)[0, -1, 0])
 
 
@@ -131,6 +130,7 @@ def total_phase_derivative(lam: float, well: Well) -> TotalPhaseDerivative:
 
     Returns the value and the largest mode index actually summed.
     """
+    _positive(lam, "lambda")
     _, totals, l_max = _phase_table(np.array([lam], dtype=float), well)
     return TotalPhaseDerivative(float(totals[0]), int(l_max[0]))
 
@@ -165,8 +165,7 @@ def _small_lambda_law(well: Well):
 
 def asymptotic_phase_derivative(lam: float, well: Well) -> float:
     """The small-lambda law of sigma'(lambda) for the well's zero-energy case."""
-    if not (lam > 0):
-        raise DomainError("asymptotic sigma' is defined for lambda > 0")
+    _positive(lam, "lambda")
     return _small_lambda_law(well)[0](lam)[0]
 
 
@@ -196,8 +195,7 @@ def scattering_phase(lam: float, well: Well) -> float:
     SIGMA_MAX_NODES nodes).  If all three miss by one even integer, as with two narrow
     resonances of one mode between two nodes, sigma is off by it (twice for ell >= 1).
     """
-    if not (0 < lam <= LAMBDA_MAX):
-        raise RangeError(f"lambda = {lam} outside validated range (0, {LAMBDA_MAX}]")
+    _positive(lam, "lambda")
     law, split = _small_lambda_law(well)
     if lam <= split:
         return law(lam)[1]

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cylinder import SurfacePoint, bessel_j, bessel_y, bessel_zero, hankel
+from .cylinder import SurfacePoint, _positive, bessel_j, bessel_y, bessel_zero, hankel
 from .delta1d import delta_phase_derivative, delta_resonance
 from .errors import ConfigError, DomainError, MissingInput, RangeError, StructureError
 from .finder import Classification, GuessKind, ResonanceTrack, track
@@ -98,8 +98,7 @@ def _write(header, rows, out_dir: Path, filename: str) -> Path:
 
 def _family(l0: int, rho: float) -> CouplingFamily:
     """The family of base depth a0 = j_{l0,1}/rho, so that J_{l0}(rho a0) = 0."""
-    if not (rho > 0 and math.isfinite(rho)):
-        raise ConfigError(f"rho must be positive and finite, got {rho}")
+    _positive(rho, "rho")
     return CouplingFamily(bessel_zero(l0, 1) / rho, rho)
 
 
@@ -175,8 +174,7 @@ class PhaseSpec:
 
     def run(self, out_dir: Path, name: str) -> RunResult:
         e = self.eps
-        if not (e > 0):
-            raise ConfigError(f"phase needs --eps e > 0, got {e}")
+        _positive(e, "eps")
         grid = _lambda_grid(self.lambda_min, self.lambda_max, self.steps)
         family = _family(self.l0, self.rho)
         wells = {"res": family.well(0.0), "above": family.well(e), "below": family.well(-e)}

@@ -21,12 +21,11 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import SurfacePoint, _cover_pair, _integer, _principal_pair, bessel_j, hankel
+from .cylinder import SurfacePoint, _cover_pair, _integer, _positive, _principal_pair, bessel_j, hankel
 from .errors import BranchError, DomainError, MatchError, SingularityError
 
 # |J_{|ell|-1}(rho a)| at or below this counts as J vanishing: the well then
@@ -42,10 +41,8 @@ class Well:
     rho: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (0 < self.a < math.inf):
-            raise DomainError("well depth amplitude a must be positive and finite")
-        if not (0 < self.rho < math.inf):
-            raise DomainError("well radius rho must be positive and finite")
+        _positive(self.a, "well depth a")
+        _positive(self.rho, "well radius rho")
 
 
 @dataclass(frozen=True)
@@ -56,10 +53,8 @@ class CouplingFamily:
     rho: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (0 < self.a0 < math.inf):
-            raise DomainError("family base depth a0 must be positive and finite")
-        if not (0 < self.rho < math.inf):
-            raise DomainError("family radius rho must be positive and finite")
+        _positive(self.a0, "family base depth a0")
+        _positive(self.rho, "family radius rho")
 
     def well(self, eps: float) -> Well:
         a_sq = self.a0 * self.a0 - eps
@@ -80,14 +75,12 @@ def mu(lam: SurfacePoint | complex, a) -> complex:
 
     The principal square root keeps Re mu >= 0, which is the continuous
     continuation from the positive real lambda axis throughout |lambda| < a.
-    Callers must not cross the branch point lambda^2 = -a^2.  a is one real
-    depth, 0 < a < inf, as in Well (DomainError otherwise).  One lambda is
+    Callers must not cross the branch point lambda^2 = -a^2.  One lambda is
     _mu, the expression _q_lists evaluates at each point.  A grid of points
     gives an array, the same expression in numpy's arithmetic, which
     agrees with the calls at each point to 1e-13 relative.
     """
-    if not (isinstance(a, numbers.Real) and 0 < a < math.inf):
-        raise DomainError(f"depth a = {a!r} must be one positive finite number")
+    _positive(a, "depth a")
     lam_value = lam.value if isinstance(lam, SurfacePoint) else lam
     if not isinstance(lam_value, np.ndarray):
         return _mu(complex(lam_value), a)
@@ -214,8 +207,7 @@ def s_matrix_eigenvalue(ell: int, lam: float, well: Well) -> complex:
     matching that S needs in its numerator is conj(Q_ell).
     |S_ell| = 1 and S_{-ell} = S_ell.
     """
-    if not (lam > 0):
-        raise DomainError("S-matrix eigenvalues are defined for real lambda > 0")
+    _positive(lam, "lambda")
     t1, t2 = _q_terms(ell, SurfacePoint.from_polar(lam, 0.0), well.a, well.rho)
     q = t1 - t2
     if abs(q) <= 1e-13 * (abs(t1) + abs(t2)):
@@ -236,8 +228,7 @@ def resonant_state(
     match on its own: the derivative-form terms of Q_ell must agree to 1e-8
     relative, or lambda was not a zero and MatchError is raised.
     """
-    if not (r > 0):
-        raise DomainError("radius r must be positive")
+    _positive(r, "radius r")
     _one_point(lam, "lambda")
     n = abs(ell)
     lam_value, m, j, h = _edge(ell, lam, well.a, well.rho)

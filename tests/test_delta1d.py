@@ -31,7 +31,7 @@ def test_resonance_condition_residual():
             assert abs(w * cmath.exp(w) - target) <= 1e-10 * abs(target)
 
 
-@pytest.mark.parametrize("k", [1.5, -1.5, 2.0, "1"])
+@pytest.mark.parametrize("k", [1.5, -1.5, -2.5, 2.0, 1.0, "1"])
 def test_resonance_index_must_be_an_integer(k):
     with pytest.raises(DomainError, match=f"resonance index {k} is not an integer"):
         delta_resonance(10.0, k)
@@ -65,12 +65,6 @@ def test_resonance_argument_validation():
         delta_resonance(10.0, 0)
     with pytest.raises(RangeError):
         delta_resonance(301.0, 1)
-
-
-@pytest.mark.parametrize("k", [1.5, -2.5, 1.0])
-def test_resonance_index_must_be_an_integer(k):
-    with pytest.raises(DomainError):
-        delta_resonance(10.0, k)
 
 
 def test_phase_derivative_matches_ode_oracle():

@@ -254,6 +254,29 @@ def test_track_rejects_non_finite_eps(eps):
             track(2, FAM_S, grid, GuessKind.persist_sqrt(0))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: initial_guess(1.0, 0.05, FAM_P, GuessKind.persist_lw(-1)), id="mode-1.0"),
+        pytest.param(lambda: initial_guess(0.0, -0.5, FAM_S, GuessKind.disappearing0()), id="mode-0.0"),
+        pytest.param(
+            lambda: initial_guess(1, np.array([0.1, 0.2]), FAM_P, GuessKind.persist_lw(-1)),
+            id="eps-array",
+        ),
+        pytest.param(lambda: initial_guess(1, "0.1", FAM_P, GuessKind.persist_lw(-1)), id="eps-string"),
+    ],
+)
+def test_initial_guess_takes_an_integer_mode_and_one_real_eps(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_track_names_a_mode_that_is_not_an_integer_before_refining(monkeypatch):
+    monkeypatch.setattr(finder, "_refine_all", None)
+    with pytest.raises(DomainError, match="mode 1.0 is not an integer"):
+        track(1.0, FAM_P, [0.05, 0.09], GuessKind.persist_lw(-1))
+
+
 def test_track_continuation_survives_bad_guess_point():
     # the ell=3 family has shallow basins at large eps; continuation from
     # the neighbor keeps the chain intact

@@ -187,7 +187,8 @@ def test_total_truncation_is_honest():
 def test_total_respects_validated_range():
     with pytest.raises(RangeError):
         total_phase_derivative(5.5, WELL_G)
-    with pytest.raises(RangeError):
+    # lambda = 0 is outside sigma's domain, not only outside the validated range
+    with pytest.raises(DomainError):
         total_phase_derivative(0.0, WELL_G)
 
 
