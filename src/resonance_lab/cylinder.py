@@ -92,13 +92,7 @@ class SurfacePoint:
     @classmethod
     def from_complex(cls, z: complex) -> "SurfacePoint":
         """Lift a nonzero finite complex number using its principal argument."""
-        if not isinstance(z, numbers.Number):
-            raise DomainError(f"lambda = {z!r} is not a number")
-        z = complex(z)
-        if z == 0:
-            raise DomainError("lambda = 0 cannot be represented on the cover")
-        if not cmath.isfinite(z):
-            raise DomainError(f"lambda = {z} is not finite")
+        _finite(z, "lambda", nonzero=True)  # 0 has no point on the cover
         return cls(cmath.log(z))
 
     @classmethod
@@ -181,6 +175,14 @@ def _positive(value, what: str) -> None:
     array, a string, nan and inf are rejected."""
     if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
         raise DomainError(f"{what} {value!r} must be one positive finite number")
+
+
+def _finite(value, what: str, kind=numbers.Number, nonzero: bool = False) -> None:
+    """DomainError unless value is one finite number of kind (numbers.Real for a real one),
+    and not 0 if nonzero; an array, a string, nan and inf are rejected."""
+    if not (isinstance(value, kind) and cmath.isfinite(value) and not (nonzero and value == 0)):
+        raise DomainError(f"{what} {value!r} must be one finite "
+                          f"{'nonzero ' if nonzero else ''}{kind.__name__.lower()}")
 
 
 def _checked_order(ell, moduli: list, log: bool = False):
@@ -424,8 +426,8 @@ def order_table(kind: str, top: np.ndarray, x: np.ndarray, spare: int = 0) -> np
     elements, split across the CPUs as a grid's is, and one range check for all, on top and x:
     the spare orders are not checked.  Bit-equal to the values and lows of the real path of
     bessel_j and bessel_y."""
-    if (x <= 0).any() or top.min(initial=0) < 0:
-        raise DomainError("an order table needs tops >= 0 and real arguments > 0")
+    if kind not in ("j", "y") or (x <= 0).any() or top.min(initial=0) < 0:
+        raise DomainError(f"an order table needs kind 'j' or 'y' ({kind!r}), tops >= 0 and x > 0")
     _checked_order(top.max(initial=0), [x.min(initial=1.0), x.max(initial=1.0)])
     height = top.max(initial=0) + spare + 2
     row, col = np.nonzero(np.arange(height)[:, None] <= top + spare + 1)
@@ -483,6 +485,7 @@ def hankel(kind: int, ell, point: SurfacePoint | complex) -> CylinderValue:
         A value or low that overflows (high order at small |z|) is a
         RangeError.
     """
+    _integer(kind, "Hankel kind")
     if kind not in (1, 2):
         raise DomainError("kind must be 1 or 2")
     if not isinstance(point, SurfacePoint):

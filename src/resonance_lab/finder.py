@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import EULER_GAMMA, SurfacePoint, _cpus, _integer, _positive
+from .cylinder import EULER_GAMMA, SurfacePoint, _cpus, _finite, _integer, _positive
 from .errors import (
     DomainError,
     Inconclusive,
@@ -171,14 +171,14 @@ def initial_guess(
 ) -> SurfacePoint:
     """Leading-order location of the mode-ell zero at coupling offset eps.
 
-    Raises StructureError when the family has no zero-energy structure in
-    this mode at eps = 0, and DomainError for a mode that is not an integer,
-    an eps that is not one finite nonzero real number, or a disappearing0
-    guess with eps > 0 (the zero has left every small sector).
+    Raises StructureError when the family has no zero-energy structure in this
+    mode at eps = 0, and DomainError for a mode that is not an integer, an eps
+    that is not one finite nonzero real number (0 is the degenerate point), or
+    a disappearing0 guess with eps > 0 (the zero has left every small sector).
     """
     _integer(ell, "mode")
-    if not (isinstance(eps, numbers.Real) and eps != 0 and math.isfinite(eps)):
-        raise DomainError(f"eps = {eps} must be finite and nonzero (0 is the degenerate point)")
+    _finite(eps, "eps", numbers.Real, nonzero=True)
+    eps = float(eps)
     n = abs(ell)
     rho = family.rho
     if kind.family == "disappearing0":
@@ -386,11 +386,12 @@ def track(
     against the asymptotic guess.  NotFound points are recorded and the
     track continues.
     """
-    eps_tuple = tuple(float(e) for e in eps_list)
+    eps_list = tuple(eps_list)
     # every guess and well is built before any refinement, so a bad grid
-    # point raises before work is done; the guesses go first, so a zero or
-    # non-finite eps is reported by name
-    guesses = [initial_guess(ell, e, family, kind) for e in eps_tuple]
+    # point raises before work is done; the guesses go first, so an eps that
+    # is not one finite nonzero real number is reported by name
+    guesses = [initial_guess(ell, e, family, kind) for e in eps_list]
+    eps_tuple = tuple(float(e) for e in eps_list)
     _validate_eps_grid(eps_tuple)
     wells = [family.well(e) for e in eps_tuple]
 

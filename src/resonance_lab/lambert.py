@@ -13,12 +13,11 @@ used by the tests as an oracle for the branch layout.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 from scipy.special import lambertw as _lambertw
 
-from .cylinder import _integer
+from .cylinder import _finite, _integer
 from .errors import DomainError
 
 # w e^w has its real branch point at -1/e; scipy returns NaN exactly there
@@ -43,9 +42,7 @@ def lambert_w(n: int, x: complex) -> complex:
     complex
     """
     _integer(n, "branch index")
-    x = complex(x)
-    if not cmath.isfinite(x):
-        raise DomainError(f"W_n needs a finite argument, got {x}")
+    _finite(x, "W_n argument")
     if x == 0:
         if n == 0:
             return 0j
@@ -72,6 +69,7 @@ def branch_limit_check(n: int, sign: str) -> float:
     float
         pi(1 + 2n - sgn n) from below, pi(2n - sgn n) from above.
     """
+    _integer(n, "branch index")
     if n == 0:
         raise DomainError("branch limits are defined for n != 0 only")
     sgn = 1 if n > 0 else -1

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cylinder import EULER_GAMMA, _integer, _positive, order_table
+from .cylinder import EULER_GAMMA, _finite, _integer, _positive, order_table
 from .errors import DomainError, QuadratureError, RangeError
 from .well import Well, ZeroEnergyKind, zero_energy_kind
 
@@ -73,11 +73,12 @@ def _mode_values(lam: np.ndarray, need: np.ndarray, well: Well):
 
 
 def phase_shift_derivative(ell: int, lam: float, well: Well) -> float:
-    """Exact sigma'_ell(lambda) for real lambda > 0, at n = |ell|, with no division by J'_n:
+    """Exact sigma'_ell(lambda), 0 < lambda <= LAMBDA_MAX, at n = |ell|, with no division by J'_n:
     2 a^2 J_{n-1}(mu rho) J_{n+1}(mu rho) / (pi^2 lambda |Q_n|^2), Q_n = char_q(n, lambda);
     0, its limit, where |Q_n| is past the float range (high modes at small lambda)."""
+    _integer(ell, "mode")
     _positive(lam, "lambda")
-    return float(_mode_values(np.array([float(lam)]), np.array([abs(ell)]), well)[0, -1, 0])
+    return float(_mode_values(_in_range(np.array([float(lam)])), np.array([abs(ell)]), well)[0, -1, 0])
 
 
 def mode_tail_bound(ell, lam, well: Well):
@@ -98,24 +99,29 @@ def mode_tail_bound(ell, lam, well: Well):
 
 def _mode_cutoff(lam: np.ndarray, well: Well) -> np.ndarray:
     """The certified l_max at each lambda of a 1-d array: one less than the first
-    ell >= max(3, ceil(e lambda rho/2) + 1), and <= 200, with 100 x mode_tail_bound
-    below TAIL_TOL, searched in blocks from there that double until all are found.  It is
-    at least 2: mode 2 shares mode 0's threshold, which the generic lambda^(2 ell) misses."""
+    ell >= max(3, ceil(e lambda rho/2) + 1) with 100 x mode_tail_bound below TAIL_TOL,
+    searched in blocks from there that double until all are found (order_table bounds it).
+    It is at least 2: mode 2 shares mode 0's threshold, which the generic lambda^(2 ell) misses."""
     start = np.maximum(3, np.ceil(math.e * lam * well.rho / 2.0).astype(int) + 1)
     for span in (16, 32, 64, 128, 256):
         ell = start + np.arange(span)[:, None]
-        ok = (ell <= 200) & (100.0 * mode_tail_bound(ell, lam, well) < TAIL_TOL)
+        ok = 100.0 * mode_tail_bound(ell, lam, well) < TAIL_TOL
         if ok.any(axis=0).all():
             return start + ok.argmax(axis=0) - 1
-    raise RangeError("mode sum failed to certify truncation by ell = 200")
+    raise RangeError(f"mode sum failed to certify truncation by ell = {ell.max()}")
+
+
+def _in_range(lam: np.ndarray) -> np.ndarray:
+    """lam, a 1-d array, once all of it is in (0, LAMBDA_MAX]: every sigma' entry's range."""
+    if not (lam.min() > 0 and lam.max() <= LAMBDA_MAX):
+        raise RangeError(f"lambda in [{lam.min()}, {lam.max()}] outside (0, {LAMBDA_MAX}]")
+    return lam
 
 
 def _phase_table(lam: np.ndarray, well: Well, modes: int = 0):
     """sigma'_ell and phi_ell, stacked, over ell = 0..max(l_max, modes) at each lambda
     of a 1-d array (0 past both, unevaluated), the totals sigma' and the cutoffs l_max."""
-    if not (lam.min() > 0 and lam.max() <= LAMBDA_MAX):
-        raise RangeError(f"lambda in [{lam.min()}, {lam.max()}] outside (0, {LAMBDA_MAX}]")
-    l_max = _mode_cutoff(lam, well)
+    l_max = _mode_cutoff(_in_range(lam), well)
     values = _mode_values(lam, np.maximum(l_max, modes), well)
     # sigma'_0 + 2 sigma'_1 + ... added mode by mode, in that order (an
     # accumulate, not a pairwise sum), and each total read at its l_max
@@ -177,9 +183,9 @@ def breit_wigner_overlay(lambda_grid, resonances) -> np.ndarray:
     grid = np.asarray(lambda_grid, dtype=float)
     out = np.zeros_like(grid)
     for k in resonances:
-        k = complex(k)
-        if not (np.isfinite(k) and k.imag < 0):
-            raise DomainError(f"resonance {k} is not finite with Im < 0")
+        _finite(k, "resonance")
+        if not k.imag < 0:
+            raise DomainError(f"resonance {k!r} has Im >= 0")
         out += (-k.imag) / (math.pi * np.abs(grid - k) ** 2)
     return out
 
@@ -220,8 +226,7 @@ def scattering_phase(lam: float, well: Well) -> float:
         if len(x) + len(at) > SIGMA_MAX_NODES:
             raise QuadratureError(f"sigma's branch is open on {len(at) // 2} panels at {len(x)} nodes")
         mid = np.sqrt(x[at - 1] * x[at])
-        more, _, more_l_max = _phase_table(mid, well)
-        more = np.pad(more, ((0, 0), (0, len(ell) - len(more[0])), (0, 0)))
+        more, _, more_l_max = _phase_table(mid, well, len(ell) - 1)
         x, l_max = np.insert(x, at, mid), np.insert(l_max, at, more_l_max)
         values = np.insert(values, at, more, axis=2)
     sums = np.where(live, pair, 0.0).sum(axis=1)

@@ -21,11 +21,13 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import SurfacePoint, _cover_pair, _integer, _positive, _principal_pair, bessel_j, hankel
+from .cylinder import (SurfacePoint, _cover_pair, _finite, _integer, _positive, _principal_pair,
+                       bessel_j, hankel)
 from .errors import BranchError, DomainError, MatchError, SingularityError
 
 # |J_{|ell|-1}(rho a)| at or below this counts as J vanishing: the well then
@@ -57,6 +59,7 @@ class CouplingFamily:
         _positive(self.rho, "family radius rho")
 
     def well(self, eps: float) -> Well:
+        _finite(eps, "eps", numbers.Real)
         a_sq = self.a0 * self.a0 - eps
         if a_sq <= 0:
             raise DomainError(f"eps = {eps} makes a^2 = {a_sq} nonpositive")
@@ -83,6 +86,7 @@ def mu(lam: SurfacePoint | complex, a) -> complex:
     _positive(a, "depth a")
     lam_value = lam.value if isinstance(lam, SurfacePoint) else lam
     if not isinstance(lam_value, np.ndarray):
+        _finite(lam_value, "lambda")
         return _mu(complex(lam_value), a)
     with np.errstate(all="ignore"):
         radicand = lam_value * lam_value + a * a

@@ -1,8 +1,13 @@
-"""One rule for a positive scalar argument: one real number, 0 < x < inf.
+"""One rule per kind of scalar argument.
 
-Every public entry point that takes a depth, a radius, a scaling factor, a
-coupling offset or a real lambda raises DomainError for anything else: an
-array, a string, nan, inf, zero or a negative number.
+A positive scalar (a depth, a radius, a scaling factor, the `phase` offset
+eps or a real lambda) is one real number with 0 < x < inf
+(`cylinder._positive`); a finite one (a complex lambda, a Lambert W
+argument, a resonance, a coupling offset eps) is one finite number, real
+where it must be (`cylinder._finite`); a mode, a branch index or a Hankel
+kind is one integer (`cylinder._integer`).  Every public entry point that
+takes one raises DomainError for anything else: an array, a string, nan,
+inf, and zero or a negative number where x > 0.
 """
 
 import math
@@ -14,13 +19,22 @@ import pytest
 from resonance_lab import (
     CouplingFamily,
     DomainError,
+    GuessKind,
     PhaseSpec,
+    PhaseTable,
+    RangeError,
     SurfacePoint,
     TrackSpec,
     Well,
     asymptotic_phase_derivative,
+    bessel_zero,
+    branch_limit_check,
+    breit_wigner_overlay,
     delta_phase_derivative,
     delta_resonance,
+    hankel,
+    initial_guess,
+    lambert_w,
     mu,
     phase_shift_derivative,
     resonant_state,
@@ -28,7 +42,10 @@ from resonance_lab import (
     scattering_phase,
     sector_scan,
     total_phase_derivative,
+    track,
 )
+from resonance_lab.cylinder import order_table
+from resonance_lab.phase import LAMBDA_MAX
 
 WELL = Well(2.0)
 
@@ -70,3 +87,83 @@ def test_a_positive_scalar_argument_is_one_finite_real_number(call, value, tmp_p
     with pytest.raises(DomainError, match="must be one positive finite number"):
         call(value)
     assert list(tmp_path.iterdir()) == []
+
+
+FAMILY = CouplingFamily(bessel_zero(1, 1))
+
+FINITE_ENTRY_POINTS = {
+    "SurfacePoint.from_complex": lambda x: SurfacePoint.from_complex(x),
+    "hankel-argument": lambda x: hankel(1, 0, x),
+    "mu-lambda": lambda x: mu(x, 2.0),
+    "lambert_w-argument": lambda x: lambert_w(0, x),
+    "breit_wigner_overlay-resonance": lambda x: breit_wigner_overlay([0.5], [x]),
+    "initial_guess-eps": lambda x: initial_guess(2, x, FAMILY, GuessKind.persist_sqrt(0)),
+    "track-eps": lambda x: track(2, FAMILY, [0.05, x], GuessKind.persist_sqrt(0)),
+    "CouplingFamily.well-eps": lambda x: FAMILY.well(x),
+}
+
+NOT_FINITE = {
+    "array": np.array([0.1, 0.2]),
+    "string": "0.1",
+    "nan": math.nan,
+    "inf": math.inf,
+}
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        pytest.param(call, value, id=f"{name}-{kind}")
+        for name, call in FINITE_ENTRY_POINTS.items()
+        for kind, value in NOT_FINITE.items()
+        # an array of lambdas is a grid of points, which mu evaluates
+        if (name, kind) != ("mu-lambda", "array")
+    ],
+)
+def test_a_finite_scalar_argument_is_one_finite_number(call, value):
+    with pytest.raises(DomainError, match="must be one finite (nonzero )?(number|real)"):
+        call(value)
+
+
+INTEGER_ENTRY_POINTS = {
+    "hankel-kind": lambda n: hankel(n, 0, 1 + 1j),
+    "branch_limit_check-n": lambda n: branch_limit_check(n, "up"),
+    "phase_shift_derivative-mode": lambda n: phase_shift_derivative(n, 0.3, WELL),
+}
+
+NOT_INTEGER = {
+    "integral-float": 1.0,
+    "float": 1.5,
+    "array": np.array([1, 2]),
+    "string": "1",
+    "nan": math.nan,
+    "inf": math.inf,
+}
+
+
+@pytest.mark.parametrize("value", NOT_INTEGER.values(), ids=NOT_INTEGER)
+@pytest.mark.parametrize("call", INTEGER_ENTRY_POINTS.values(), ids=INTEGER_ENTRY_POINTS)
+def test_an_integer_argument_is_one_integer(call, value):
+    # the error names the argument passed, not an order it reaches inside
+    with pytest.raises(DomainError, match="^(Hankel kind|branch index|mode) .* is not an integer"):
+        call(value)
+
+
+def test_an_order_table_kind_is_j_or_y():
+    with pytest.raises(DomainError, match="kind 'j' or 'y'"):
+        order_table("x", np.array([1]), np.array([1.0]))
+
+
+def test_every_sigma_prime_entry_reads_one_lambda_range():
+    well = Well(2.4)
+    entries = (
+        lambda lam: phase_shift_derivative(0, lam, well),
+        lambda lam: total_phase_derivative(lam, well),
+        lambda lam: PhaseTable.build([lam], well),
+        lambda lam: scattering_phase(lam, well),
+    )
+    for call in entries:
+        call(LAMBDA_MAX)
+        for lam in (math.nextafter(LAMBDA_MAX, math.inf), 7.0):
+            with pytest.raises(RangeError, match="outside"):
+                call(lam)

@@ -241,16 +241,26 @@ def test_track_validates_grid():
     with pytest.raises(DomainError, match="empty"):
         track(2, FAM_S, (), GuessKind.persist_sqrt(0))
     # each eps is checked once, by initial_guess, which names it
-    with pytest.raises(DomainError, match="eps = 0.0 must be finite and nonzero"):
+    with pytest.raises(DomainError, match="eps 0.0 must be one finite nonzero real"):
         track(2, FAM_S, (-0.1, 0.0, 0.1), GuessKind.persist_sqrt(0))
     with pytest.raises(DomainError, match="strictly monotone"):
         track(2, FAM_S, (0.04, 0.09, 0.02), GuessKind.persist_sqrt(0))
 
 
+def test_track_takes_its_grid_from_any_iterable_of_real_numbers():
+    # each eps is converted to a float once initial_guess has checked it, so the guesses
+    # are Python-float arithmetic whatever the grid holds
+    want = track(2, FAM_S, (0.04, 0.09), GuessKind.persist_sqrt(0))
+    for grid in (np.array([0.04, 0.09]), (e for e in (0.04, 0.09))):
+        got = track(2, FAM_S, grid, GuessKind.persist_sqrt(0))
+        assert got.records == want.records
+        assert all(type(r.guess.log_value) is complex for r in got.records)
+
+
 @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
 def test_track_rejects_non_finite_eps(eps):
     for grid in ((0.04, eps), (eps,)):
-        with pytest.raises(DomainError, match=f"eps = {eps} must be finite and nonzero"):
+        with pytest.raises(DomainError, match=f"eps {eps} must be one finite nonzero real"):
             track(2, FAM_S, grid, GuessKind.persist_sqrt(0))
 
 
@@ -326,6 +336,28 @@ def test_verdict_interior_gap_is_inconclusive():
     )
     with pytest.raises(Inconclusive):
         persistence_verdict(broken)
+
+
+def test_verdict_without_a_found_zero_is_inconclusive():
+    broken = ResonanceTrack(
+        ell=2,
+        family=FAM_S,
+        kind=GuessKind.persist_sqrt(0),
+        records=(_not_found_record(-0.09), _not_found_record(0.09)),
+    )
+    with pytest.raises(Inconclusive, match="no refined zeros"):
+        persistence_verdict(broken)
+
+
+def test_verdict_disappearing0_persists_where_the_scan_sees_a_zero():
+    # the scan's known blind spot (ROADMAP item 5): the verdict scans the wells at the two
+    # smallest |eps| on the shallow side, here eps = +13.5 and +14.0, and the ground state of
+    # the eps = +13.5 well (a ~ 1.09) sits at lambda ~ 0.28i, inside the default radius 0.3.
+    # The scan cannot tell that zero from the family's, so the verdict is PERSISTS
+    trk = track(0, FAM_S, [-14.0, -13.5], GuessKind.disappearing0())
+    scan = sector_scan(FAM_S.well(13.5))
+    assert scan.found_zero and scan.location.modulus == pytest.approx(0.28, abs=0.01)
+    assert persistence_verdict(trk) is Verdict.PERSISTS
 
 
 def test_verdict_needs_both_signs():

@@ -141,6 +141,16 @@ def test_every_validated_mode_evaluates_in_every_form(form):
     assert np.array_equal(top[[79, 5, 12], [0, 1, 2]], below[[79, 5, 12], [0, 1, 2]])
 
 
+@pytest.mark.parametrize("ell, lam, well", [(0, 3.0, Well(2.0, 20.0)), (3, 5.0, Well(2.0, 10.0))])
+def test_one_mode_needs_only_its_own_orders(ell, lam, well):
+    # lambda rho = 60 and 50: the certified total needs more than MAX_ORDER modes, one mode
+    # does not, and it is the division-free form's bits
+    with pytest.raises(RangeError, match="order"):
+        total_phase_derivative(lam, well)
+    value = phase_shift_derivative(ell, lam, well)
+    assert math.isfinite(value) and value == sigma_alternate_form(ell, lam, well)
+
+
 def test_high_modes_at_small_lambda_are_their_limit():
     # Y_79 and Y_78(lambda rho) both overflow below lambda ~ 7e-3, so |Q_79| is past the
     # float range: sigma'_79 is 0, not inf - inf; filterwarnings = error catches any warning

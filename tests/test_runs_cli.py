@@ -388,6 +388,12 @@ _DELTA = ["delta1d", "--a", "10", "--k-max", "3"]
 _CLASSIFY = ["classify", "--a", f"{J11:.12f}"]
 
 
+def test_phase_from_a_lambda_min_runs_on_a_linear_grid(tmp_path):
+    assert main(_PHASE + ["--eps", "0.09", "--lambda-min", "0.05", "--output", str(tmp_path)]) == 0
+    lams = [row[0] for row in read_doc(tmp_path / "phase.csv").rows]
+    assert len(lams) == 4 and lams[0] == 0.05 and lams[-1] == pytest.approx(0.3)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -428,6 +434,8 @@ _CLASSIFY = ["classify", "--a", f"{J11:.12f}"]
             id="delta1d-lambda-min-eq-max",
         ),
         pytest.param(_CLASSIFY + ["--lmax", "1"], id="classify-lmax-1"),
+        pytest.param(["--panel", "left"], id="panel-without-figure"),
+        pytest.param([], id="no-subcommand"),
     ],
 )
 def test_config_errors_exit_one_without_output(argv, tmp_path, capsys):
