@@ -12,9 +12,9 @@ theta in (-pi/2, pi/2] and applies the integer-order connection formulas
     J_ell(z e^{i m pi}) = (-1)^{m ell} J_ell(z),
     Y_ell(z e^{i m pi}) = (-1)^{m ell} [Y_ell(z) + 2 i m J_ell(z)],
 
-m times.  Principal-sheet values come from scipy.special; derivatives use
-the downward recurrence C'_ell = C_{ell-1} - (ell/z) C_ell, evaluated when a
-caller first reads one.
+m times.  Principal-sheet values come from scipy.special (real Y: cephes
+yn; complex Y: AMOS yv; J: jv); derivatives use the downward recurrence
+C'_ell = C_{ell-1} - (ell/z) C_ell, evaluated when a caller first reads one.
 
 Every call evaluates one integer order.  One argument is the one-element
 case of a list body (_cover_pair, _principal_pair), which the finder calls
@@ -51,7 +51,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy import special
-from scipy.special import jn_zeros, jv, yv
+from scipy.special import jn_zeros, jv, yn, yv
 
 from .errors import DomainError, RangeError
 
@@ -237,6 +237,12 @@ def _pair(kind, n: int, x: list) -> list:
     return kind(_ORDER_PAIRS[n], x).tolist()
 
 
+def _scipy(kind: str, real: bool):
+    """scipy's ufunc for J (kind "j") or Y ("y"), looked up at each call: real Y is cephes'
+    integer-order yn (forward from Y_0, Y_1, stable for Y), complex Y AMOS's yv, J jv."""
+    return jv if kind == "j" else yn if real else yv
+
+
 def _cpus() -> int:
     """The CPUs this process may run on: the most threads a scipy call uses."""
     try:
@@ -345,15 +351,14 @@ def _principal_pair(kind: str, ell, zs: list, log_modulus=None) -> tuple[list, l
         n = _checked_order(ell, [abs(x) for x in zs])
     else:
         n = _checked_order(ell, [log_modulus], log=True)
-    kind = {"j": jv, "y": yv}[kind]
     real = [x.imag == 0.0 and x.real > 0.0 for x in zs]
     if not any(real):
-        return _pair(kind, n, zs)
+        return _pair(_scipy(kind, False), n, zs)
     c0, c_low = [None] * len(zs), [None] * len(zs)
     for on_real in set(real):
         at = [k for k, r in enumerate(real) if r == on_real]
         x = [zs[k].real if on_real else zs[k] for k in at]
-        for k, a, b in zip(at, *_pair(kind, n, x)):
+        for k, a, b in zip(at, *_pair(_scipy(kind, on_real), n, x)):
             c0[k], c_low[k] = complex(a), complex(b)
     return c0, c_low
 
@@ -365,14 +370,13 @@ def _principal_grid(kind: str, ell, z: np.ndarray) -> CylinderValue:
     others as complex, each evaluated once."""
     modulus = np.hypot(z.real, z.imag)
     n = _checked_order(ell, [modulus.min(initial=1.0), modulus.max(initial=1.0)])
-    kind = {"j": jv, "y": yv}[kind]
     real = (z.imag == 0.0) & (z.real > 0.0)
     if not real.any():
-        return _value(ell, z, *_grid_pair(kind, n, z))
+        return _value(ell, z, *_grid_pair(_scipy(kind, False), n, z))
     c = np.empty((2,) + z.shape, complex)
-    for part, values in ((real, z.real), (~real, z)):
+    for part, values, on_real in ((real, z.real, True), (~real, z, False)):
         if part.any():
-            c[:, part] = _grid_pair(kind, n, values[part])
+            c[:, part] = _grid_pair(_scipy(kind, on_real), n, values[part])
     return _value(ell, z, *c)
 
 
@@ -402,6 +406,8 @@ def bessel_j(ell, z) -> CylinderValue:
 def bessel_y(ell, z) -> CylinderValue:
     """Y_ell(z) and Y'_ell(z) at principal phase; conventions as bessel_j.
 
+    Real Y: cephes yn, finite wherever |Y| is; complex Y: AMOS yv; J: jv.
+
     z may also be one SurfacePoint (a grid is a DomainError):
     off the principal sheet (arg z outside (-pi, pi]) Y is continued by the
     connection formula, as in hankel.  At a SurfacePoint, a value or low
@@ -425,14 +431,14 @@ def order_table(kind: str, top: np.ndarray, x: np.ndarray, spare: int = 0) -> np
     ell = -1..top[c] + spare, C_ell in row ell + 1 (0 past it).  One scipy call over all
     elements, split across the CPUs as a grid's is, and one range check for all, on top and x:
     the spare orders are not checked.  Bit-equal to the values and lows of the real path of
-    bessel_j and bessel_y."""
+    bessel_j and bessel_y (real Y: cephes yn; complex Y: AMOS yv; J: jv)."""
     if kind not in ("j", "y") or (x <= 0).any() or top.min(initial=0) < 0:
         raise DomainError(f"an order table needs kind 'j' or 'y' ({kind!r}), tops >= 0 and x > 0")
     _checked_order(top.max(initial=0), [x.min(initial=1.0), x.max(initial=1.0)])
     height = top.max(initial=0) + spare + 2
     row, col = np.nonzero(np.arange(height)[:, None] <= top + spare + 1)
     rows = np.zeros((height, len(x)))
-    rows[row, col] = _split({"j": jv, "y": yv}[kind], row - 1, x[col])
+    rows[row, col] = _split(_scipy(kind, True), row - 1, x[col])
     return rows
 
 

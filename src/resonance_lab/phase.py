@@ -85,15 +85,16 @@ def mode_tail_bound(ell, lam, well: Well):
     """Tail majorant (ell^3/(mu^2 lambda)) (lambda rho e/(2 ell))^{2 ell}.
 
     Valid (with a 100x safety margin) for ell beyond e*lambda*rho/2; the
-    measured |sigma'_ell| stays below 100 times this value there.  ell and
-    lambda broadcast; scalars give a float.
+    measured |sigma'_ell| stays below 100 times this value there.  Integer ell
+    and lambda broadcast; scalars give a float.
     """
-    ell, lam = np.asarray(ell), np.asarray(lam, dtype=float)
-    if not (lam.min(initial=1.0) > 0 and ell.min(initial=1) >= 1):
-        raise DomainError("tail bound needs lambda > 0 and ell >= 1")
+    ell, lam = np.asarray(ell), _real_grid(lam)
+    if not (ell.dtype.kind in "iu" and lam.min(initial=1.0) > 0 and ell.min(initial=1) >= 1):
+        raise DomainError("tail bound needs integer ell >= 1 and lambda > 0")
     mu_sq = lam * lam + well.a * well.a
     two_ell = 2.0 * ell
-    out = (ell**3 / (mu_sq * lam)) * np.exp(two_ell * np.log(lam * well.rho * math.e / two_ell))
+    # ell**3.0 is a float power: a small integer dtype does not wrap
+    out = (ell**3.0 / (mu_sq * lam)) * np.exp(two_ell * np.log(lam * well.rho * math.e / two_ell))
     return out if out.ndim else float(out)
 
 
@@ -109,6 +110,15 @@ def _mode_cutoff(lam: np.ndarray, well: Well) -> np.ndarray:
         if ok.any(axis=0).all():
             return start + ok.argmax(axis=0) - 1
     raise RangeError(f"mode sum failed to certify truncation by ell = {ell.max()}")
+
+
+def _real_grid(lam) -> np.ndarray:
+    """lam as a float array, once it holds finite real numbers alone: a string, a complex
+    number, nan or inf is a DomainError, as at the scalar entries."""
+    grid = np.asarray(lam)
+    if grid.dtype.kind not in "iuf" or not np.isfinite(grid).all():
+        raise DomainError(f"lambda {lam!r} must hold finite real numbers alone")
+    return np.asarray(grid, float)
 
 
 def _in_range(lam: np.ndarray) -> np.ndarray:
@@ -178,9 +188,9 @@ def asymptotic_phase_derivative(lam: float, well: Well) -> float:
 def breit_wigner_overlay(lambda_grid, resonances) -> np.ndarray:
     """Sum of resonance peaks (-Im k)/(pi |lambda - k|^2) over the grid.
 
-    Every resonance must be finite with Im < 0.
+    Every lambda must be finite and real, every resonance finite with Im < 0.
     """
-    grid = np.asarray(lambda_grid, dtype=float)
+    grid = _real_grid(lambda_grid)
     out = np.zeros_like(grid)
     for k in resonances:
         _finite(k, "resonance")
@@ -250,7 +260,7 @@ class PhaseTable:
 
     @classmethod
     def build(cls, lambda_grid, well: Well, include_modes: int | None = None) -> "PhaseTable":
-        grid = np.asarray(lambda_grid, dtype=float)
+        grid = _real_grid(lambda_grid)
         if grid.ndim != 1 or len(grid) == 0 or not (grid[0] > 0 and np.all(np.diff(grid) > 0)):
             raise DomainError("lambda grid must be a nonempty 1-d array, positive and increasing")
         if include_modes is not None:

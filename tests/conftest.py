@@ -8,6 +8,7 @@ settings.register_profile(
 )
 # the budget at which rare bit-for-bit failures of the grid sweeps showed:
 # pytest --hypothesis-profile=deep -k grid_calls_equal_the_scalar_calls, and
-# -k char_q_on_a_grid_agrees_with_the_scalar_calls
+# -k char_q_on_a_grid_agrees_with_the_scalar_calls; the real-Y sweeps run at it
+# too, -k "order_tables_equal or real_y"
 settings.register_profile("deep", settings.get_profile("default"), max_examples=1500)
 settings.load_profile("default")

@@ -35,6 +35,7 @@ from resonance_lab import (
     hankel,
     initial_guess,
     lambert_w,
+    mode_tail_bound,
     mu,
     phase_shift_derivative,
     resonant_state,
@@ -147,6 +148,52 @@ def test_an_integer_argument_is_one_integer(call, value):
     # the error names the argument passed, not an order it reaches inside
     with pytest.raises(DomainError, match="^(Hankel kind|branch index|mode) .* is not an integer"):
         call(value)
+
+
+GRID_ENTRY_POINTS = {
+    "PhaseTable.build": lambda grid: PhaseTable.build(grid, WELL),
+    "breit_wigner_overlay": lambda grid: breit_wigner_overlay(grid, [1 - 1j]),
+    "mode_tail_bound-lambda": lambda grid: mode_tail_bound(5, grid, WELL),
+}
+
+NOT_A_REAL_GRID = {
+    "string": "abc",
+    "strings": ["0.1", "0.2"],
+    "complex": [0.1, 0.2 + 1j],
+    "nan": [math.nan, 0.5],
+    "inf": [0.5, math.inf],
+}
+
+
+@pytest.mark.parametrize("value", NOT_A_REAL_GRID.values(), ids=NOT_A_REAL_GRID)
+@pytest.mark.parametrize("call", GRID_ENTRY_POINTS.values(), ids=GRID_ENTRY_POINTS)
+def test_a_lambda_grid_holds_finite_real_numbers(call, value):
+    with pytest.raises(DomainError, match="must hold finite real numbers"):
+        call(value)
+
+
+# an array of integers is a set of orders, which the mode cutoff passes
+NOT_AN_INTEGER_ORDER = {
+    "float": 1.5,
+    "integral-float": 2.0,
+    "string": "1",
+    "float-array": np.array([1.0, 2.0]),
+    "bool": True,
+    "nan": math.nan,
+}
+
+
+@pytest.mark.parametrize("ell", NOT_AN_INTEGER_ORDER.values(), ids=NOT_AN_INTEGER_ORDER)
+def test_a_tail_bound_order_is_an_integer(ell):
+    with pytest.raises(DomainError, match="integer ell"):
+        mode_tail_bound(ell, 1.0, WELL)
+
+
+def test_a_tail_bound_of_any_integer_dtype_is_the_same_bound():
+    # ell**3 in int8 or uint8 arithmetic wraps from ell = 6 or 7 on
+    want = mode_tail_bound(np.arange(1, 60), 1.0, WELL)
+    for dtype in (np.uint8, np.int8, np.int16):
+        assert np.array_equal(mode_tail_bound(np.arange(1, 60, dtype=dtype), 1.0, WELL), want)
 
 
 def test_an_order_table_kind_is_j_or_y():

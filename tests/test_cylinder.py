@@ -6,12 +6,13 @@ import threading
 import time
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import special
-from scipy.special import jv, yv
+from scipy.special import jv, yn, yv
 
 from resonance_lab import (
     DomainError,
@@ -479,6 +480,40 @@ def test_order_tables_equal_the_per_order_calls_bit_for_bit(columns):
                 assert np.array_equal(bits(rows[: top[c] + 1, c]), bits(want))
 
 
+def real_y_error(ell, x, got):
+    """|got - Y_ell(x)| as a share of sqrt(J_ell(x)^2 + Y_ell(x)^2), both from
+    mpmath at 40 digits; None where the true |Y| is 1e307 or more, at the
+    edge of the float range."""
+    with mpmath.workdps(40):
+        y, j = mpmath.bessely(ell, x), mpmath.besselj(ell, x)
+        if abs(y) >= 1e307:
+            return None
+        return float(abs(mpmath.mpf(got) - y) / mpmath.sqrt(j * j + y * y))
+
+
+@given(
+    at=st.one_of(
+        st.tuples(st.integers(0, 80), st.floats(1e-3, 100.0)),
+        st.tuples(st.integers(0, 2), st.floats(cylinder.MIN_ABS_ARGUMENT, 100.0)),
+    )
+)
+@example(at=(80, 17.588249158761528))  # AMOS's complex yv is 6.5e-14 off here
+@example(at=(70, 0.002058683638015428))  # and -inf here, where |Y| is 7.2e306
+def test_real_y_is_within_2e_14_of_mpmath(at):
+    ell, x = at
+    table = order_table("y", np.array([ell]), np.array([x]))
+    for got in (bessel_y(ell, x).value.real, table[ell + 1, 0]):
+        error = real_y_error(ell, x, got)
+        assert error is None or error <= 2e-14
+
+
+def test_real_y_is_finite_wherever_its_value_is():
+    # |Y_68(0.00166)| is 3.7e303, below the largest float; AMOS's yv overflows here
+    y = bessel_y(68, 0.00166)
+    table = order_table("y", np.array([68]), np.array([0.00166]))
+    assert math.isfinite(y.value.real) and math.isfinite(table[69, 0])
+
+
 @pytest.mark.parametrize(
     "top, x, error",
     [
@@ -673,8 +708,12 @@ def spied(kind, calls):
 
 
 @pytest.mark.parametrize("n", [0, 5])
-@pytest.mark.parametrize("kind", [jv, yv], ids=["jv", "yv"])
-@pytest.mark.parametrize("dtype", [complex, float])
+# yn, real Y's kernel, has no complex loop
+@pytest.mark.parametrize(
+    "dtype, kind",
+    [(complex, jv), (complex, yv), (float, jv), (float, yv), (float, yn)],
+    ids=["complex-jv", "complex-yv", "float-jv", "float-yv", "float-yn"],
+)
 @pytest.mark.parametrize(
     "shape, chunks",
     [((SPLIT - 1,), [SPLIT - 1]), ((SPLIT,), [SPLIT // 2] * 2), ((SPLIT + 513,), [768, 769]),
@@ -728,7 +767,7 @@ def test_split_order_tables_equal_the_one_call_bit_for_bit(two_cpus, monkeypatch
     rng = np.random.default_rng(3)
     top = rng.integers(0, 81, 40)
     x = np.exp(rng.uniform(math.log(1e-2), math.log(100.0), 40))
-    fn, calls = {"j": jv, "y": yv}[kind], []
+    fn, calls = {"j": jv, "y": yn}[kind], []  # real Y is cephes' yn
 
     def call(orders, at, **kwargs):
         calls.append((at.size, threading.get_ident()))
@@ -747,23 +786,29 @@ def test_split_order_tables_equal_the_one_call_bit_for_bit(two_cpus, monkeypatch
     assert np.array_equal(table.view(np.int64), want.view(np.int64))
 
 
-@pytest.mark.parametrize("fn, kind", [(bessel_j, jv), (bessel_y, yv)])
-def test_array_calls_evaluate_each_element_once(monkeypatch, fn, kind):
-    # a real positive element takes the real path and no other; the rest, complex
+@pytest.mark.parametrize(
+    "fn, on_real, off_real", [(bessel_j, jv, jv), (bessel_y, yn, yv)], ids=["bessel_j-jv", "bessel_y-yn-yv"]
+)
+def test_array_calls_evaluate_each_element_once(monkeypatch, fn, on_real, off_real):
+    # a real positive element takes the real path (yn for Y) and no other; the rest, complex
     rng = np.random.default_rng(5)
     mixed = rng.uniform(0.1, 3.0, 100) * np.where(np.arange(100) % 3, 1.0, np.exp(0.4j))
     for z in (rng.uniform(0.1, 3.0, 100), mixed):
         sizes = []
 
-        def call(orders, x, **kwargs):
-            sizes.append((x.size, x.dtype.kind))
-            return kind(orders, x, **kwargs)
+        def spy(kind):
+            def call(orders, x, **kwargs):
+                sizes.append((x.size, x.dtype.kind, kind.__name__))
+                return kind(orders, x, **kwargs)
+            return call
 
-        monkeypatch.setattr(cylinder, kind.__name__, call)
+        for kind in (on_real, off_real):
+            monkeypatch.setattr(cylinder, kind.__name__, spy(kind))
         got = fn(2, z)
-        monkeypatch.setattr(cylinder, kind.__name__, kind)
+        for kind in (on_real, off_real):
+            monkeypatch.setattr(cylinder, kind.__name__, kind)
         real = z.imag == 0.0
-        parts = [(real.sum(), "f"), ((~real).sum(), "c")]
+        parts = [(real.sum(), "f", on_real.__name__), ((~real).sum(), "c", off_real.__name__)]
         assert sorted(sizes) == sorted(part for part in parts if part[0])
         for part in ("value", "low"):
             want = [getattr(fn(2, complex(v)), part) for v in z]

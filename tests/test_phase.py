@@ -470,8 +470,8 @@ def test_phase_table_build():
 @pytest.mark.parametrize("include_modes", [None, 6])
 def test_phase_table_evaluates_each_bessel_order_once(monkeypatch, include_modes):
     # J(lambda rho) and Y(lambda rho) over orders -1..need at each lambda, and J(mu rho)
-    # over -1..need + 1, one scipy element each; on two CPUs the 400-point tables'
-    # calls run in chunks, one on another thread
+    # over -1..need + 1, one scipy element each (Y at a real argument is yn's); on two
+    # CPUs the 400-point tables' calls run in chunks, one on another thread
     count, threads = [0], set()
 
     def counting(kernel):
@@ -483,7 +483,7 @@ def test_phase_table_evaluates_each_bessel_order_once(monkeypatch, include_modes
 
     cylinder = resonance_lab.cylinder
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    for name in ("jv", "yv"):
+    for name in ("jv", "yn", "yv"):
         monkeypatch.setattr(cylinder, name, counting(getattr(cylinder, name)))
     for points in (40, 400):
         grid = np.linspace(0.05, 4.5, points)
