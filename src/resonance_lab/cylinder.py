@@ -24,13 +24,14 @@ TOMS 644 1986, and cephes give the same bits per element as for one
 argument).  A SurfacePoint may also hold a whole array of logarithms, a
 grid; hankel then evaluates every point in one call, as bessel_j and
 bessel_y do for an array of complex arguments, and returns the bits of one
-call per point.  A grid call makes one scipy call
-per Bessel function over both orders n, n-1 of all its points, and an order
-table one over all its orders and arguments; scipy's loops release the GIL,
-so a large call of either is split into chunks that run on threads, at most
-one per CPU the process may use, each writing its part of one output, with
-the same bits and no option to set.  A grid's continuation is numpy's own
-complex arithmetic, whose products here are exact or round once, as
+call per point.  A grid call makes one scipy call per Bessel function over
+both orders n, n-1 of all its points; scipy's loops release the GIL, so a
+large grid's call is split into chunks that run on threads, at most one per
+CPU the process may use, each writing its part of one output, with the same
+bits and no option to set.  An order table makes one scipy call over all its
+orders and arguments, on the calling thread: real Y and J cost too little
+per element there for a thread to pay.  A grid's continuation is numpy's
+own complex arithmetic, whose products here are exact or round once, as
 CPython's do.  An array derivative is the scalar expression evaluated at
 each element.
 """
@@ -70,9 +71,9 @@ _LOG_MAX_ABS_ARGUMENT = math.log(MAX_ABS_ARGUMENT)
 MAX_ORDER = 80
 MAX_ZERO_ORDER = 20
 MAX_ZERO_INDEX = 20
-# a grid's or order table's scipy call runs in chunks of at least this many
-# elements, at most one per CPU; below about this chunk, on 2 cores, handing
-# one to a thread costs more than it saves
+# a grid's scipy call runs in chunks of at least this many elements, at most
+# one per CPU; below about this chunk, on 2 cores, handing one to a thread
+# costs more than it saves
 MIN_CHUNK_POINTS = 512
 
 
@@ -100,11 +101,9 @@ class SurfacePoint:
         """The point modulus * e^{i argument}; arrays broadcast to a grid of
         points.  Each log modulus is math.log of one Python float, and
         scalars give a Python complex log_value."""
-        modulus, argument = np.asarray(modulus, float), np.asarray(argument, float)
+        modulus, argument = _real_grid(modulus, "modulus"), _real_grid(argument, "argument")
         if not (modulus > 0).all():
             raise DomainError("modulus must be positive")
-        if not (np.isfinite(modulus).all() and np.isfinite(argument).all()):
-            raise DomainError(f"modulus {modulus} and argument {argument} must be finite")
         log_modulus = np.reshape([math.log(r) for r in modulus.ravel().tolist()], modulus.shape)
         w = _complex(log_modulus, argument)
         return cls(w if w.ndim else w.item())
@@ -183,6 +182,19 @@ def _finite(value, what: str, kind=numbers.Number, nonzero: bool = False) -> Non
     if not (isinstance(value, kind) and cmath.isfinite(value) and not (nonzero and value == 0)):
         raise DomainError(f"{what} {value!r} must be one finite "
                           f"{'nonzero ' if nonzero else ''}{kind.__name__.lower()}")
+
+
+def _real_grid(value, what: str) -> np.ndarray:
+    """value as a float array, once it holds finite real numbers alone: a string, a complex
+    number, a ragged nest, nan or inf is a DomainError, as at the scalar entries."""
+    try:
+        grid = np.asarray(value)
+        real = grid.dtype.kind in "iuf" and np.isfinite(grid).all()
+    except ValueError:  # a ragged nest
+        real = False
+    if not real:
+        raise DomainError(f"{what} {value!r} must hold finite real numbers alone")
+    return np.asarray(grid, float)
 
 
 def _checked_order(ell, moduli: list, log: bool = False):
@@ -281,40 +293,30 @@ def _chunk(err: dict, kind, orders, x, out) -> None:
         kind(orders, x, out=out)
 
 
-def _split(kind, orders, x: np.ndarray) -> np.ndarray:
-    """kind(orders, x) over the 1-d array x, orders one per element of x or a
-    column that broadcasts against all of it.  From 2 * MIN_CHUNK_POINTS
-    elements on, with more than one CPU, the call is split along x into one
-    chunk per CPU (each of MIN_CHUNK_POINTS or more), each writing its part
-    of one output: this thread evaluates the first, _workers the others,
-    each in a copy of the caller's context, so under its np.errstate and
-    its scipy.special error state.  Chunk k takes every parts-th element
-    from k on, so each gets the same mix of cheap and dear elements (an
-    order table's costly high orders come last).  A ufunc is elementwise,
-    so every element has the bits of the one call."""
+def _grid_pair(kind, n: int, z: np.ndarray) -> np.ndarray:
+    """C_n and C_{n-1} at each element of the float or complex array z, stacked
+    on a new first axis, from kind(_ORDER_PAIRS[n], z) over z's elements.  From
+    2 * MIN_CHUNK_POINTS elements on, with more than one CPU, the call is split
+    into one chunk per CPU (each of MIN_CHUNK_POINTS or more), each writing its
+    part of one output: this thread evaluates the first, _workers the others,
+    each in a copy of the caller's context, so under its np.errstate and its
+    scipy.special error state.  Chunk k takes every parts-th element from k on,
+    so each gets a share of every radius of a radius-major scan grid.  A ufunc
+    is elementwise, so every element has the bits of the one call."""
+    orders, x = _ORDER_PAIRS[n], z.ravel()
     parts = min(_cpus(), len(x) // MIN_CHUNK_POINTS)
     if parts < 2:
-        return kind(orders, x)
-    out = np.empty(np.broadcast(orders, x).shape, np.result_type(x, 1.0))
+        return kind(orders, x).reshape((2,) + z.shape)
+    out = np.empty((2, len(x)), np.result_type(x, 1.0))
     err, pool = special.geterr(), _workers()
-    head, *rest = [
-        (err, kind, orders[k::parts] if orders.ndim == 1 else orders, x[k::parts], out[..., k::parts])
-        for k in range(parts)
-    ]
+    head, *rest = [(err, kind, orders, x[k::parts], out[:, k::parts]) for k in range(parts)]
     futures = [pool.submit(contextvars.copy_context().run, _chunk, *chunk) for chunk in rest]
     try:
         _chunk(*head)
     finally:
         for future in futures:
             future.result()
-    return out
-
-
-def _grid_pair(kind, n: int, z: np.ndarray) -> np.ndarray:
-    """C_n and C_{n-1} at each element of the float or complex array z, stacked
-    on a new first axis, from kind(_ORDER_PAIRS[n], z) over z's elements in
-    order, split across the CPUs by _split."""
-    return _split(kind, _ORDER_PAIRS[n], z.ravel()).reshape((2,) + z.shape)
+    return out.reshape((2,) + z.shape)
 
 
 def _finite_on_cover(n: int, c0, c_low) -> None:
@@ -332,10 +334,10 @@ def _finite_on_cover(n: int, c0, c_low) -> None:
 def _principal(kind: str, ell, z, log_modulus=None) -> CylinderValue:
     """J (kind "j") or Y ("y") at principal phase: one number, the
     one-element case of _principal_pair; arrays in _principal_grid."""
-    if isinstance(z, np.ndarray):
+    if isinstance(z, np.ndarray) and z.dtype.kind in "iufc":
         return _principal_grid(kind, ell, np.asarray(z, complex))
     if not isinstance(z, numbers.Number):
-        raise DomainError(f"argument {z!r} is neither a number nor an array")
+        raise DomainError(f"argument {z!r} is neither a number nor an array of numbers")
     z = complex(z)
     (c0,), (c_low,) = _principal_pair(kind, ell, [z], log_modulus)
     return _value(ell, z, c0, c_low)
@@ -429,16 +431,16 @@ def bessel_y(ell, z) -> CylinderValue:
 def order_table(kind: str, top: np.ndarray, x: np.ndarray, spare: int = 0) -> np.ndarray:
     """J (kind "j") or Y ("y") at each real x[c] > 0 of a 1-d array and orders
     ell = -1..top[c] + spare, C_ell in row ell + 1 (0 past it).  One scipy call over all
-    elements, split across the CPUs as a grid's is, and one range check for all, on top and x:
-    the spare orders are not checked.  Bit-equal to the values and lows of the real path of
-    bessel_j and bessel_y (real Y: cephes yn; complex Y: AMOS yv; J: jv)."""
+    elements, on the calling thread, and one range check for all, on top and x: the spare
+    orders are not checked.  Bit-equal to the values and lows of the real path of bessel_j
+    and bessel_y (real Y: cephes yn; J: jv)."""
     if kind not in ("j", "y") or (x <= 0).any() or top.min(initial=0) < 0:
         raise DomainError(f"an order table needs kind 'j' or 'y' ({kind!r}), tops >= 0 and x > 0")
     _checked_order(top.max(initial=0), [x.min(initial=1.0), x.max(initial=1.0)])
     height = top.max(initial=0) + spare + 2
     row, col = np.nonzero(np.arange(height)[:, None] <= top + spare + 1)
     rows = np.zeros((height, len(x)))
-    rows[row, col] = _split(_scipy(kind, True), row - 1, x[col])
+    rows[row, col] = _scipy(kind, True)(row - 1, x[col])
     return rows
 
 

@@ -18,8 +18,8 @@ the split sigma is read from the phase of Q_ell, as S_ell = -conj(Q_ell)/Q_ell
 
 Everything here is real arithmetic.  sigma'_ell and phi_ell have one evaluation, over
 ell = 0..l_max at each lambda of an array, which reads J(mu rho), J(lambda rho) and
-Y(lambda rho) from one order table each, one scipy call per table, which a large table
-splits across the CPUs; the scalar calls are its one-point case.
+Y(lambda rho) from one order table each, one scipy call per table on the calling thread;
+the scalar calls are its one-point case.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cylinder import EULER_GAMMA, _finite, _integer, _positive, order_table
+from .cylinder import EULER_GAMMA, _finite, _integer, _positive, _real_grid, order_table
 from .errors import DomainError, QuadratureError, RangeError
 from .well import Well, ZeroEnergyKind, zero_energy_kind
 
@@ -88,7 +88,7 @@ def mode_tail_bound(ell, lam, well: Well):
     measured |sigma'_ell| stays below 100 times this value there.  Integer ell
     and lambda broadcast; scalars give a float.
     """
-    ell, lam = np.asarray(ell), _real_grid(lam)
+    ell, lam = np.asarray(ell), _real_grid(lam, "lambda")
     if not (ell.dtype.kind in "iu" and lam.min(initial=1.0) > 0 and ell.min(initial=1) >= 1):
         raise DomainError("tail bound needs integer ell >= 1 and lambda > 0")
     mu_sq = lam * lam + well.a * well.a
@@ -110,15 +110,6 @@ def _mode_cutoff(lam: np.ndarray, well: Well) -> np.ndarray:
         if ok.any(axis=0).all():
             return start + ok.argmax(axis=0) - 1
     raise RangeError(f"mode sum failed to certify truncation by ell = {ell.max()}")
-
-
-def _real_grid(lam) -> np.ndarray:
-    """lam as a float array, once it holds finite real numbers alone: a string, a complex
-    number, nan or inf is a DomainError, as at the scalar entries."""
-    grid = np.asarray(lam)
-    if grid.dtype.kind not in "iuf" or not np.isfinite(grid).all():
-        raise DomainError(f"lambda {lam!r} must hold finite real numbers alone")
-    return np.asarray(grid, float)
 
 
 def _in_range(lam: np.ndarray) -> np.ndarray:
@@ -190,7 +181,7 @@ def breit_wigner_overlay(lambda_grid, resonances) -> np.ndarray:
 
     Every lambda must be finite and real, every resonance finite with Im < 0.
     """
-    grid = _real_grid(lambda_grid)
+    grid = _real_grid(lambda_grid, "lambda")
     out = np.zeros_like(grid)
     for k in resonances:
         _finite(k, "resonance")
@@ -260,7 +251,7 @@ class PhaseTable:
 
     @classmethod
     def build(cls, lambda_grid, well: Well, include_modes: int | None = None) -> "PhaseTable":
-        grid = _real_grid(lambda_grid)
+        grid = _real_grid(lambda_grid, "lambda")
         if grid.ndim != 1 or len(grid) == 0 or not (grid[0] > 0 and np.all(np.diff(grid) > 0)):
             raise DomainError("lambda grid must be a nonempty 1-d array, positive and increasing")
         if include_modes is not None:

@@ -7,7 +7,10 @@ argument, a resonance, a coupling offset eps) is one finite number, real
 where it must be (`cylinder._finite`); a mode, a branch index or a Hankel
 kind is one integer (`cylinder._integer`).  Every public entry point that
 takes one raises DomainError for anything else: an array, a string, nan,
-inf, and zero or a negative number where x > 0.
+inf, and zero or a negative number where x > 0.  An array of reals (a
+lambda grid, a polar modulus or argument) holds finite real numbers alone
+(`cylinder._real_grid`): a string, a complex number, a ragged nest, nan and
+inf are a DomainError there too.
 """
 
 import math
@@ -154,12 +157,16 @@ GRID_ENTRY_POINTS = {
     "PhaseTable.build": lambda grid: PhaseTable.build(grid, WELL),
     "breit_wigner_overlay": lambda grid: breit_wigner_overlay(grid, [1 - 1j]),
     "mode_tail_bound-lambda": lambda grid: mode_tail_bound(5, grid, WELL),
+    "SurfacePoint.from_polar-modulus": lambda grid: SurfacePoint.from_polar(grid, 0.0),
+    "SurfacePoint.from_polar-argument": lambda grid: SurfacePoint.from_polar(1.0, grid),
 }
 
 NOT_A_REAL_GRID = {
     "string": "abc",
     "strings": ["0.1", "0.2"],
     "complex": [0.1, 0.2 + 1j],
+    "complex-number": 1 + 1j,
+    "ragged": [[0.1], [0.1, 0.2]],
     "nan": [math.nan, 0.5],
     "inf": [0.5, math.inf],
 }

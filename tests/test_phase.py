@@ -470,14 +470,13 @@ def test_phase_table_build():
 @pytest.mark.parametrize("include_modes", [None, 6])
 def test_phase_table_evaluates_each_bessel_order_once(monkeypatch, include_modes):
     # J(lambda rho) and Y(lambda rho) over orders -1..need at each lambda, and J(mu rho)
-    # over -1..need + 1, one scipy element each (Y at a real argument is yn's); on two
-    # CPUs the 400-point tables' calls run in chunks, one on another thread
-    count, threads = [0], set()
+    # over -1..need + 1, one scipy element each (Y at a real argument is yn's), in one
+    # call per order table on the calling thread, even for 400 points on two CPUs
+    calls = []
 
     def counting(kernel):
         def call(order, x, **kwargs):
-            count[0] += np.broadcast(order, x).size
-            threads.add(threading.get_ident())
+            calls.append((np.broadcast(order, x).size, threading.get_ident()))
             return kernel(order, x, **kwargs)
         return call
 
@@ -487,14 +486,11 @@ def test_phase_table_evaluates_each_bessel_order_once(monkeypatch, include_modes
         monkeypatch.setattr(cylinder, name, counting(getattr(cylinder, name)))
     for points in (40, 400):
         grid = np.linspace(0.05, 4.5, points)
-        count[0] = 0
-        threads.clear()
+        calls.clear()
         table = PhaseTable.build(grid, WELL_G, include_modes)
         need = np.maximum(table.l_max, include_modes or 0)
-        assert count[0] == 3 * (need + 2).sum() + len(grid)
-        split = (need + 2).sum() >= 2 * cylinder.MIN_CHUNK_POINTS
-        assert split == (points == 400)
-        assert (len(threads) > 1) == split
+        assert sorted(size for size, _ in calls) == sorted([(need + 2).sum()] * 2 + [(need + 3).sum()])
+        assert {thread for _, thread in calls} == {threading.get_ident()}
 
 
 def test_phase_table_grid_validation():
