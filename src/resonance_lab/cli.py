@@ -2,7 +2,8 @@
 
 Each subcommand sets its spec class as the `spec` default and names its
 argparse dests after that spec's fields, so one line builds the spec from
-the parsed arguments.  All configuration problems, including argparse-level
+the flags given; a flag left out takes its field's default, which is
+stated nowhere else.  All configuration problems, including argparse-level
 ones, exit with status 1; partial results (some track points not found)
 exit 2.
 """
@@ -76,7 +77,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", parser_class=_Parser)
 
     def add(name: str, spec, summary: str) -> _Parser:
-        p = sub.add_parser(name, parents=[common], help=summary)
+        p = sub.add_parser(name, parents=[common], help=summary, argument_default=argparse.SUPPRESS)
         p.set_defaults(spec=spec)
         return p
 
@@ -84,28 +85,28 @@ def build_parser() -> _Parser:
     p_track.add_argument("--l", dest="ell", type=int, required=True, help="angular mode")
     p_track.add_argument("--a0sq-from-zero", dest="l0", type=int, required=True, metavar="L0",
                          help="base depth a0 = j_{L0,1}/rho (first zero of J_L0)")
-    p_track.add_argument("--rho", type=float, default=1.0)
+    p_track.add_argument("--rho", type=float)
     p_track.add_argument("--eps-grid", type=parse_eps_grid, required=True)
-    p_track.add_argument("--branch", type=int, default=None)
+    p_track.add_argument("--branch", type=int)
 
     p_phase = add("phase", PhaseSpec, "total scattering phase derivative table")
     p_phase.add_argument("--a0sq-from-zero", dest="l0", type=int, required=True, metavar="L0")
-    p_phase.add_argument("--rho", type=float, default=1.0)
+    p_phase.add_argument("--rho", type=float)
     p_phase.add_argument("--eps", type=parse_eps, required=True, help="offset e > 0")
-    p_phase.add_argument("--lambda-min", type=float, default=0.0)
+    p_phase.add_argument("--lambda-min", type=float)
     p_phase.add_argument("--lambda-max", type=float, required=True)
     p_phase.add_argument("--steps", type=int, required=True)
     p_phase.add_argument("--per-mode", action="store_true")
 
     p_cls = add("classify", ClassifySpec, "zero-energy behaviour per mode")
     p_cls.add_argument("--a", type=float, required=True)
-    p_cls.add_argument("--rho", type=float, default=1.0)
+    p_cls.add_argument("--rho", type=float)
     p_cls.add_argument("--lmax", dest="l_max", type=int, required=True)
 
     p_delta = add("delta1d", Delta1dSpec, "1d delta-well benchmark")
     p_delta.add_argument("--a", type=float, required=True)
     p_delta.add_argument("--k-max", type=int, required=True)
-    p_delta.add_argument("--lambda-min", type=float, default=0.0)
+    p_delta.add_argument("--lambda-min", type=float)
     p_delta.add_argument("--lambda-max", type=float, required=True)
     p_delta.add_argument("--steps", type=int, required=True)
 
@@ -136,8 +137,8 @@ def main(argv=None) -> int:
         elif args.subcommand is None:
             raise ConfigError("one of the subcommands or --figure is required")
         else:
-            fields = dataclasses.fields(args.spec)
-            spec = args.spec(**{f.name: getattr(args, f.name) for f in fields})
+            fields = {f.name for f in dataclasses.fields(args.spec)}
+            spec = args.spec(**{k: v for k, v in vars(args).items() if k in fields})
             # outputs are named after the subcommand unless --name is given
             result = run(spec, args.output, args.name or args.subcommand.replace("-", "_"))
     except ConfigError as exc:

@@ -26,14 +26,16 @@ grid; hankel then evaluates every point in one call, as bessel_j and
 bessel_y do for an array of complex arguments, and returns the bits of one
 call per point.  A grid call makes one scipy call per Bessel function over
 both orders n, n-1 of all its points; scipy's loops release the GIL, so a
-large grid's call is split into chunks that run on threads, at most one per
-CPU the process may use, each writing its part of one output, with the same
-bits and no option to set.  An order table makes one scipy call over all its
-orders and arguments, on the calling thread: real Y and J cost too little
-per element there for a thread to pay.  A grid's continuation is numpy's
-own complex arithmetic, whose products here are exact or round once, as
-CPython's do.  An array derivative is the scalar expression evaluated at
-each element.
+large grid's call is split into chunks that run on the threads of one pool,
+made at import (it starts a thread only when a chunk is first submitted), at
+most one chunk per CPU the process may use, each writing its part of one
+output, with the same bits and no option to set.  An order table makes one
+scipy call over all its orders and arguments, on the calling thread: real Y
+and J cost too little per element there for a thread to pay.  The cover
+path has one function per form: _cover_pair for a list, _on_grid for a grid,
+whose continuation is numpy's own complex arithmetic; its products here are
+exact or round once, as CPython's do.  An array derivative is the scalar
+expression evaluated at each element.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ import numbers
 import operator
 import os
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -263,23 +264,15 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _workers() -> ThreadPoolExecutor:
-    """The threads that run a split scipy call's chunks but the first, made on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(thread_name_prefix="resonance-lab")
-        return _pool
+# the threads that run a split scipy call's chunks but the first; an executor
+# starts no thread until a chunk is submitted
+_pool = ThreadPoolExecutor(thread_name_prefix="resonance-lab")
 
 
 def _forget_workers() -> None:
     """A forked child has none of its parent's threads: it makes its own pool."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+    global _pool
+    _pool = ThreadPoolExecutor(thread_name_prefix="resonance-lab")
 
 
 if hasattr(os, "register_at_fork"):
@@ -298,19 +291,20 @@ def _grid_pair(kind, n: int, z: np.ndarray) -> np.ndarray:
     on a new first axis, from kind(_ORDER_PAIRS[n], z) over z's elements.  From
     2 * MIN_CHUNK_POINTS elements on, with more than one CPU, the call is split
     into one chunk per CPU (each of MIN_CHUNK_POINTS or more), each writing its
-    part of one output: this thread evaluates the first, _workers the others,
-    each in a copy of the caller's context, so under its np.errstate and its
-    scipy.special error state.  Chunk k takes every parts-th element from k on,
-    so each gets a share of every radius of a radius-major scan grid.  A ufunc
-    is elementwise, so every element has the bits of the one call."""
+    part of one output: this thread evaluates the first, _pool's threads the
+    others, each in a copy of the caller's context, so under its np.errstate
+    and its scipy.special error state.  Chunk k takes every parts-th element
+    from k on, so each gets a share of every radius of a radius-major scan
+    grid.  A ufunc is elementwise, so every element has the bits of the one
+    call."""
     orders, x = _ORDER_PAIRS[n], z.ravel()
     parts = min(_cpus(), len(x) // MIN_CHUNK_POINTS)
     if parts < 2:
         return kind(orders, x).reshape((2,) + z.shape)
     out = np.empty((2, len(x)), np.result_type(x, 1.0))
-    err, pool = special.geterr(), _workers()
+    err = special.geterr()
     head, *rest = [(err, kind, orders, x[k::parts], out[:, k::parts]) for k in range(parts)]
-    futures = [pool.submit(contextvars.copy_context().run, _chunk, *chunk) for chunk in rest]
+    futures = [_pool.submit(contextvars.copy_context().run, _chunk, *chunk) for chunk in rest]
     try:
         _chunk(*head)
     finally:
@@ -456,20 +450,6 @@ def _reduce_argument(theta: float) -> tuple[float, int]:
     return theta - m * math.pi, m
 
 
-def _continued_jy(n: int, z0: list, m: list) -> tuple[list, list]:
-    """([J_n, J_{n-1}], [Y_n, Y_{n-1}]), each a list over k, at z0[k] e^{i m[k] pi},
-    n >= 0, continued from principal-phase z0[k]: one jv and one yv call."""
-    j, y = _pair(jv, n, z0), _pair(yv, n, z0)
-    if any(m):
-        for order, j_row, y_row in zip((n, n - 1), j, y):
-            for k, mk in enumerate(m):
-                if mk:
-                    sign = -1.0 if (mk * order) % 2 else 1.0
-                    j0, y0 = j_row[k], y_row[k]
-                    j_row[k], y_row[k] = sign * j0, sign * (y0 + 2j * mk * j0)
-    return j, y
-
-
 def hankel(kind: int, ell, point: SurfacePoint | complex) -> CylinderValue:
     """H_ell^(kind)(z) and its derivative at a point of the cover.
 
@@ -513,16 +493,26 @@ def _on_cover(kind: int, ell, point: SurfacePoint) -> CylinderValue:
 
 def _cover_pair(kind: int, ell, ws: list) -> tuple[list, list]:
     """Y (kind 0) or H^(kind) (kind 1, 2) of orders n = |ell| and n - 1,
-    unreflected, as lists over the logarithms ws of points of the cover,
-    from J and Y continued off theta0 in (-pi/2, pi/2]; one range check for
-    all, and RangeError where a value overflows."""
+    unreflected, as lists over the logarithms ws of points of the cover; one
+    range check for all.  Each w is reduced to z0 = e^{w - i m pi} with arg z0
+    in (-pi/2, pi/2]; J and Y at all z0 come from one jv and one yv call, are
+    continued m times by the connection formulas and give J +- iY, and a value
+    that overflows is a RangeError."""
     n = _checked_order(ell, [x.real for x in ws], log=True)
     z0, m = [], []
     for x in ws:
         theta0, k = _reduce_argument(x.imag)
         z0.append(cmath.exp(complex(x.real, theta0)))
         m.append(k)
-    (j0, j1), (y0, y1) = _continued_jy(n, z0, m)
+    j, y = _pair(jv, n, z0), _pair(yv, n, z0)
+    if any(m):
+        for order, j_row, y_row in zip((n, n - 1), j, y):
+            for k, mk in enumerate(m):
+                if mk:
+                    sign = -1.0 if (mk * order) % 2 else 1.0
+                    jk, yk = j_row[k], y_row[k]
+                    j_row[k], y_row[k] = sign * jk, sign * (yk + 2j * mk * jk)
+    (j0, j1), (y0, y1) = j, y
     if kind == 0:
         c0, c_low = y0, y1
     elif kind == 1:
@@ -535,39 +525,24 @@ def _cover_pair(kind: int, ell, ws: list) -> tuple[list, list]:
 
 @np.errstate(all="ignore")
 def _on_grid(kind: int, ell, point: SurfacePoint) -> CylinderValue:
-    """H_ell^(kind) (kind 1, 2) as _cover_pair over a grid of points, with one
-    range check for all."""
+    """H_ell^(kind) (kind 1, 2) as _cover_pair at each point of a grid, in
+    numpy arithmetic by element, with one range check for all."""
     w = point.log_value
     n = _checked_order(ell, [w.real.min(initial=0.0), w.real.max(initial=0.0)], log=True)
-    c0, c_low = _continued_grid(kind, n, w)
-    _finite_on_cover(n, c0, c_low)
-    return _value(ell, point, c0, c_low)
-
-
-def _continued_grid(kind: int, n: int, w: np.ndarray):
-    """(H_n, H_{n-1}) of the given kind at each e^w of a grid: _cover_pair's
-    _reduce_argument and _continued_jy by element."""
     if not np.isfinite(w.imag).all():
         raise DomainError("arguments must be finite")
     m = np.ceil((w.imag - math.pi / 2) / math.pi - 1e-15)
     z0 = np.exp(_complex(w.real, w.imag - m * math.pi))
-    j, y = _continued_jy_grid(n, z0, m)
-    (np.add if kind == 1 else np.subtract)(j, 1j * y, out=j)
-    return j[0], j[1]
-
-
-def _continued_jy_grid(n: int, z0: np.ndarray, m: np.ndarray):
-    """_continued_jy at each element of z0 and m: J and Y, each with the
-    orders n, n - 1 on its first axis."""
-    orders = _ORDER_PAIRS[n]
     j, y = _grid_pair(jv, n, z0), _grid_pair(yv, n, z0)
     moved = m != 0
     if moved.any():
         m, jm = m[moved], j[:, moved]
-        sign = np.where((m * orders) % 2, -1.0, 1.0)
+        sign = np.where((m * _ORDER_PAIRS[n]) % 2, -1.0, 1.0)
         y[:, moved] = sign * (y[:, moved] + 2j * m * jm)
         j[:, moved] = sign * jm
-    return j, y
+    (np.add if kind == 1 else np.subtract)(j, 1j * y, out=j)
+    _finite_on_cover(n, j[0], j[1])
+    return _value(ell, point, j[0], j[1])
 
 
 def bessel_zero(ell: int, k: int) -> float:

@@ -174,7 +174,8 @@ def initial_guess(
     Raises StructureError when the family has no zero-energy structure in this
     mode at eps = 0, and DomainError for a mode that is not an integer, an eps
     that is not one finite nonzero real number (0 is the degenerate point), or
-    a disappearing0 guess with eps > 0 (the zero has left every small sector).
+    a disappearing0 guess with eps > 0 (the zero has left every small sector);
+    RangeError for a persist-sqrt eps so small that |eps| (n-1)/n underflows.
     """
     _integer(ell, "mode")
     _finite(eps, "eps", numbers.Real, nonzero=True)
@@ -200,9 +201,10 @@ def initial_guess(
         _check_structure(n, family)
         m = kind.branch
         arg = m * math.pi + (math.pi / 2 if eps < 0 else 0.0)
-        return SurfacePoint(
-            0.5 * math.log(abs(eps) * (n - 1) / n) + 1j * arg
-        )
+        square = abs(eps) * (n - 1) / n
+        if square == 0.0:  # a subnormal eps underflows: lambda^2 has no logarithm
+            raise RangeError(f"eps {eps!r} is too small for a guess: |eps| (n-1)/n is 0")
+        return SurfacePoint(0.5 * math.log(square) + 1j * arg)
     # persist-lw
     if n != 1:
         raise DomainError("persist-lw guesses apply to |ell| = 1")

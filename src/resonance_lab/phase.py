@@ -30,7 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cylinder import EULER_GAMMA, _finite, _integer, _positive, _real_grid, order_table
+from .cylinder import (EULER_GAMMA, MIN_ABS_ARGUMENT, _finite, _integer, _positive, _real_grid,
+                       order_table)
 from .errors import DomainError, QuadratureError, RangeError
 from .well import Well, ZeroEnergyKind, zero_energy_kind
 
@@ -73,28 +74,32 @@ def _mode_values(lam: np.ndarray, need: np.ndarray, well: Well):
 
 
 def phase_shift_derivative(ell: int, lam: float, well: Well) -> float:
-    """Exact sigma'_ell(lambda), 0 < lambda <= LAMBDA_MAX, at n = |ell|, with no division by J'_n:
-    2 a^2 J_{n-1}(mu rho) J_{n+1}(mu rho) / (pi^2 lambda |Q_n|^2), Q_n = char_q(n, lambda);
-    0, its limit, where |Q_n| is past the float range (high modes at small lambda)."""
+    """Exact sigma'_ell(lambda), MIN_ABS_ARGUMENT <= lambda <= LAMBDA_MAX, at n = |ell|, with
+    no division by J'_n: 2 a^2 J_{n-1}(mu rho) J_{n+1}(mu rho) / (pi^2 lambda |Q_n|^2),
+    Q_n = char_q(n, lambda); 0, its limit, where |Q_n| is past the float range (high modes
+    at small lambda)."""
     _integer(ell, "mode")
     _positive(lam, "lambda")
     return float(_mode_values(_in_range(np.array([float(lam)])), np.array([abs(ell)]), well)[0, -1, 0])
 
 
+@np.errstate(all="ignore")
 def mode_tail_bound(ell, lam, well: Well):
     """Tail majorant (ell^3/(mu^2 lambda)) (lambda rho e/(2 ell))^{2 ell}.
 
     Valid (with a 100x safety margin) for ell beyond e*lambda*rho/2; the
     measured |sigma'_ell| stays below 100 times this value there.  Integer ell
-    and lambda broadcast; scalars give a float.
+    and lambda broadcast; scalars give a float.  Where the power underflows to
+    0 the bound is 0, though the factor before it may overflow (tiny lambda).
     """
     ell, lam = np.asarray(ell), _real_grid(lam, "lambda")
     if not (ell.dtype.kind in "iu" and lam.min(initial=1.0) > 0 and ell.min(initial=1) >= 1):
         raise DomainError("tail bound needs integer ell >= 1 and lambda > 0")
     mu_sq = lam * lam + well.a * well.a
     two_ell = 2.0 * ell
+    power = np.exp(two_ell * np.log(lam * well.rho * math.e / two_ell))
     # ell**3.0 is a float power: a small integer dtype does not wrap
-    out = (ell**3.0 / (mu_sq * lam)) * np.exp(two_ell * np.log(lam * well.rho * math.e / two_ell))
+    out = np.where(power > 0.0, (ell**3.0 / (mu_sq * lam)) * power, 0.0)
     return out if out.ndim else float(out)
 
 
@@ -113,9 +118,11 @@ def _mode_cutoff(lam: np.ndarray, well: Well) -> np.ndarray:
 
 
 def _in_range(lam: np.ndarray) -> np.ndarray:
-    """lam, a 1-d array, once all of it is in (0, LAMBDA_MAX]: every sigma' entry's range."""
-    if not (lam.min() > 0 and lam.max() <= LAMBDA_MAX):
-        raise RangeError(f"lambda in [{lam.min()}, {lam.max()}] outside (0, {LAMBDA_MAX}]")
+    """lam, a 1-d array, once all of it is in [MIN_ABS_ARGUMENT, LAMBDA_MAX]: every sigma'
+    entry's range, whose lower end is the cylinder functions'."""
+    if not (lam.min() >= MIN_ABS_ARGUMENT and lam.max() <= LAMBDA_MAX):
+        raise RangeError(
+            f"lambda in [{lam.min()}, {lam.max()}] outside [{MIN_ABS_ARGUMENT}, {LAMBDA_MAX}]")
     return lam
 
 
@@ -203,6 +210,7 @@ def scattering_phase(lam: float, well: Well) -> float:
     resonances of one mode between two nodes, sigma is off by it (twice for ell >= 1).
     """
     _positive(lam, "lambda")
+    _in_range(np.array([float(lam)]))
     law, split = _small_lambda_law(well)
     if lam <= split:
         return law(lam)[1]

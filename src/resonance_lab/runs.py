@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cylinder import SurfacePoint, _positive, bessel_j, bessel_y, bessel_zero, hankel
+from .cylinder import SurfacePoint, _integer, _positive, bessel_j, bessel_y, bessel_zero, hankel
 from .delta1d import delta_phase_derivative, delta_resonance
 from .errors import ConfigError, DomainError, MissingInput, RangeError, StructureError
 from .finder import Classification, GuessKind, ResonanceTrack, track
@@ -114,6 +114,7 @@ def _guess_kind(ell: int, branch: int | None) -> GuessKind:
 def _lambda_grid(lo: float, hi: float, steps: int) -> np.ndarray:
     if not (math.isfinite(hi) and hi > lo >= 0):
         raise ConfigError(f"need 0 <= lambda-min < lambda-max, got {lo}, {hi}")
+    _integer(steps, "steps")
     if steps < 2:
         raise ConfigError(f"steps must be >= 2, got {steps}")
     if lo == 0.0:
@@ -203,6 +204,7 @@ class ClassifySpec:
 
     def run(self, out_dir: Path, name: str) -> RunResult:
         well = Well(self.a, self.rho)
+        _integer(self.l_max, "l_max")
         if self.l_max < 2:
             raise ConfigError("l_max must be at least 2")
         rows = [(ell, zero_energy_kind(ell, well).value) for ell in range(self.l_max + 1)]
@@ -220,6 +222,7 @@ class Delta1dSpec:
     lambda_min: float = 0.0
 
     def run(self, out_dir: Path, name: str) -> RunResult:
+        _integer(self.k_max, "k_max")
         if self.k_max < 1:
             raise ConfigError("delta1d needs --k-max >= 1")
         grid = _lambda_grid(self.lambda_min, self.lambda_max, self.steps)

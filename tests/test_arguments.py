@@ -7,10 +7,12 @@ argument, a resonance, a coupling offset eps) is one finite number, real
 where it must be (`cylinder._finite`); a mode, a branch index or a Hankel
 kind is one integer (`cylinder._integer`).  Every public entry point that
 takes one raises DomainError for anything else: an array, a string, nan,
-inf, and zero or a negative number where x > 0.  An array of reals (a
-lambda grid, a polar modulus or argument) holds finite real numbers alone
-(`cylinder._real_grid`): a string, a complex number, a ragged nest, nan and
-inf are a DomainError there too.
+inf, and zero or a negative number where x > 0.  A run spec's steps, l_max
+and k_max are integers too, and `runs.run` reports one that is not as a
+ConfigError.  An array of reals (a lambda grid, a polar modulus or
+argument) holds finite real numbers alone (`cylinder._real_grid`): a
+string, a complex number, a ragged nest, nan and inf are a DomainError
+there too.
 """
 
 import math
@@ -20,7 +22,10 @@ import numpy as np
 import pytest
 
 from resonance_lab import (
+    ClassifySpec,
+    ConfigError,
     CouplingFamily,
+    Delta1dSpec,
     DomainError,
     GuessKind,
     PhaseSpec,
@@ -42,13 +47,14 @@ from resonance_lab import (
     mu,
     phase_shift_derivative,
     resonant_state,
+    run,
     s_matrix_eigenvalue,
     scattering_phase,
     sector_scan,
     total_phase_derivative,
     track,
 )
-from resonance_lab.cylinder import order_table
+from resonance_lab.cylinder import MIN_ABS_ARGUMENT, order_table
 from resonance_lab.phase import LAMBDA_MAX
 
 WELL = Well(2.0)
@@ -153,6 +159,23 @@ def test_an_integer_argument_is_one_integer(call, value):
         call(value)
 
 
+SPEC_INTEGER_FIELDS = {
+    "ClassifySpec-l_max": lambda n: ClassifySpec(a=3.0, l_max=n),
+    "Delta1dSpec-k_max": lambda n: Delta1dSpec(a=10.0, k_max=n, lambda_max=11.0, steps=3),
+    "Delta1dSpec-steps": lambda n: Delta1dSpec(a=10.0, k_max=1, lambda_max=11.0, steps=n),
+    "PhaseSpec-steps": lambda n: PhaseSpec(l0=1, eps=0.09, lambda_max=0.1, steps=n),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, "3"], ids=["float", "integral-float", "string"])
+@pytest.mark.parametrize("spec", SPEC_INTEGER_FIELDS.values(), ids=SPEC_INTEGER_FIELDS)
+def test_a_spec_integer_field_is_one_integer(spec, value, tmp_path):
+    # steps = 2.5 would give the grid [0.04, 0.08, 0.12], past lambda_max = 0.1
+    with pytest.raises(ConfigError, match="^(l_max|k_max|steps) .* is not an integer"):
+        run(spec(value), tmp_path, "out")
+    assert list(tmp_path.iterdir()) == []
+
+
 GRID_ENTRY_POINTS = {
     "PhaseTable.build": lambda grid: PhaseTable.build(grid, WELL),
     "breit_wigner_overlay": lambda grid: breit_wigner_overlay(grid, [1 - 1j]),
@@ -218,6 +241,9 @@ def test_every_sigma_prime_entry_reads_one_lambda_range():
     )
     for call in entries:
         call(LAMBDA_MAX)
-        for lam in (math.nextafter(LAMBDA_MAX, math.inf), 7.0):
+        call(MIN_ABS_ARGUMENT)
+        # below the smallest normal float, as in the cylinder range
+        for lam in (math.nextafter(LAMBDA_MAX, math.inf), 7.0,
+                    math.nextafter(MIN_ABS_ARGUMENT, 0.0), 1e-320):
             with pytest.raises(RangeError, match="outside"):
                 call(lam)

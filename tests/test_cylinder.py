@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -812,12 +813,15 @@ def test_a_forked_child_evaluates_a_split_grid(two_cpus):
 
 def test_one_cpu_starts_no_thread(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(cylinder, "_pool", None)
+    # a pool as the module makes it at import, which holds no thread yet
+    pool = ThreadPoolExecutor(thread_name_prefix="resonance-lab")
+    monkeypatch.setattr(cylinder, "_pool", pool)
     threads = threading.active_count()
     grid = SurfacePoint.from_polar(np.linspace(0.1, 3.0, 4 * SPLIT), 0.3)
     char_q(0, grid, Well(2.0))
-    assert cylinder._pool is None
     assert threading.active_count() == threads
+    assert not pool._threads
+    pool.shutdown()
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,16 @@ def test_guess_domain_errors():
                 initial_guess(ell, eps, family, kind)
 
 
+def test_a_subnormal_eps_is_a_range_error():
+    # |eps| (n-1)/n underflows to 0, which has no logarithm
+    for eps in (5e-324, -5e-324):
+        with pytest.raises(RangeError, match="too small"):
+            initial_guess(2, eps, FAM_S, GuessKind.persist_sqrt(0))
+    # the next eps up keeps its guess: (1e-323 / 2) is the smallest subnormal
+    guess = initial_guess(2, 1e-323, FAM_S, GuessKind.persist_sqrt(0))
+    assert guess.log_value == complex(0.5 * math.log(5e-324), 0.0)
+
+
 def test_guess_kind_validation():
     with pytest.raises(DomainError):
         GuessKind("persist-lw", 0)

@@ -219,6 +219,20 @@ def test_tail_bound_validation():
         mode_tail_bound(5, 0.0, WELL_G)
 
 
+def test_tail_bound_is_zero_where_its_power_underflows():
+    # there ell^3/(mu^2 lambda) overflows, and inf * 0 would be nan with two warnings,
+    # which this suite turns into errors
+    assert mode_tail_bound(18, 3e-308, WELL_G) == 0.0
+    assert not mode_tail_bound(np.arange(1, 300), 5e-324, WELL_G).any()
+    total_phase_derivative(1e-307, WELL_G)
+    PhaseTable.build([1e-306, 0.5], WELL_G)
+    # elsewhere the bound keeps its bits
+    ell, lam = np.arange(1, 60)[:, None], np.geomspace(1e-6, 5.0, 40)
+    power = np.exp(2.0 * ell * np.log(lam * math.e / (2.0 * ell)))
+    want = (ell**3.0 / ((lam * lam + 4.0) * lam)) * power
+    assert np.array_equal(mode_tail_bound(ell, lam, WELL_G), want)
+
+
 def test_s_resonance_total_counts_mode_2_from_zero():
     # mode 2 shares mode 0's threshold (J_1(a rho) = 0), so sigma'_2 ~ lambda, where
     # the tail bound alone would stop at l_max = 1 below lambda ~ 1e-5

@@ -25,7 +25,7 @@ from resonance_lab import (
     run,
     run_figure,
 )
-from resonance_lab.cli import main, parse_eps_grid
+from resonance_lab.cli import build_parser, main, parse_eps_grid
 from resonance_lab.runs import DEEPENING_EPS, QUAD_EPS
 
 J11 = bessel_zero(1, 1)
@@ -494,6 +494,21 @@ def test_public_names_resolve():
     names = resonance_lab.__all__
     assert len(set(names)) == len(names)
     assert [n for n in names if not hasattr(resonance_lab, n)] == []
+
+
+@pytest.mark.parametrize(
+    "argv, left_out",
+    [
+        (_TRACK + ["--eps-grid", "0.09"], {"rho", "branch"}),
+        (_PHASE + ["--eps", "0.09"], {"rho", "lambda_min", "per_mode"}),
+        (_CLASSIFY + ["--lmax", "4"], {"rho"}),
+        (_DELTA + ["--lambda-max", "4", "--steps", "8"], {"lambda_min"}),
+    ],
+    ids=["track", "phase", "classify", "delta1d"],
+)
+def test_a_flag_left_out_takes_its_spec_field_default(argv, left_out):
+    # the parser states no default of its own, so the dataclass field is its one source
+    assert not left_out & set(vars(build_parser().parse_args(argv)))
 
 
 def test_malformed_flags_exit_one():
