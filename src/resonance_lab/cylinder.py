@@ -19,8 +19,9 @@ C'_ell = C_{ell-1} - (ell/z) C_ell, evaluated when a caller first reads one.
 Every call evaluates one integer order.  One argument is the one-element
 case of a list body (_cover_pair, _principal_pair), which the finder calls
 with many: values computed in Python complex arithmetic at each element,
-from one scipy call per Bessel function over all of them (AMOS, Amos ACM
-TOMS 644 1986, and cephes give the same bits per element as for one
+from one jv call over both J argument lists (points of the cover, and the
+principal-phase arguments that follow them) and one yv call (AMOS, Amos
+ACM TOMS 644 1986, and cephes give the same bits per element as for one
 argument).  A SurfacePoint may also hold a whole array of logarithms, a
 grid; hankel then evaluates every point in one call, as bessel_j and
 bessel_y do for an array of complex arguments, and returns the bits of one
@@ -204,17 +205,15 @@ def _checked_order(ell, moduli: list, log: bool = False):
     moduli are the |z| of the call's arguments; an array call may pass its
     smallest and largest alone.  Points of the cover pass log|z|, with log
     set, and that is what is checked, from log MIN_ABS_ARGUMENT up.  A NaN
-    is rejected: it makes the sum NaN, where min and max may skip it, and
-    `not bound <= x` holds for it.  No moduli check as |z| = 1.  |z| = 0 is
-    a DomainError.
+    is rejected, as `low <= x <= high` is false for it, and reported as the
+    range [nan, nan].  No moduli check as |z| = 1.  |z| = 0 is a DomainError.
     """
-    nan = math.isnan(sum(moduli))
-    least, top = (math.nan,) * 2 if nan else (min(moduli, default=1.0), max(moduli, default=1.0))
     low, high = (_LOG_MIN_ABS_ARGUMENT, _LOG_MAX_ABS_ARGUMENT) if log else (0.0, MAX_ABS_ARGUMENT)
-    if not (low <= least and top <= high):
+    if not all([low <= x <= high for x in moduli]):
+        least, top = (math.nan,) * 2 if math.isnan(sum(moduli)) else (min(moduli), max(moduli))
         name = "log|z|" if log else "|z|"
         raise RangeError(f"{name} in [{least!r}, {top!r}] outside validated range [{low!r}, {high!r}]")
-    if least == 0 and not log:
+    if not log and 0 in moduli:
         raise DomainError("cylinder functions are singular or trivial at z = 0")
     _integer(ell, "order")
     n = abs(ell)
@@ -327,36 +326,36 @@ def _finite_on_cover(n: int, c0, c_low) -> None:
 
 def _principal(kind: str, ell, z, log_modulus=None) -> CylinderValue:
     """J (kind "j") or Y ("y") at principal phase: one number, the
-    one-element case of _principal_pair; arrays in _principal_grid."""
+    one-element case of _principal_pair; arrays in _principal_grid.  z = e^w
+    for one point w of the cover comes with log_modulus = Re w, checked."""
     if isinstance(z, np.ndarray) and z.dtype.kind in "iufc":
         return _principal_grid(kind, ell, np.asarray(z, complex))
     if not isinstance(z, numbers.Number):
         raise DomainError(f"argument {z!r} is neither a number nor an array of numbers")
     z = complex(z)
-    (c0,), (c_low,) = _principal_pair(kind, ell, [z], log_modulus)
+    if log_modulus is None:
+        n = _checked_order(ell, [abs(z)])
+    else:
+        n = _checked_order(ell, [log_modulus], log=True)
+    (c0,), (c_low,) = _principal_pair(kind, n, [z])
     return _value(ell, z, c0, c_low)
 
 
-def _principal_pair(kind: str, ell, zs: list, log_modulus=None) -> tuple[list, list]:
-    """J or Y (kind "j", "y") of orders n = |ell| and n - 1, unreflected, as
-    lists over the Python complex zs at principal phase, from one scipy call
-    for the real positive elements (as floats, which keeps Im exactly 0) and
-    one for the others.  z = e^w for one point w of the cover comes with
-    log_modulus = Re w, which the range check reads."""
-    if log_modulus is None:
-        n = _checked_order(ell, [abs(x) for x in zs])
-    else:
-        n = _checked_order(ell, [log_modulus], log=True)
+def _principal_pair(kind: str, n: int, zs: list, head: list = []) -> tuple[list, list]:
+    """J or Y (kind "j", "y") of orders n and n - 1, unreflected, as lists
+    over the Python complex head and then zs at principal phase, whose range
+    the caller has checked: one scipy call over head and the zs off the
+    positive real axis, and one over the real positive zs, as floats, which
+    keeps Im exactly 0."""
     real = [x.imag == 0.0 and x.real > 0.0 for x in zs]
     if not any(real):
-        return _pair(_scipy(kind, False), n, zs)
-    c0, c_low = [None] * len(zs), [None] * len(zs)
-    for on_real in set(real):
-        at = [k for k, r in enumerate(real) if r == on_real]
-        x = [zs[k].real if on_real else zs[k] for k in at]
-        for k, a, b in zip(at, *_pair(_scipy(kind, on_real), n, x)):
-            c0[k], c_low[k] = complex(a), complex(b)
-    return c0, c_low
+        return _pair(_scipy(kind, False), n, head + zs)
+    args = head + [x for x, r in zip(zs, real) if not r]
+    off = zip(*_pair(_scipy(kind, False), n, args)) if args else iter(())
+    on = zip(*_pair(_scipy(kind, True), n, [x.real for x, r in zip(zs, real) if r]))
+    pairs = [next(off) for _ in head] + [tuple(map(complex, next(on))) if r else next(off) for r in real]
+    c0, c_low = zip(*pairs)
+    return list(c0), list(c_low)
 
 
 @np.errstate(all="ignore")
@@ -487,24 +486,33 @@ def _on_cover(kind: int, ell, point: SurfacePoint) -> CylinderValue:
     w = point.log_value
     if isinstance(w, np.ndarray):
         return _on_grid(kind, ell, point)
-    (c0,), (c_low,) = _cover_pair(kind, ell, [w])
+    (c0,), (c_low,) = _cover_pair(kind, *_reduced(ell, [w]))
     return _value(ell, point, c0, c_low)
 
 
-def _cover_pair(kind: int, ell, ws: list) -> tuple[list, list]:
-    """Y (kind 0) or H^(kind) (kind 1, 2) of orders n = |ell| and n - 1,
-    unreflected, as lists over the logarithms ws of points of the cover; one
-    range check for all.  Each w is reduced to z0 = e^{w - i m pi} with arg z0
-    in (-pi/2, pi/2]; J and Y at all z0 come from one jv and one yv call, are
-    continued m times by the connection formulas and give J +- iY, and a value
-    that overflows is a RangeError."""
+def _reduced(ell, ws: list) -> tuple[int, list, list]:
+    """(|ell|, z0, m): each logarithm w of ws reduced to z0 = e^{w - i m pi}, arg z0 in
+    (-pi/2, pi/2], after one range check for the order and every log|z|."""
     n = _checked_order(ell, [x.real for x in ws], log=True)
     z0, m = [], []
     for x in ws:
         theta0, k = _reduce_argument(x.imag)
         z0.append(cmath.exp(complex(x.real, theta0)))
         m.append(k)
-    j, y = _pair(jv, n, z0), _pair(yv, n, z0)
+    return n, z0, m
+
+
+def _cover_pair(kind: int, n: int, z0: list, m: list, zs: list = []) -> tuple[list, list]:
+    """Y (kind 0) or H^(kind) (kind 1, 2) of orders n and n - 1, unreflected,
+    as lists over points of the cover that _reduced has checked and reduced
+    to z0 and m, followed in each list by J of the same orders at the
+    principal-phase arguments zs, which are checked here.  J at every z0 and
+    every z of zs is one jv call (_principal_pair: real positive zs take one
+    more, on floats), and Y at every z0 one yv call.  J and Y at z0 are
+    continued m times by the connection formulas and give J +- iY; a value
+    that overflows is a RangeError, and then so is a z outside the validated
+    range."""
+    j, y = _principal_pair("j", n, zs, z0), _pair(yv, n, z0)
     if any(m):
         for order, j_row, y_row in zip((n, n - 1), j, y):
             for k, mk in enumerate(m):
@@ -520,7 +528,8 @@ def _cover_pair(kind: int, ell, ws: list) -> tuple[list, list]:
     else:
         c0, c_low = [a - 1j * b for a, b in zip(j0, y0)], [a - 1j * b for a, b in zip(j1, y1)]
     _finite_on_cover(n, c0, c_low)
-    return c0, c_low
+    _checked_order(n, [abs(x) for x in zs])
+    return c0 + j0[len(z0):], c_low + j1[len(z0):]
 
 
 @np.errstate(all="ignore")

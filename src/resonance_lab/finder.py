@@ -19,9 +19,10 @@ observable (warned) event rather than a silent wraparound.  A track refines
 all its guesses in lockstep, one batched Q evaluation per Newton step, with
 the records of one chain per guess; its continuation from the previous root
 runs point after point through refine.  Each Q evaluation is one call of
-well's list body over plain lists of points, which returns the two terms
-(t1, t2) of Q at each: one scipy call per Bessel function, and the scalar
+well's list body over flat lists of points and depths, which returns the
+two terms (t1, t2) of Q at each: one jv and one yv call, and the scalar
 arithmetic at each point, so t1 - t2 has the bits of a char_q call there.
+A track checks its family's zero-energy structure once.
 Every record, found or not, is built in one place, which alone decides
 NOT_FOUND.
 """
@@ -175,87 +176,88 @@ def initial_guess(
     mode at eps = 0, and DomainError for a mode that is not an integer, an eps
     that is not one finite nonzero real number (0 is the degenerate point), or
     a disappearing0 guess with eps > 0 (the zero has left every small sector);
-    RangeError for a persist-sqrt eps so small that |eps| (n-1)/n underflows.
+    RangeError for an eps so small that the guess has no logarithm: a
+    persist-sqrt |eps| (n-1)/n that underflows, or a disappearing0
+    2/(rho^2 eps) that overflows (lambda would be 0).
     """
+    return _guesses(ell, (eps,), family, kind)[0]
+
+
+def _guesses(ell: int, eps_list: tuple, family: CouplingFamily, kind: GuessKind) -> list:
+    """initial_guess at each eps of eps_list in turn, raising what the first
+    call to fail would raise.  Whether the kind applies to the mode, and the
+    family's zero-energy structure, do not depend on eps: they are checked
+    with the first eps alone."""
     _integer(ell, "mode")
-    _finite(eps, "eps", numbers.Real, nonzero=True)
-    eps = float(eps)
-    n = abs(ell)
-    rho = family.rho
-    if kind.family == "disappearing0":
-        if n != 0:
-            raise DomainError("disappearing0 guesses apply to ell = 0 only")
-        _check_structure(0, family)
-        if eps > 0:
-            raise DomainError("no small zero exists for eps > 0 in mode 0")
-        w = (
-            math.log(2.0 / rho)
-            + 2.0 / (rho * rho * eps)
-            - EULER_GAMMA
-            + 1j * (math.pi / 2)
-        )
-        return SurfacePoint(w)
-    if kind.family == "persist-sqrt":
-        if n < 2:
-            raise DomainError("persist-sqrt guesses apply to |ell| >= 2")
-        _check_structure(n, family)
-        m = kind.branch
-        arg = m * math.pi + (math.pi / 2 if eps < 0 else 0.0)
-        square = abs(eps) * (n - 1) / n
-        if square == 0.0:  # a subnormal eps underflows: lambda^2 has no logarithm
-            raise RangeError(f"eps {eps!r} is too small for a guess: |eps| (n-1)/n is 0")
-        return SurfacePoint(0.5 * math.log(square) + 1j * arg)
-    # persist-lw
-    if n != 1:
-        raise DomainError("persist-lw guesses apply to |ell| = 1")
-    _check_structure(1, family)
-    x = eps * rho * rho * math.exp(2.0 * EULER_GAMMA - 1.0) / 4.0
-    w = (
-        math.log(2.0 / rho)
-        + 0.5
-        - EULER_GAMMA
-        + 1j * (math.pi / 2)
-        + 0.5 * lambert_w(kind.branch, x)
-    )
-    return SurfacePoint(w)
+    n, rho = abs(ell), family.rho
+    guesses = []
+    for eps in eps_list:
+        _finite(eps, "eps", numbers.Real, nonzero=True)
+        eps = float(eps)
+        if not guesses:
+            applies, modes = {"disappearing0": (n == 0, "ell = 0 only"), "persist-lw": (n == 1, "|ell| = 1"),
+                              "persist-sqrt": (n >= 2, "|ell| >= 2")}[kind.family]
+            if not applies:
+                raise DomainError(f"{kind.family} guesses apply to {modes}")
+            _check_structure(n, family)
+        if kind.family == "disappearing0":
+            if eps > 0:
+                raise DomainError("no small zero exists for eps > 0 in mode 0")
+            power = 2.0 / (rho * rho * eps) if rho * rho * eps else -math.inf
+            if power == -math.inf:  # lambda = e^w would be 0, which has no logarithm
+                raise RangeError(f"eps {eps!r} is too small for a guess: 2/(rho^2 eps) overflows")
+            w = math.log(2.0 / rho) + power - EULER_GAMMA + 1j * (math.pi / 2)
+        elif kind.family == "persist-sqrt":
+            m = kind.branch
+            arg = m * math.pi + (math.pi / 2 if eps < 0 else 0.0)
+            square = abs(eps) * (n - 1) / n
+            if square == 0.0:  # a subnormal eps underflows: lambda^2 has no logarithm
+                raise RangeError(f"eps {eps!r} is too small for a guess: |eps| (n-1)/n is 0")
+            w = 0.5 * math.log(square) + 1j * arg
+        else:
+            x = eps * rho * rho * math.exp(2.0 * EULER_GAMMA - 1.0) / 4.0
+            w = math.log(2.0 / rho) + 0.5 - EULER_GAMMA + 1j * (math.pi / 2) + 0.5 * lambert_w(kind.branch, x)
+        guesses.append(SurfacePoint(w))
+    return guesses
 
 
-def _q_rows(n: int, rows: list, wells: list) -> list:
-    """The two terms (t1, t2) of Q_n at each log-point of each row, in the
-    row's well, as Python complex: Q is t1 - t2 and |t1| + |t2| its scale.
-
-    All points go to one _q_lists call, one depth per point (the wells of a
-    track share rho), so each Bessel function is one scipy call and each
-    point keeps the bits of a char_q call there.  A row reads None where
-    its evaluation leaves the validated range (RangeError, OverflowError):
-    a call over several rows that raises one is redone row by row.
+def _q_rows(n: int, points: list, depths: list, rho: float, width: int) -> tuple[list, list]:
+    """The two terms t1, t2 of Q_n at each log-point, each in a well of
+    radius rho and of its own depth, as flat lists of Python complex: Q is
+    t1 - t2 and |t1| + |t2| its scale.  All points go to one _q_lists call,
+    so each keeps the bits of a char_q call there.  They form rows of width
+    points, one per start; a row reads None at each point where its
+    evaluation leaves the validated range (RangeError, OverflowError): a
+    call over several rows that raises one is redone row by row.
     """
-    if not rows:
-        return []
+    if not points:
+        return [], []
     try:
-        points = [w for row in rows for w in row]
-        depths = [well.a for row, well in zip(rows, wells) for _ in row]
-        terms = zip(*_q_lists(n, points, depths, wells[0].rho))
-        return [[next(terms) for _ in row] for row in rows]
+        return _q_lists(n, points, depths, rho)
     except (RangeError, OverflowError):
-        if len(rows) == 1:
-            return [None]
-    return [q for row, well in zip(rows, wells) for q in _q_rows(n, [row], [well])]
+        if len(points) == width:
+            return [None] * width, [None] * width
+    rows = [_q_rows(n, points[k : k + width], depths[k : k + width], rho, width)
+            for k in range(0, len(points), width)]
+    return [t for t1, _ in rows for t in t1], [t for _, t2 in rows for t in t2]
 
 
 def _refine_all(
     n: int, starts: list, wells: list, epsilons: list
 ) -> list[ResonanceRecord]:
-    """Newton refinement of char_q from each start in its own well, all in
-    lockstep: each step is one _q_rows call over the central-difference
-    points of every start still running, whose Q values are t1 - t2, and
-    one more gives the residuals.  The per-point arithmetic is refine's, on
-    Python complex values, so each record is the one a refinement of that
-    start alone gives.  Every record comes from _record; a start outside
-    the basin, or lost on the way, passes residual inf.
+    """Newton refinement of char_q from each start in its own well (the
+    wells share rho), all in lockstep: each step is one _q_rows call over
+    the flat list of central-difference points of every start still
+    running, whose Q values are t1 - t2, and one more gives the residuals.
+    The per-point arithmetic is refine's, on Python complex values, so each
+    record is the one a refinement of that start alone gives.  Every record
+    comes from _record; a start outside the basin, or lost on the way,
+    passes residual inf.
     """
     records: list = [None] * len(starts)
     w = [start.log_value for start in starts]
+    depths = [well.a for well in wells]
+    rho = wells[0].rho
 
     def lost(i: int) -> None:
         records[i] = _record(epsilons[i], starts[i], SurfacePoint(w[i]), math.inf)
@@ -271,14 +273,14 @@ def _refine_all(
     for _ in range(MAX_ITER):
         if not running:
             break
-        rows = [(w[i], w[i] + FD_STEP, w[i] - FD_STEP) for i in running]
-        values = _q_rows(n, rows, [wells[i] for i in running])
+        points = [x for i in running for x in (w[i], w[i] + FD_STEP, w[i] - FD_STEP)]
+        t1, t2 = _q_rows(n, points, [depths[i] for i in running for _ in (0, 1, 2)], rho, 3)
         still = []
-        for i, row in zip(running, values):
-            if row is None:
+        for i, k in zip(running, range(0, len(points), 3)):
+            if t1[k] is None:
                 lost(i)
                 continue
-            f, q_up, q_down = [t1 - t2 for t1, t2 in row]
+            f, q_up, q_down = t1[k] - t2[k], t1[k + 1] - t2[k + 1], t1[k + 2] - t2[k + 2]
             try:
                 fp = (q_up - q_down) / (2 * FD_STEP)
                 if fp == 0 or not (abs(f) < math.inf and abs(fp) < math.inf):
@@ -291,14 +293,13 @@ def _refine_all(
                 lost(i)
         running = still
     stopped = sorted(stopped + running)
-    values = _q_rows(n, [(w[i],) for i in stopped], [wells[i] for i in stopped])
-    for i, row in zip(stopped, values):
+    t1, t2 = _q_rows(n, [w[i] for i in stopped], [depths[i] for i in stopped], rho, 1)
+    for i, a, b in zip(stopped, t1, t2):
         residual = math.inf
-        if row is not None:
-            ((t1, t2),) = row
+        if a is not None:
             try:
-                scale = abs(t1) + abs(t2)
-                residual = abs(t1 - t2) / scale if scale > 0 else math.inf
+                scale = abs(a) + abs(b)
+                residual = abs(a - b) / scale if scale > 0 else math.inf
             except OverflowError:
                 pass
         records[i] = _record(epsilons[i], starts[i], SurfacePoint(w[i]), residual)
@@ -391,8 +392,9 @@ def track(
     eps_list = tuple(eps_list)
     # every guess and well is built before any refinement, so a bad grid
     # point raises before work is done; the guesses go first, so an eps that
-    # is not one finite nonzero real number is reported by name
-    guesses = [initial_guess(ell, e, family, kind) for e in eps_list]
+    # is not one finite nonzero real number is reported by name, and the
+    # family's structure is checked once
+    guesses = _guesses(ell, eps_list, family, kind)
     eps_tuple = tuple(float(e) for e in eps_list)
     _validate_eps_grid(eps_tuple)
     wells = [family.well(e) for e in eps_tuple]

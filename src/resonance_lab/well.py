@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import (SurfacePoint, _cover_pair, _finite, _integer, _positive, _principal_pair,
+from .cylinder import (SurfacePoint, _cover_pair, _reduced, _finite, _integer, _positive,
                        bessel_j, hankel)
 from .errors import BranchError, DomainError, MatchError, SingularityError
 
@@ -143,15 +143,19 @@ def _q_terms(ell: int, point: SurfacePoint, a: float, rho: float) -> tuple[compl
 def _q_lists(n: int, ws: list, depths: list, rho: float) -> tuple[list, list]:
     """The two terms of Q_n at each logarithm of ws, each point in a well of
     radius rho and of its own depth in depths, as lists of Python complex:
-    H^(1) at lambda rho (first, as in _edge), mu and J at rho mu, one scipy
-    call per Bessel function, then Python complex arithmetic at each point."""
+    lambda rho checked and reduced first, as hankel does in _edge, then
+    lambda, mu and rho mu at each point, and H^(1) at lambda rho with J at
+    rho mu from one _cover_pair call (one jv call over both J argument
+    lists, one yv call), then Python complex arithmetic at each point."""
     shift = math.log(rho)
-    h0, h1 = _cover_pair(1, n, [x + shift for x in ws])
+    n, z0, sheets = _reduced(n, [x + shift for x in ws])
     lam = [cmath.exp(x) for x in ws]
     m = [_mu(x, d) for x, d in zip(lam, depths)]
-    j0, j1 = _principal_pair("j", n, [rho * x for x in m])
-    t1 = [x * y * z for x, y, z in zip(m, j1, h0)]
-    t2 = [x * y * z for x, y, z in zip(lam, j0, h1)]
+    # H_n, H_{n-1} at lambda rho, then J_n, J_{n-1} at rho mu
+    c0, c_low = _cover_pair(1, n, z0, sheets, [rho * x for x in m])
+    k = len(ws)
+    t1 = [x * y * z for x, y, z in zip(m, c_low[k:], c0)]
+    t2 = [x * y * z for x, y, z in zip(lam, c0[k:], c_low)]
     return t1, t2
 
 

@@ -13,13 +13,18 @@ It also keeps finder's Newton refinement as it ran before track refined its
 asymptotic guesses in lockstep: one scalar chain per start, one point after
 the other, from public calls only.  The lockstep track must give the same
 records, bit for bit.
+
+And it writes the two terms of Q_n out one point at a time, straight from
+scipy's jv and yv, so the list body's bits are pinned by something other
+than its own one-point case.
 """
 
+import cmath
 import dataclasses
 import math
 import warnings
 
-from scipy.special import jv
+from scipy.special import jv, yv
 
 from resonance_lab import (
     Classification,
@@ -76,6 +81,31 @@ def sigma_alternate_form(ell: int, lam: float, well: Well) -> float:
     big_a = m * j_low * ej - lam * j * ej_low
     big_b = m * j_low * y - lam * j * y_low
     return (2.0 * well.a * well.a) / (math.pi**2 * lam) * j_low * j_high / (big_a * big_a + big_b * big_b)
+
+
+def q_terms_per_point(n: int, w: complex, a: float, rho: float) -> tuple[complex, complex]:
+    """(t1, t2) of Q_n at the point of the cover with logarithm w, in the well of
+    depth a and radius rho, one scipy call per order and Bessel function: H^(1)
+    at lambda rho continued from arg in (-pi/2, pi/2] by the connection
+    formulas, mu from cmath.sqrt, J at rho mu on the float path where rho mu is
+    real and positive, then t1 = mu J_{n-1} H_n and t2 = lambda J_n H_{n-1} in
+    Python complex arithmetic."""
+    at = w + math.log(rho)
+    m = math.ceil((at.imag - math.pi / 2) / math.pi - 1e-15)
+    z0 = cmath.exp(complex(at.real, at.imag - m * math.pi))
+    lam = cmath.exp(w)
+    mu = cmath.sqrt(lam * lam + a * a)
+    z = rho * mu
+    h, j = [], []
+    for order in (n, n - 1):
+        jk, yk = complex(jv(order, z0)), complex(yv(order, z0))
+        if m:
+            sign = -1.0 if (m * order) % 2 else 1.0
+            jk, yk = sign * jk, sign * (yk + 2j * m * jk)
+        h.append(jk + 1j * yk)
+        real = z.imag == 0.0 and z.real > 0.0
+        j.append(complex(jv(order, z.real)) if real else complex(jv(order, z)))
+    return mu * j[1] * h[0], lam * j[0] * h[1]
 
 
 def _not_found(eps: float, guess: SurfacePoint, last: SurfacePoint) -> ResonanceRecord:

@@ -493,9 +493,12 @@ def test_lockstep_track_keeps_basin_range_and_drift_records(monkeypatch):
         0.09: SurfacePoint.from_polar(0.5, 0.75),
         0.11: SurfacePoint.from_polar(0.5, 1.0),
     }
-    guess_of = finder.initial_guess
+    # track and initial_guess both take their guesses from _guesses
+    guesses_of = finder._guesses
     monkeypatch.setattr(
-        finder, "initial_guess", lambda ell, eps, fam, k: odd.get(eps) or guess_of(ell, eps, fam, k)
+        finder,
+        "_guesses",
+        lambda ell, grid, fam, k: [odd.get(e) or g for e, g in zip(grid, guesses_of(ell, grid, fam, k))],
     )
     grid_raised = []
     q_lists = finder._q_lists
@@ -522,9 +525,12 @@ def test_lockstep_track_keeps_basin_range_and_drift_records(monkeypatch):
     assert out_of_range.refined.modulus > 100
 
 
-def test_each_newton_step_makes_three_scipy_calls(monkeypatch):
-    # J and Y at lambda rho, and J at rho mu, each one call over all points
-    # of a step, for one start and for several; the residual step as well
+def test_each_newton_step_makes_one_jv_and_one_yv_call(monkeypatch):
+    # J at lambda rho and at rho mu is one jv call over all points of a step,
+    # Y at lambda rho one yv call, for one start and for several; the
+    # residual step as well.  A step with real positive rho mu (a real
+    # lambda, as a persist-sqrt guess on sheet 0 at eps > 0 is) makes one
+    # more jv call, on floats, for those points
     calls = []
     for kind in (cylinder.jv, cylinder.yv):
 
@@ -536,24 +542,57 @@ def test_each_newton_step_makes_three_scipy_calls(monkeypatch):
     steps = []
     q_rows = finder._q_rows
 
-    def spy(*args, **kwargs):
+    def spy(n, points, *args):
         calls.clear()
-        out = q_rows(*args, **kwargs)
-        steps.append(sorted(calls))
+        out = q_rows(n, points, *args)
+        steps.append((sorted(calls), any(w.imag == 0 for w in points)))
         return out
 
     monkeypatch.setattr(finder, "_q_rows", spy)
-    eps = (0.05, 0.07, 0.09, 0.11)
-    kind = GuessKind.persist_lw(-1)
-    starts = [initial_guess(1, e, FAM_P, kind) for e in eps]
-    wells = [FAM_P.well(e) for e in eps]
-    for k in (1, len(eps)):
-        steps.clear()
-        records = finder._refine_all(1, starts[:k], wells[:k], eps[:k])
-        assert all(r.classification is Classification.RESONANCE for r in records)
-        # at least one Newton step, then the residuals
-        assert len(steps) >= 2
-        assert steps == [["jv", "jv", "yv"]] * len(steps)
+    for ell, family, kind, eps in (
+        (1, FAM_P, GuessKind.persist_lw(-1), (0.05, 0.07, 0.09, 0.11)),
+        (2, FAM_S, GuessKind.persist_sqrt(0), (0.04, 0.09)),
+    ):
+        starts = [initial_guess(ell, e, family, kind) for e in eps]
+        wells = [family.well(e) for e in eps]
+        for k in (1, len(eps)):
+            steps.clear()
+            records = finder._refine_all(ell, starts[:k], wells[:k], eps[:k])
+            assert all(r.classification is Classification.RESONANCE for r in records)
+            # at least one Newton step, then the residuals
+            assert len(steps) >= 2
+            for got, real in steps:
+                assert got == (["jv", "jv", "yv"] if real else ["jv", "yv"])
+    # the sheet-0 guesses are real, so the first step took the float path
+    assert steps[0][1]
+
+
+def test_track_checks_the_family_structure_once(monkeypatch):
+    # the structure of a family does not depend on eps: one check per track,
+    # and one per initial_guess called alone
+    modes = []
+    kind_of = finder.zero_energy_kind
+    monkeypatch.setattr(finder, "zero_energy_kind", lambda ell, well: modes.append(ell) or kind_of(ell, well))
+    for ell, kind in ((1, GuessKind.persist_lw(-1)), (2, GuessKind.persist_sqrt(0))):
+        modes.clear()
+        track(ell, FAMILY_OF[ell], QUAD_GRID, kind)
+        assert modes == [ell]
+        modes.clear()
+        initial_guess(ell, 0.09, FAMILY_OF[ell], kind)
+        assert modes == [ell]
+
+
+def test_a_disappearing0_guess_at_lambda_0_is_a_range_error(monkeypatch):
+    # 2/(rho^2 eps) overflows, or rho^2 eps underflows to 0: lambda = e^w
+    # would be 0, which has no logarithm
+    cases = ((FAM_S, -1e-308), (FAM_S, -5e-324), (CouplingFamily(FAM_S.a0 * 1e200, rho=1e-200), -0.1))
+    for family, eps in cases:
+        with pytest.raises(RangeError, match=f"eps {eps!r} is too small"):
+            initial_guess(0, eps, family, GuessKind.disappearing0())
+    # a track raises before it refines anything
+    monkeypatch.setattr(finder, "_refine_all", None)
+    with pytest.raises(RangeError, match="eps -1e-308 is too small"):
+        track(0, FAM_S, [-1e-308, -0.1], GuessKind.disappearing0())
 
 
 def test_a_guess_whose_value_underflows_is_not_found():

@@ -34,7 +34,7 @@ from resonance_lab import (
 )
 from resonance_lab import finder
 from resonance_lab.well import _q_lists, _q_terms
-from equivalent_forms import q_derivative_form
+from equivalent_forms import q_derivative_form, q_terms_per_point
 from oracles import mu_by_path, s_matrix_real_form
 
 J01 = bessel_zero(0, 1)
@@ -220,21 +220,22 @@ def test_q_with_one_depth_per_point_is_the_scalar_calls_bit_for_bit(ell, rho, po
     got = [x - y for x, y in zip(b1, b2)]
     # int64 words, so that signed zeros count
     assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
-    # finder's layout: a Newton row (w, w + h, w - h) per point in its own
-    # well, and one row that leaves |lambda rho| <= 100, which reads None
-    # while the others keep their bits
+    # finder's layout: a flat list of Newton rows (w, w + h, w - h), one per
+    # point in its own well, and one row that leaves |lambda rho| <= 100,
+    # which reads None while the others keep their bits
     rows = [(w, w + 1e-7, w - 1e-7) for w in logs]
-    wells = [Well(p[2], rho) for p in points]
+    depths = [p[2] for p in points]
     at = outside % (len(rows) + 1)
     rows.insert(at, (complex(math.log(150.0 / rho), 1.0),) * 3)
-    wells.insert(at, Well(2.0, rho))
-    terms = finder._q_rows(ell, rows, wells)
-    assert terms.pop(at) is None
-    del rows[at], wells[at]
+    depths.insert(at, 2.0)
+    flat = list(zip(*finder._q_rows(ell, [x for row in rows for x in row], [a for a in depths for _ in range(3)], rho, 3)))
+    terms = [flat[k : k + 3] for k in range(0, len(flat), 3)]
+    assert terms.pop(at) == [(None, None)] * 3
+    del rows[at], depths[at]
     # the (t1, t2) pairs are _q_terms', and Q = t1 - t2 is char_q's
     q = [[t1 - t2 for t1, t2 in row] for row in terms]
     for got, scalar in ((terms, _q_terms), (q, lambda n, x, a, rho: char_q(n, x, Well(a, rho)))):
-        want = [[scalar(ell, SurfacePoint(x), well.a, rho) for x in row] for row, well in zip(rows, wells)]
+        want = [[scalar(ell, SurfacePoint(x), a, rho) for x in row] for row, a in zip(rows, depths)]
         assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
 
 
@@ -254,9 +255,12 @@ def test_q_rows_are_the_scalar_calls_on_every_sheet(ell):
     for extra in (0, 1):
         call_rows = rows[:3] + [outside] * extra + rows[3:]
         call_wells = wells[:3] + [well] * extra + wells[3:]
-        terms = finder._q_rows(ell, call_rows, call_wells)
+        points = [x for row in call_rows for x in row]
+        depths = [w.a for w in call_wells for _ in range(3)]
+        flat = list(zip(*finder._q_rows(ell, points, depths, rho, 3)))
+        terms = [flat[k : k + 3] for k in range(0, len(flat), 3)]
         if extra:
-            assert terms.pop(3) is None
+            assert terms.pop(3) == [(None, None)] * 3
         # Q is t1 - t2 of the returned pairs, and its scale |t1| + |t2|
         q = [[t1 - t2 for t1, t2 in row] for row in terms]
         scale = [[abs(t1) + abs(t2) for t1, t2 in row] for row in terms]
@@ -267,6 +271,43 @@ def test_q_rows_are_the_scalar_calls_on_every_sheet(ell):
             # and each row as a grid, whose arithmetic is numpy's
             grid = [fn(ell, SurfacePoint(np.array(row)), w) for row, w in zip(rows, wells)]
             assert_near_the_scalar_calls(grid, got, scale)
+
+
+@given(
+    ell=st.integers(0, 12),
+    rho=st.floats(0.5, 2.0),
+    # |lambda| <= 3 on sheets -2..2 or at argument 0, where rho mu is real and
+    # positive and J takes its float path; each point in a well of its own depth
+    points=st.lists(
+        st.tuples(
+            st.floats(1e-3, 3.0),
+            st.one_of(
+                st.just(0.0),
+                st.builds(lambda m, t: m * math.pi + t, st.integers(-2, 2), st.floats(-math.pi / 2, math.pi / 2)),
+            ),
+            st.floats(0.5, 6.0),
+        ),
+        min_size=1,
+        max_size=9,
+    ),
+)
+def test_q_lists_and_rows_are_the_per_point_reference_bit_for_bit(ell, rho, points):
+    # the reference calls scipy once per point, order and Bessel function,
+    # so it pins the list body's bits without going through char_q
+    logs = [SurfacePoint.from_polar(*p[:2]).log_value for p in points]
+    depths = [p[2] for p in points]
+    want = [q_terms_per_point(ell, w, a, rho) for w, a in zip(logs, depths)]
+    got = list(zip(*_q_lists(ell, logs, depths, rho)))
+    # int64 words, so that signed zeros count
+    assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+    # finder's layout: a flat list of Newton rows (w, w + h, w - h), one per
+    # point in its own well
+    h = finder.FD_STEP
+    flat = [x for w in logs for x in (w, w + h, w - h)]
+    flat_depths = [a for a in depths for _ in range(3)]
+    got = list(zip(*finder._q_rows(ell, flat, flat_depths, rho, 3)))
+    want = [q_terms_per_point(ell, x, a, rho) for x, a in zip(flat, flat_depths)]
+    assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
 
 
 def test_resonant_state_keeps_its_bits():
