@@ -16,27 +16,27 @@ m times.  Principal-sheet values come from scipy.special (real Y: cephes
 yn; complex Y: AMOS yv; J: jv); derivatives use the downward recurrence
 C'_ell = C_{ell-1} - (ell/z) C_ell, evaluated when a caller first reads one.
 
-Every call evaluates one integer order.  One argument is the one-element
-case of a list body (_cover_pair, _principal_pair), which the finder calls
-with many: values computed in Python complex arithmetic at each element,
-from one jv call over both J argument lists (points of the cover, and the
-principal-phase arguments that follow them) and one yv call (AMOS, Amos
-ACM TOMS 644 1986, and cephes give the same bits per element as for one
-argument).  A SurfacePoint may also hold a whole array of logarithms, a
-grid; hankel then evaluates every point in one call, as bessel_j and
-bessel_y do for an array of complex arguments, and returns the bits of one
-call per point.  A grid call makes one scipy call per Bessel function over
-both orders n, n-1 of all its points; scipy's loops release the GIL, so a
-large grid's call is split into chunks that run on the threads of one pool,
-made at import (it starts a thread only when a chunk is first submitted), at
-most one chunk per CPU the process may use, each writing its part of one
+Every call evaluates one integer order.  Each public kernel has one body,
+which works on arrays; one argument is its 0-d case, returned as Python
+complex.  A SurfacePoint may hold one logarithm or an array of them, a grid,
+which hankel evaluates in one call, as bessel_j and bessel_y do an array of
+complex arguments; each element has the bits of the call at that point
+alone.  A call makes one scipy call per Bessel function over both orders n,
+n-1 of all its points, and bessel_j and bessel_y one more over their real
+positive arguments, as floats (AMOS, Amos ACM TOMS 644 1986, and cephes give
+the same bits per element as for one argument).  scipy's loops release the
+GIL, so a large grid's call is split into chunks that run on the threads of
+one pool, made at import (it starts no thread until a chunk is submitted),
+at most one chunk per CPU the process may use, each writing its part of one
 output, with the same bits and no option to set.  An order table makes one
 scipy call over all its orders and arguments, on the calling thread: real Y
-and J cost too little per element there for a thread to pay.  The cover
-path has one function per form: _cover_pair for a list, _on_grid for a grid,
-whose continuation is numpy's own complex arithmetic; its products here are
-exact or round once, as CPython's do.  An array derivative is the scalar
-expression evaluated at each element.
+and J cost too little per element there for a thread to pay.  The
+continuation on the cover is numpy's complex arithmetic, whose products here
+are exact or round once, as CPython's do; a derivative is the scalar
+expression at each element.  Only the finder's Newton rows take a list
+body, _cover_pair: H^(1) at points of the cover and J at the principal-phase
+arguments after them, from one jv and one yv call, then Python complex
+arithmetic at each element, with the bits of the public calls.
 """
 
 from __future__ import annotations
@@ -70,6 +70,9 @@ MAX_ABS_ARGUMENT = 100.0
 # points of the cover are checked in log scale: exp(log 100) is 100.00000000000004
 _LOG_MIN_ABS_ARGUMENT = math.log(MIN_ABS_ARGUMENT)
 _LOG_MAX_ABS_ARGUMENT = math.log(MAX_ABS_ARGUMENT)
+# reducing a phase theta by m*pi in floats moves it by about |theta| * 1e-16: H^(1)_0 at |z|
+# in [0.2, 3] was up to 5e-10 off mpmath at |theta| near 2^20, 3e-7 near 1e9, 2e-4 near 1e12
+MAX_ABS_PHASE = 2.0**20
 MAX_ORDER = 80
 MAX_ZERO_ORDER = 20
 MAX_ZERO_INDEX = 20
@@ -222,6 +225,12 @@ def _checked_order(ell, moduli: list, log: bool = False):
     return n
 
 
+def _extremes(x: np.ndarray) -> list:
+    """The least and the largest element of x as Python floats, for a range
+    check to test and to report; none for an empty x, and NaN if x holds one."""
+    return [float(x.min()), float(x.max())] if x.size else []
+
+
 def _complex(re, im) -> np.ndarray:
     """The complex array re + i*im, broadcast over both and built without
     arithmetic, so no part is rounded and no signed zero changes."""
@@ -233,7 +242,10 @@ def _complex(re, im) -> np.ndarray:
 def _value(ell, at, c0, c_low) -> CylinderValue:
     """The CylinderValue of C_n, C_{n-1} at n = |ell| and argument at (z, or a
     point of the cover), odd negative orders reflected; scipy supplies
-    C_{-1} = -C_1, so n = 0 needs no special case."""
+    C_{-1} = -C_1, so n = 0 needs no special case.  A 0-d result, the call
+    at one argument, is returned as Python complex."""
+    if np.ndim(c0) == 0:
+        c0, c_low = complex(c0), complex(c_low)
     return CylinderValue(-c0 if ell < 0 and ell % 2 else c0, c_low, ell, at)
 
 
@@ -297,7 +309,7 @@ def _grid_pair(kind, n: int, z: np.ndarray) -> np.ndarray:
     grid.  A ufunc is elementwise, so every element has the bits of the one
     call."""
     orders, x = _ORDER_PAIRS[n], z.ravel()
-    parts = min(_cpus(), len(x) // MIN_CHUNK_POINTS)
+    parts = min(_cpus(), len(x) // MIN_CHUNK_POINTS) if len(x) >= 2 * MIN_CHUNK_POINTS else 1
     if parts < 2:
         return kind(orders, x).reshape((2,) + z.shape)
     out = np.empty((2, len(x)), np.result_type(x, 1.0))
@@ -312,67 +324,36 @@ def _grid_pair(kind, n: int, z: np.ndarray) -> np.ndarray:
     return out.reshape((2,) + z.shape)
 
 
-def _finite_on_cover(n: int, c0, c_low) -> None:
-    """RangeError unless C_n and C_{n-1} (arrays, or lists) are finite: at
-    small |z| and high order |Y_n(z)| ~ (n-1)! (2/|z|)^n / pi exceeds the
-    largest float inside the validated range, and J +- iY turns that into NaN."""
-    if isinstance(c0, np.ndarray):
-        finite = np.isfinite(c0).all() and np.isfinite(c_low).all()
-    else:
-        finite = all(map(cmath.isfinite, c0 + c_low))
-    if not finite:
+def _finite_on_cover(n: int, c) -> None:
+    """RangeError unless every C_n and C_{n-1} in c (an array, or a list) is
+    finite: at small |z| and high order |Y_n(z)| ~ (n-1)! (2/|z|)^n / pi
+    exceeds the largest float inside the validated range, and J +- iY turns
+    that into NaN."""
+    if not (np.isfinite(c).all() if isinstance(c, np.ndarray) else all(map(cmath.isfinite, c))):
         raise RangeError(f"order {n}: a cylinder value overflows at this point of the cover")
 
 
+@np.errstate(all="ignore")
 def _principal(kind: str, ell, z, log_modulus=None) -> CylinderValue:
-    """J (kind "j") or Y ("y") at principal phase: one number, the
-    one-element case of _principal_pair; arrays in _principal_grid.  z = e^w
-    for one point w of the cover comes with log_modulus = Re w, checked."""
-    if isinstance(z, np.ndarray) and z.dtype.kind in "iufc":
-        return _principal_grid(kind, ell, np.asarray(z, complex))
-    if not isinstance(z, numbers.Number):
+    """J (kind "j") or Y ("y") at principal phase, at one number or at each
+    element of an array, with one range check for all: real positive
+    elements on the real path and the others as complex, each evaluated
+    once.  One number is the 0-d case.  z = e^w for one point w of the
+    cover comes with log_modulus = Re w, which is checked in place of |z|."""
+    if not (isinstance(z, numbers.Number) or isinstance(z, np.ndarray) and z.dtype.kind in "iufc"):
         raise DomainError(f"argument {z!r} is neither a number nor an array of numbers")
-    z = complex(z)
+    z = np.asarray(z, complex)
     if log_modulus is None:
-        n = _checked_order(ell, [abs(z)])
+        n = _checked_order(ell, _extremes(np.hypot(z.real, z.imag)))
     else:
         n = _checked_order(ell, [log_modulus], log=True)
-    (c0,), (c_low,) = _principal_pair(kind, n, [z])
-    return _value(ell, z, c0, c_low)
-
-
-def _principal_pair(kind: str, n: int, zs: list, head: list = []) -> tuple[list, list]:
-    """J or Y (kind "j", "y") of orders n and n - 1, unreflected, as lists
-    over the Python complex head and then zs at principal phase, whose range
-    the caller has checked: one scipy call over head and the zs off the
-    positive real axis, and one over the real positive zs, as floats, which
-    keeps Im exactly 0."""
-    real = [x.imag == 0.0 and x.real > 0.0 for x in zs]
-    if not any(real):
-        return _pair(_scipy(kind, False), n, head + zs)
-    args = head + [x for x, r in zip(zs, real) if not r]
-    off = zip(*_pair(_scipy(kind, False), n, args)) if args else iter(())
-    on = zip(*_pair(_scipy(kind, True), n, [x.real for x, r in zip(zs, real) if r]))
-    pairs = [next(off) for _ in head] + [tuple(map(complex, next(on))) if r else next(off) for r in real]
-    c0, c_low = zip(*pairs)
-    return list(c0), list(c_low)
-
-
-@np.errstate(all="ignore")
-def _principal_grid(kind: str, ell, z: np.ndarray) -> CylinderValue:
-    """_principal over a complex array, one range check for all elements:
-    the scalar calls' bits, real positive elements on the real path and the
-    others as complex, each evaluated once."""
-    modulus = np.hypot(z.real, z.imag)
-    n = _checked_order(ell, [modulus.min(initial=1.0), modulus.max(initial=1.0)])
-    real = (z.imag == 0.0) & (z.real > 0.0)
-    if not real.any():
-        return _value(ell, z, *_grid_pair(_scipy(kind, False), n, z))
-    c = np.empty((2,) + z.shape, complex)
-    for part, values, on_real in ((real, z.real, True), (~real, z, False)):
+    x = z.ravel()
+    real = (x.imag == 0.0) & (x.real > 0.0)
+    c = np.empty((2, x.size), complex)
+    for part, values, on_real in ((real, x.real, True), (~real, x, False)):
         if part.any():
             c[:, part] = _grid_pair(_scipy(kind, on_real), n, values[part])
-    return _value(ell, z, *c)
+    return _value(ell, z, *c.reshape((2,) + z.shape))
 
 
 def bessel_j(ell, z) -> CylinderValue:
@@ -414,9 +395,9 @@ def bessel_y(ell, z) -> CylinderValue:
     if isinstance(w, np.ndarray):
         raise DomainError("bessel_y takes one point of the cover")
     if not -math.pi < w.imag <= math.pi:
-        return _on_cover(0, ell, z)
+        return _on_grid(0, ell, z)
     y = _principal("y", ell, z.value, w.real)
-    _finite_on_cover(abs(ell), [y.value], [y.low])
+    _finite_on_cover(abs(ell), [y.value, y.low])
     return y
 
 
@@ -429,7 +410,7 @@ def order_table(kind: str, top: np.ndarray, x: np.ndarray, spare: int = 0) -> np
     and bessel_y (real Y: cephes yn; J: jv)."""
     if kind not in ("j", "y") or (x <= 0).any() or top.min(initial=0) < 0:
         raise DomainError(f"an order table needs kind 'j' or 'y' ({kind!r}), tops >= 0 and x > 0")
-    _checked_order(top.max(initial=0), [x.min(initial=1.0), x.max(initial=1.0)])
+    _checked_order(top.max(initial=0), _extremes(x))
     height = top.max(initial=0) + spare + 2
     row, col = np.nonzero(np.arange(height)[:, None] <= top + spare + 1)
     rows = np.zeros((height, len(x)))
@@ -441,10 +422,13 @@ def _reduce_argument(theta: float) -> tuple[float, int]:
     """Write theta = theta0 + m*pi with theta0 in (-pi/2, pi/2].
 
     The tiny guard keeps exact boundary values (theta = pi/2 + k*pi) on the
-    sheet below instead of flipping on rounding noise.
+    sheet below instead of flipping on rounding noise.  A phase that is not
+    finite is a DomainError, and one past MAX_ABS_PHASE a RangeError.
     """
-    if not math.isfinite(theta):
-        raise DomainError(f"argument {theta} must be finite")
+    if not -MAX_ABS_PHASE <= theta <= MAX_ABS_PHASE:
+        if not math.isfinite(theta):
+            raise DomainError(f"argument {theta} must be finite")
+        raise RangeError(f"phase {theta!r} outside validated range |arg z| <= {MAX_ABS_PHASE!r}")
     m = math.ceil((theta - math.pi / 2) / math.pi - 1e-15)
     return theta - m * math.pi, m
 
@@ -459,7 +443,8 @@ def hankel(kind: int, ell, point: SurfacePoint | complex) -> CylinderValue:
     ell : int
         One order; negative orders are reflected.
     point : SurfacePoint or complex
-        Argument with MIN_ABS_ARGUMENT <= |z| <= 100, checked on log|z|.
+        Argument with MIN_ABS_ARGUMENT <= |z| <= 100, checked on log|z|,
+        and |arg z| <= MAX_ABS_PHASE.
         A plain complex number is lifted at principal phase.  A
         SurfacePoint holding an array is a grid of points that gives
         complex arrays, bit-equal to the calls at each point, with one
@@ -477,17 +462,7 @@ def hankel(kind: int, ell, point: SurfacePoint | complex) -> CylinderValue:
         raise DomainError("kind must be 1 or 2")
     if not isinstance(point, SurfacePoint):
         point = SurfacePoint.from_complex(point)
-    return _on_cover(kind, ell, point)
-
-
-def _on_cover(kind: int, ell, point: SurfacePoint) -> CylinderValue:
-    """Y_ell (kind 0) or H_ell^(kind) (kind 1, 2) at a point of the cover:
-    the one-element case of _cover_pair; grids in _on_grid."""
-    w = point.log_value
-    if isinstance(w, np.ndarray):
-        return _on_grid(kind, ell, point)
-    (c0,), (c_low,) = _cover_pair(kind, *_reduced(ell, [w]))
-    return _value(ell, point, c0, c_low)
+    return _on_grid(kind, ell, point)
 
 
 def _reduced(ell, ws: list) -> tuple[int, list, list]:
@@ -502,17 +477,22 @@ def _reduced(ell, ws: list) -> tuple[int, list, list]:
     return n, z0, m
 
 
-def _cover_pair(kind: int, n: int, z0: list, m: list, zs: list = []) -> tuple[list, list]:
-    """Y (kind 0) or H^(kind) (kind 1, 2) of orders n and n - 1, unreflected,
-    as lists over points of the cover that _reduced has checked and reduced
-    to z0 and m, followed in each list by J of the same orders at the
-    principal-phase arguments zs, which are checked here.  J at every z0 and
-    every z of zs is one jv call (_principal_pair: real positive zs take one
-    more, on floats), and Y at every z0 one yv call.  J and Y at z0 are
-    continued m times by the connection formulas and give J +- iY; a value
-    that overflows is a RangeError, and then so is a z outside the validated
-    range."""
-    j, y = _principal_pair("j", n, zs, z0), _pair(yv, n, z0)
+def _cover_pair(n: int, z0: list, m: list, zs: list = []) -> tuple[list, list]:
+    """H^(1) of orders n and n - 1, unreflected, as lists over points of the
+    cover that _reduced has checked and reduced to z0 and m, followed in each
+    list by J of the same orders at the principal-phase arguments zs, which
+    are checked here: the finder's list body, which well._q_lists calls.  J
+    at every z0 and every z of zs is one jv call, and Y at every z0 one yv
+    call; J at the real positive zs, rare in the finder's steps, is taken
+    again from one more jv call, on floats, which keeps Im exactly 0.  J and
+    Y at z0 are continued m times by the connection formulas and give J + iY;
+    a value that overflows is a RangeError, and then so is a z outside the
+    validated range."""
+    real = [k for k, x in enumerate(zs) if x.imag == 0.0 and x.real > 0.0]
+    j, y = _pair(jv, n, z0 + zs), _pair(yv, n, z0)
+    if real:
+        for k, (c0, c1) in zip(real, zip(*_pair(jv, n, [zs[k].real for k in real]))):
+            j[0][len(z0) + k], j[1][len(z0) + k] = complex(c0), complex(c1)
     if any(m):
         for order, j_row, y_row in zip((n, n - 1), j, y):
             for k, mk in enumerate(m):
@@ -521,27 +501,25 @@ def _cover_pair(kind: int, n: int, z0: list, m: list, zs: list = []) -> tuple[li
                     jk, yk = j_row[k], y_row[k]
                     j_row[k], y_row[k] = sign * jk, sign * (yk + 2j * mk * jk)
     (j0, j1), (y0, y1) = j, y
-    if kind == 0:
-        c0, c_low = y0, y1
-    elif kind == 1:
-        c0, c_low = [a + 1j * b for a, b in zip(j0, y0)], [a + 1j * b for a, b in zip(j1, y1)]
-    else:
-        c0, c_low = [a - 1j * b for a, b in zip(j0, y0)], [a - 1j * b for a, b in zip(j1, y1)]
-    _finite_on_cover(n, c0, c_low)
+    c0, c_low = [a + 1j * b for a, b in zip(j0, y0)], [a + 1j * b for a, b in zip(j1, y1)]
+    _finite_on_cover(n, c0 + c_low)
     _checked_order(n, [abs(x) for x in zs])
     return c0 + j0[len(z0):], c_low + j1[len(z0):]
 
 
 @np.errstate(all="ignore")
 def _on_grid(kind: int, ell, point: SurfacePoint) -> CylinderValue:
-    """H_ell^(kind) (kind 1, 2) as _cover_pair at each point of a grid, in
-    numpy arithmetic by element, with one range check for all."""
-    w = point.log_value
-    n = _checked_order(ell, [w.real.min(initial=0.0), w.real.max(initial=0.0)], log=True)
-    if not np.isfinite(w.imag).all():
-        raise DomainError("arguments must be finite")
-    m = np.ceil((w.imag - math.pi / 2) / math.pi - 1e-15)
-    z0 = np.exp(_complex(w.real, w.imag - m * math.pi))
+    """Y_ell (kind 0) or H_ell^(kind) (kind 1, 2) at the one point of the
+    cover that point holds, or at each point of its grid, with one range
+    check for all, in numpy arithmetic by element: as _reduced and
+    _cover_pair do for a list, with the same bits.  One point is the 0-d
+    case."""
+    w = np.asarray(point.log_value)
+    n = _checked_order(ell, _extremes(w.real), log=True)
+    for theta in _extremes(w.imag):  # _reduce_argument's checks, at the extreme phases
+        _reduce_argument(theta)
+    m = np.ceil((w.imag - math.pi / 2) / math.pi - 1e-15).ravel()
+    z0 = np.exp(_complex(w.real.ravel(), w.imag.ravel() - m * math.pi))
     j, y = _grid_pair(jv, n, z0), _grid_pair(yv, n, z0)
     moved = m != 0
     if moved.any():
@@ -549,9 +527,11 @@ def _on_grid(kind: int, ell, point: SurfacePoint) -> CylinderValue:
         sign = np.where((m * _ORDER_PAIRS[n]) % 2, -1.0, 1.0)
         y[:, moved] = sign * (y[:, moved] + 2j * m * jm)
         j[:, moved] = sign * jm
-    (np.add if kind == 1 else np.subtract)(j, 1j * y, out=j)
-    _finite_on_cover(n, j[0], j[1])
-    return _value(ell, point, j[0], j[1])
+    if kind:
+        (np.add if kind == 1 else np.subtract)(j, 1j * y, out=j)
+    c = (j if kind else y).reshape((2,) + w.shape)
+    _finite_on_cover(n, c)
+    return _value(ell, point, c[0], c[1])
 
 
 def bessel_zero(ell: int, k: int) -> float:

@@ -19,9 +19,11 @@ observable (warned) event rather than a silent wraparound.  A track refines
 all its guesses in lockstep, one batched Q evaluation per Newton step, with
 the records of one chain per guess; its continuation from the previous root
 runs point after point through refine.  Each Q evaluation is one call of
-well's list body over flat lists of points and depths, which returns the
-two terms (t1, t2) of Q at each: one jv and one yv call, and the scalar
-arithmetic at each point, so t1 - t2 has the bits of a char_q call there.
+well's list body, _q_lists, over flat lists of points and depths; the
+finder is its one caller.  It returns the two terms (t1, t2) of Q at each
+point: one jv and one yv call, and Python complex arithmetic at each point,
+so t1 - t2 has the bits of a char_q call there, whose scalar form is the
+0-d case of the array body.
 A track checks its family's zero-energy structure once.
 Every record, found or not, is built in one place, which alone decides
 NOT_FOUND.

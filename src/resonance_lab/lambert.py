@@ -18,7 +18,7 @@ import math
 from scipy.special import lambertw as _lambertw
 
 from .cylinder import _finite, _integer
-from .errors import DomainError
+from .errors import DomainError, RangeError
 
 # w e^w has its real branch point at -1/e; scipy returns NaN exactly there
 # on branches 0 and -1, where the true value is -1
@@ -32,7 +32,8 @@ def lambert_w(n: int, x: complex) -> complex:
     Parameters
     ----------
     n : int
-        Branch index; a non-integer (1.5, or even 1.0) is a DomainError.
+        Branch index; a non-integer (1.5, or even 1.0) is a DomainError, and
+        one outside the 64-bit integers that scipy takes a RangeError.
     x : complex
         Finite argument; x = 0 is valid only on the principal branch
         (W_0(0) = 0).
@@ -49,8 +50,10 @@ def lambert_w(n: int, x: complex) -> complex:
         raise DomainError("W_n is unbounded at x = 0 for n != 0")
     if n in (0, -1) and abs(x - _BRANCH_POINT) <= _BRANCH_POINT_TOL:
         return complex(-1.0)
-    w = complex(_lambertw(x, n))
-    return w
+    try:
+        return complex(_lambertw(x, n))
+    except OverflowError:  # scipy converts n to a C long
+        raise RangeError(f"branch index {n} outside [-2**63, 2**63 - 1], the C long scipy takes") from None
 
 
 def branch_limit_check(n: int, sign: str) -> float:

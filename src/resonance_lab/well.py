@@ -117,7 +117,7 @@ def _one_point(lam, what: str) -> None:
 def _edge(ell: int, point: SurfacePoint, a: float, rho: float):
     """(lambda, mu, J_n(rho mu), H_n^(1)(lambda rho)) at n = |ell| in the
     well of depth a and radius rho, at one point or over a grid: the edge
-    values that Q's grid form and the resonant state are built from.
+    values that Q and the resonant state are built from.
     hankel goes first, so a non-finite phase or a non-integer order is
     rejected before point.value is read."""
     n = abs(ell)
@@ -129,13 +129,10 @@ def _edge(ell: int, point: SurfacePoint, a: float, rho: float):
 
 def _q_terms(ell: int, point: SurfacePoint, a: float, rho: float) -> tuple[complex, complex]:
     """The two terms whose difference is Q_ell; |t1| + |t2| is the scale.
-    ell is one order and a the depth.  One point is the one-element case of
-    _q_lists; a grid gives arrays, from _edge in numpy's arithmetic under
-    the caller's np.errstate."""
-    w = point.log_value
-    if not isinstance(w, np.ndarray):
-        (t1,), (t2,) = _q_lists(abs(ell), [w], [a], rho)
-        return t1, t2
+    ell is one order and a the depth.  From _edge: one point gives Python
+    complex terms, in Python's arithmetic, with the bits of _q_lists there;
+    a grid gives arrays, in numpy's arithmetic under the caller's
+    np.errstate."""
     lam, m, j, h = _edge(ell, point, a, rho)
     return m * j.low * h.value, lam * j.value * h.low
 
@@ -143,16 +140,18 @@ def _q_terms(ell: int, point: SurfacePoint, a: float, rho: float) -> tuple[compl
 def _q_lists(n: int, ws: list, depths: list, rho: float) -> tuple[list, list]:
     """The two terms of Q_n at each logarithm of ws, each point in a well of
     radius rho and of its own depth in depths, as lists of Python complex:
-    lambda rho checked and reduced first, as hankel does in _edge, then
-    lambda, mu and rho mu at each point, and H^(1) at lambda rho with J at
-    rho mu from one _cover_pair call (one jv call over both J argument
-    lists, one yv call), then Python complex arithmetic at each point."""
+    the list body that only the finder's Newton rows take, with the bits of
+    _q_terms at each point.  lambda rho is checked and reduced first, as
+    hankel does in _edge, then lambda, mu and rho mu at each point, and
+    H^(1) at lambda rho with J at rho mu from one _cover_pair call (one jv
+    call over both J argument lists, one yv call), then Python complex
+    arithmetic at each point."""
     shift = math.log(rho)
     n, z0, sheets = _reduced(n, [x + shift for x in ws])
     lam = [cmath.exp(x) for x in ws]
     m = [_mu(x, d) for x, d in zip(lam, depths)]
     # H_n, H_{n-1} at lambda rho, then J_n, J_{n-1} at rho mu
-    c0, c_low = _cover_pair(1, n, z0, sheets, [rho * x for x in m])
+    c0, c_low = _cover_pair(n, z0, sheets, [rho * x for x in m])
     k = len(ws)
     t1 = [x * y * z for x, y, z in zip(m, c_low[k:], c0)]
     t2 = [x * y * z for x, y, z in zip(lam, c0[k:], c_low)]

@@ -24,15 +24,17 @@ from resonance_lab import (
     bessel_y,
     bessel_zero,
     char_q,
+    char_q_scale,
     hankel,
+    sector_scan,
 )
 from resonance_lab import cylinder
 from resonance_lab.cylinder import (
     EULER_GAMMA,
+    MAX_ABS_PHASE,
     MIN_CHUNK_POINTS,
     _cover_pair,
     _grid_pair,
-    _principal_pair,
     _reduce_argument,
     _reduced,
     _value,
@@ -129,6 +131,39 @@ def test_surface_point_scaled_keeps_argument():
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             p.scaled(bad)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_a_phase_past_the_bound_is_a_range_error(sign):
+    # the reduction by m pi loses about |theta| * 1e-16: unchecked, 1e16 would
+    # give theta0 = 2.0, outside (-pi/2, pi/2], and 3e16 a meaningless sheet
+    bound = sign * MAX_ABS_PHASE
+    past = math.nextafter(bound, sign * math.inf)
+    theta0, m = _reduce_argument(bound)
+    assert -PI / 2 < theta0 <= PI / 2 and abs(m) == 333772
+    grid = SurfacePoint(np.array([0.0, complex(0.0, bound)]))
+    inside = [lambda: hankel(1, 0, SurfacePoint(complex(0.0, bound))), lambda: hankel(2, 3, grid),
+              lambda: bessel_y(1, SurfacePoint(complex(0.0, bound))), lambda: char_q(1, grid, Well(2.0))]
+    for call in inside:
+        got = call()
+        assert np.isfinite(getattr(got, "value", got)).all()
+    message = f"phase {past!r} outside validated range |arg z| <= {MAX_ABS_PHASE!r}"
+    for theta in (sign * 1e16, sign * 3e16):
+        with pytest.raises(RangeError, match="outside validated range"):
+            _reduce_argument(theta)
+    grid = SurfacePoint(np.array([0.0, complex(0.0, past)]))
+    for call in (
+        lambda: _reduce_argument(past),
+        lambda: _reduced(0, [0j, complex(0.0, past)]),
+        lambda: hankel(1, 0, SurfacePoint(complex(0.0, past))),
+        lambda: hankel(2, 3, grid),
+        lambda: bessel_y(1, SurfacePoint(complex(0.0, past))),
+        lambda: char_q(1, SurfacePoint(complex(0.0, past)), Well(2.0)),
+        lambda: char_q(1, grid, Well(2.0)),
+    ):
+        with pytest.raises(RangeError) as error:
+            call()
+        assert str(error.value) == message
 
 
 def test_reduce_argument_half_open_convention():
@@ -411,7 +446,7 @@ def test_array_arguments_match_scalar_calls():
         for ell in range(-3, 9):
             ones = [fn(ell, float(x)) for x in xs]
             for one, x in zip(ones, xs):
-                assert type(one.value) is complex and type(one.derivative) is complex
+                assert type(one.value) is type(one.derivative) is type(one.low) is complex
                 assert one.value.imag == one.derivative.imag == one.low.imag == 0.0
                 assert one.low == fn(abs(ell) - 1, float(x)).value
             # float and complex arrays give the scalar calls' bits; Im = 0
@@ -580,6 +615,24 @@ def test_domain_and_range_errors():
         with pytest.raises(RangeError):
             call()
     assert bessel_j(3, 1e-320).value == 0
+    # an array call reports its least and largest |z| or log|z| as Python floats
+    cover = f"outside validated range [{math.log(cylinder.MIN_ABS_ARGUMENT)!r}, {math.log(100.0)!r}]"
+    for call, message in (
+        (lambda: bessel_j(0, np.array([150.0, 200.0])), "|z| in [150.0, 200.0] outside validated range [0.0, 100.0]"),
+        (lambda: bessel_j(0, 150.0), "|z| in [150.0, 150.0] outside validated range [0.0, 100.0]"),
+        (lambda: order_table("y", np.array([1, 2]), np.array([200.0, 150.0])),
+         "|z| in [150.0, 200.0] outside validated range [0.0, 100.0]"),
+        (lambda: hankel(2, 0, SurfacePoint.from_polar(np.array([150.0, 200.0]), 0.3)),
+         f"log|z| in [{math.log(150.0)!r}, {math.log(200.0)!r}] {cover}"),
+        (lambda: sector_scan(Well(3.8), 1e3, 10, 3), f"log|z| in [{math.log(100.0)!r}, {math.log(1e3)!r}] {cover}"),
+    ):
+        with pytest.raises(RangeError) as error:
+            call()
+        assert str(error.value) == message
+    # and an empty array passes every check
+    assert bessel_j(0, np.array([])).value.shape == (0,)
+    assert hankel(1, 0, SurfacePoint(np.array([], complex))).value.shape == (0,)
+    assert order_table("j", np.array([], int), np.array([])).shape == (2, 0)
     with pytest.raises(RangeError):
         bessel_zero(21, 1)
     with pytest.raises(RangeError):
@@ -594,7 +647,7 @@ def test_values_that_overflow_on_the_cover_are_range_errors():
         lambda: hankel(1, 80, point),
         lambda: hankel(2, 3, SurfacePoint.from_polar(1e-200, 0.3)),
         lambda: hankel(1, 80, SurfacePoint.from_polar(np.array([0.5, 1e-3]), 0.3)),
-        lambda: _cover_pair(1, *_reduced(80, [complex(-0.5, 0.3), point.log_value])),
+        lambda: _cover_pair(*_reduced(80, [complex(-0.5, 0.3), point.log_value])),
         lambda: bessel_y(80, point),
         lambda: bessel_y(80, SurfacePoint.from_polar(1e-3, 4.0)),
         lambda: char_q(80, point, Well(2.0)),
@@ -651,10 +704,10 @@ def test_grid_calls_equal_the_scalar_calls_bit_for_bit(ell, grid):
     # _reduced has checked and reduced them
     logs = [p.log_value for p in singles]
     for kind in (1, 2):
-        for many in (
-            lambda: hankel(kind, ell, points),
-            lambda: listed(ell, [p.value for p in singles], _cover_pair(kind, *_reduced(ell, logs))),
-        ):
+        bodies = [lambda: hankel(kind, ell, points)]
+        if kind == 1:  # the finder's list body, which evaluates H^(1) alone
+            bodies.append(lambda: listed(ell, [p.value for p in singles], _cover_pair(*_reduced(ell, logs))))
+        for many in bodies:
             table = cover_call(many, ell, [r for r, _ in grid])
             if table is None:
                 # a grid or list raises where one of its points raises alone
@@ -678,11 +731,11 @@ def test_grid_calls_equal_the_scalar_calls_bit_for_bit(ell, grid):
     # bessel_j and bessel_y over the grid's values, a complex array
     z = points.value
     z = z[np.hypot(z.real, z.imag) <= 100.0]
-    for fn, kind in ((bessel_j, "j"), (bessel_y, "y")):
-        for table in (fn(ell, z), listed(ell, z, _principal_pair(kind, abs(ell), z.tolist()))):
-            for part in ("value", "derivative", "low"):
-                want = [getattr(fn(ell, complex(x)), part) for x in z]
-                assert np.array_equal(bits(getattr(table, part)), bits(want))
+    for fn in (bessel_j, bessel_y):
+        table = fn(ell, z)
+        for part in ("value", "derivative", "low"):
+            want = [getattr(fn(ell, complex(x)), part) for x in z]
+            assert np.array_equal(bits(getattr(table, part)), bits(want))
 
 
 # ---------------------------------------------------------------------------
@@ -848,8 +901,14 @@ def test_derivatives_read_later_keep_their_bits(ell, modulus, arg):
     if modulus <= 100.0:
         calls += [(fn(ell, modulus), complex(modulus)) for fn in (bessel_j, bessel_y)]
     for c, at in calls:
-        assert type(c.derivative) is complex
+        # numpy's complex128 subclasses complex: only the type shows a 0-d result left unwrapped
+        assert type(c.value) is type(c.derivative) is type(c.low) is complex
         assert np.array_equal(bits([c.derivative]), bits([derivative_by_recurrence(ell, c, at)]))
+    # Q and its scale at one point, where |mu| = |sqrt(lambda^2 + 4)| stays inside the range
+    if modulus <= 50.0:
+        for fn, kind in ((char_q, complex), (char_q_scale, float)):
+            got = cover_call(lambda: fn(ell, point, Well(2.0)), ell, [modulus])
+            assert got is None or type(got) is kind
 
 
 def test_derivatives_have_the_bits_they_had_when_computed_with_every_call():

@@ -595,6 +595,21 @@ def test_a_disappearing0_guess_at_lambda_0_is_a_range_error(monkeypatch):
         track(0, FAM_S, [-1e-308, -0.1], GuessKind.disappearing0())
 
 
+def test_a_guess_past_the_phase_bound_is_not_found():
+    # branch n puts the persist-lw guess near arg pi n: n = 333000 is inside
+    # MAX_ABS_PHASE = 2^20 and refines, n = +-334000 is past it, where every
+    # Q evaluation is a RangeError and Newton stops at the guess
+    for n, found in ((333000, True), (334000, False), (-334000, False)):
+        trk = track(1, FAM_P, (0.09, 0.1), GuessKind.persist_lw(n))
+        for r in trk.records:
+            assert (abs(r.guess.argument) > cylinder.MAX_ABS_PHASE) is not found
+            if found:
+                assert r.classification is Classification.RESONANCE
+            else:
+                assert r.classification is Classification.NOT_FOUND
+                assert r.refined == r.guess and r.residual == math.inf
+
+
 def test_a_guess_whose_value_underflows_is_not_found():
     # |lambda| ~ e^-2000 underflows to 0, where Q is NaN: Newton stops at the guess
     trk = track(0, FAM_S, (-0.001, -0.002), GuessKind.disappearing0())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from resonance_lab import DomainError, branch_limit_check, lambert_w
+from resonance_lab import DomainError, RangeError, branch_limit_check, lambert_w
 
 import oracles
 
@@ -50,6 +50,16 @@ def test_zero_rejected_off_principal_branch():
 def test_non_integer_branch_is_a_domain_error(n):
     with pytest.raises(DomainError, match="branch index"):
         lambert_w(n, 0.3)
+
+
+def test_a_branch_index_past_a_c_long_is_a_range_error():
+    # scipy converts the index to a C long: past it, a bare OverflowError
+    for n in (2**63, -(2**63) - 1, 10**20):
+        with pytest.raises(RangeError, match=f"branch index {n} outside"):
+            lambert_w(n, 1.0)
+    for n in (2**63 - 1, -(2**63)):
+        w = lambert_w(n, 1.0)
+        assert math.isfinite(w.real) and abs(w.imag) > 5e19
 
 
 def test_residual_on_reference_grid():

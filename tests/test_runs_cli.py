@@ -466,6 +466,15 @@ def test_config_errors_exit_one_without_output(argv, tmp_path, capsys):
         pytest.param(["bessel-eval", "j", "3", "1e-320", "0"], id="bessel-j-subnormal"),
         # inside the validated range, but Y_80(0.001) overflows a float
         pytest.param(["bessel-eval", "h1", "80", "0.001", "0.3"], id="bessel-h1-overflow"),
+        # a phase past MAX_ABS_PHASE = 2^20, whose reduction by m pi is not accurate
+        pytest.param(["bessel-eval", "h1", "0", "1", "1e17"], id="bessel-h1-phase-past-the-bound"),
+        pytest.param(["bessel-eval", "y", "0", "1", "-1048577"], id="bessel-y-phase-past-the-bound"),
+        # scipy takes a branch index that fits a C long alone
+        pytest.param(["lambert-eval", "100000000000000000000", "1", "0"], id="lambert-branch-too-large"),
+        pytest.param(
+            ["track", "--l", "1", "--a0sq-from-zero", "0", "--eps-grid", "0.09", "--branch", "100000000000000000000"],
+            id="track-branch-too-large",
+        ),
         pytest.param(["lambert-eval", "0", "nan", "0"], id="lambert-re-nan"),
         pytest.param(["lambert-eval", "1", "0", "nan"], id="lambert-im-nan"),
         pytest.param(["lambert-eval", "--", "-1", "inf", "0"], id="lambert-re-inf"),
