@@ -6,15 +6,20 @@ of the Riemann surface of the logarithm, plus real Bessel zeros j_{ell,k}.
 
 Points of the surface are represented by their logarithm, so arguments keep
 an unrestricted phase and two points whose phases differ by 2*pi stay
-distinct.  Evaluation reduces the phase to the best-conditioned half-plane
-theta in (-pi/2, pi/2] and applies the integer-order connection formulas
+distinct.  A point enters every body in that form (hankel, bessel_j and
+bessel_y take one, the finder's list body a list of them), and the body that
+evaluates it checks log|z| and |arg z|.  Evaluation reduces the phase to the
+best-conditioned half-plane theta in (-pi/2, pi/2] and applies the
+integer-order connection formulas
 
     J_ell(z e^{i m pi}) = (-1)^{m ell} J_ell(z),
     Y_ell(z e^{i m pi}) = (-1)^{m ell} [Y_ell(z) + 2 i m J_ell(z)],
 
-m times.  Principal-sheet values come from scipy.special (real Y: cephes
-yn; complex Y: AMOS yv; J: jv); derivatives use the downward recurrence
-C'_ell = C_{ell-1} - (ell/z) C_ell, evaluated when a caller first reads one.
+m times; J is single-valued, so J at a point is J at e^w, as Y is on the
+principal sheet.  Principal-sheet values come from scipy.special (real Y:
+cephes yn; complex Y: AMOS yv; J: jv); derivatives use the downward
+recurrence C'_ell = C_{ell-1} - (ell/z) C_ell, evaluated when a caller first
+reads one.
 
 Every call evaluates one integer order.  Each public kernel has one body,
 which works on arrays; one argument is its 0-d case, returned as Python
@@ -34,9 +39,10 @@ and J cost too little per element there for a thread to pay.  The
 continuation on the cover is numpy's complex arithmetic, whose products here
 are exact or round once, as CPython's do; a derivative is the scalar
 expression at each element.  Only the finder's Newton rows take a list
-body, _cover_pair: H^(1) at points of the cover and J at the principal-phase
-arguments after them, from one jv and one yv call, then Python complex
-arithmetic at each element, with the bits of the public calls.
+body, _cover_pair: H^(1) at points of the cover, given by their logarithms,
+and J at the principal-phase arguments after them, from one jv and one yv
+call, then Python complex arithmetic at each element, with the bits of the
+public calls.
 """
 
 from __future__ import annotations
@@ -176,17 +182,30 @@ def _integer(value, what: str) -> None:
 
 def _positive(value, what: str) -> None:
     """DomainError unless value is one real number with 0 < value < inf; an
-    array, a string, nan and inf are rejected."""
-    if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+    array, a string, nan, inf and an int no float holds are rejected."""
+    if not (isinstance(value, numbers.Real) and 0 < value <= sys.float_info.max):
         raise DomainError(f"{what} {value!r} must be one positive finite number")
 
 
 def _finite(value, what: str, kind=numbers.Number, nonzero: bool = False) -> None:
     """DomainError unless value is one finite number of kind (numbers.Real for a real one),
-    and not 0 if nonzero; an array, a string, nan and inf are rejected."""
-    if not (isinstance(value, kind) and cmath.isfinite(value) and not (nonzero and value == 0)):
+    and not 0 if nonzero; an array, a string, nan, inf and an int no float holds are rejected."""
+    big = sys.float_info.max
+    if not (isinstance(value, kind) and abs(value.real) <= big and abs(value.imag) <= big
+            and not (nonzero and value == 0)):
         raise DomainError(f"{what} {value!r} must be one finite "
                           f"{'nonzero ' if nonzero else ''}{kind.__name__.lower()}")
+
+
+def _as_point(lam) -> SurfacePoint:
+    """lam as a point of the cover: a number is lifted at principal phase."""
+    return lam if isinstance(lam, SurfacePoint) else SurfacePoint.from_complex(lam)
+
+
+def _one_point(lam, what: str) -> None:
+    """DomainError unless lam is one SurfacePoint, not a number or a grid."""
+    if not isinstance(lam, SurfacePoint) or isinstance(lam.log_value, np.ndarray):
+        raise DomainError(f"{what} {lam!r} is not one SurfacePoint")
 
 
 def _real_grid(value, what: str) -> np.ndarray:
@@ -334,25 +353,39 @@ def _finite_on_cover(n: int, c) -> None:
 
 
 @np.errstate(all="ignore")
-def _principal(kind: str, ell, z, log_modulus=None) -> CylinderValue:
+def _principal(kind: str, ell, z) -> CylinderValue:
     """J (kind "j") or Y ("y") at principal phase, at one number or at each
     element of an array, with one range check for all: real positive
     elements on the real path and the others as complex, each evaluated
-    once.  One number is the 0-d case.  z = e^w for one point w of the
-    cover comes with log_modulus = Re w, which is checked in place of |z|."""
-    if not (isinstance(z, numbers.Number) or isinstance(z, np.ndarray) and z.dtype.kind in "iufc"):
-        raise DomainError(f"argument {z!r} is neither a number nor an array of numbers")
-    z = np.asarray(z, complex)
-    if log_modulus is None:
+    once.  One number is the 0-d case.  At one point w of the cover, log|z|
+    and |arg z| are checked; Y off the principal sheet is continued on the
+    cover, and otherwise both kinds are read at e^w, where a value that
+    overflows is a RangeError."""
+    point = isinstance(z, SurfacePoint)
+    if point:
+        _one_point(z, f"bessel_{kind} argument")
+        w = z.log_value
+        if kind == "y" and not -math.pi < w.imag <= math.pi:
+            return _on_grid(0, ell, z)
+        n = _checked_order(ell, [w.real], log=True)
+        _reduce_argument(w.imag)
+        z = np.asarray(z.value)
+    elif isinstance(z, numbers.Number) or isinstance(z, np.ndarray) and z.dtype.kind in "iufc":
+        try:
+            z = np.asarray(z, complex)
+        except OverflowError:  # a Python int past the largest float: as inf, past the range
+            z = np.asarray(math.inf, complex)
         n = _checked_order(ell, _extremes(np.hypot(z.real, z.imag)))
     else:
-        n = _checked_order(ell, [log_modulus], log=True)
+        raise DomainError(f"argument {z!r} is neither a number nor an array of numbers")
     x = z.ravel()
     real = (x.imag == 0.0) & (x.real > 0.0)
     c = np.empty((2, x.size), complex)
     for part, values, on_real in ((real, x.real, True), (~real, x, False)):
         if part.any():
             c[:, part] = _grid_pair(_scipy(kind, on_real), n, values[part])
+    if point:
+        _finite_on_cover(n, c)
     return _value(ell, z, *c.reshape((2,) + z.shape))
 
 
@@ -364,9 +397,12 @@ def bessel_j(ell, z) -> CylinderValue:
     ell : int
         One order; negative orders are reflected via J_{-ell} = (-1)^ell J_ell.
         An array of orders is a DomainError: order_table evaluates many.
-    z : complex, or array of float or complex
+    z : complex, array of float or complex, or SurfacePoint
         Nonzero argument with |z| <= 100; below MIN_ABS_ARGUMENT the
         values are returned, but reading the derivative raises RangeError.
+        One SurfacePoint (a grid is a DomainError) is checked on log|z|
+        and |arg z|, as in hankel, and read at its value e^w, J being
+        single-valued; a value that overflows there is a RangeError.
 
     Returns
     -------
@@ -383,22 +419,10 @@ def bessel_y(ell, z) -> CylinderValue:
     """Y_ell(z) and Y'_ell(z) at principal phase; conventions as bessel_j.
 
     Real Y: cephes yn, finite wherever |Y| is; complex Y: AMOS yv; J: jv.
-
-    z may also be one SurfacePoint (a grid is a DomainError):
-    off the principal sheet (arg z outside (-pi, pi]) Y is continued by the
-    connection formula, as in hankel.  At a SurfacePoint, a value or low
-    that overflows is a RangeError, as in hankel.
+    At one SurfacePoint off the principal sheet (arg z outside (-pi, pi])
+    Y is continued by the connection formula, as in hankel.
     """
-    if not isinstance(z, SurfacePoint):
-        return _principal("y", ell, z)
-    w = z.log_value
-    if isinstance(w, np.ndarray):
-        raise DomainError("bessel_y takes one point of the cover")
-    if not -math.pi < w.imag <= math.pi:
-        return _on_grid(0, ell, z)
-    y = _principal("y", ell, z.value, w.real)
-    _finite_on_cover(abs(ell), [y.value, y.low])
-    return y
+    return _principal("y", ell, z)
 
 
 @np.errstate(all="ignore")
@@ -460,34 +484,27 @@ def hankel(kind: int, ell, point: SurfacePoint | complex) -> CylinderValue:
     _integer(kind, "Hankel kind")
     if kind not in (1, 2):
         raise DomainError("kind must be 1 or 2")
-    if not isinstance(point, SurfacePoint):
-        point = SurfacePoint.from_complex(point)
-    return _on_grid(kind, ell, point)
+    return _on_grid(kind, ell, _as_point(point))
 
 
-def _reduced(ell, ws: list) -> tuple[int, list, list]:
-    """(|ell|, z0, m): each logarithm w of ws reduced to z0 = e^{w - i m pi}, arg z0 in
-    (-pi/2, pi/2], after one range check for the order and every log|z|."""
-    n = _checked_order(ell, [x.real for x in ws], log=True)
+def _cover_pair(n: int, ws: list, zs: list) -> tuple[list, list]:
+    """H^(1) of orders |n| and |n| - 1, unreflected, as lists over the points
+    of the cover whose logarithms are ws, followed in each list by J of the
+    same orders at the principal-phase arguments zs: the finder's list body,
+    which well._q_lists calls.  After one range check for the order and
+    every log|z|, each w is reduced to z0 = e^{w - i m pi}, arg z0 in
+    (-pi/2, pi/2].  J at every z0 and every z of zs is one jv call, and Y at
+    every z0 one yv call; J at the real positive zs, rare in the finder's
+    steps, is taken again from one more jv call, on floats, which keeps Im
+    exactly 0.  J and Y at z0 are continued m times by the connection
+    formulas and give J + iY; a value that overflows is a RangeError, and
+    then so is a z outside the validated range."""
+    n = _checked_order(n, [x.real for x in ws], log=True)
     z0, m = [], []
     for x in ws:
         theta0, k = _reduce_argument(x.imag)
         z0.append(cmath.exp(complex(x.real, theta0)))
         m.append(k)
-    return n, z0, m
-
-
-def _cover_pair(n: int, z0: list, m: list, zs: list = []) -> tuple[list, list]:
-    """H^(1) of orders n and n - 1, unreflected, as lists over points of the
-    cover that _reduced has checked and reduced to z0 and m, followed in each
-    list by J of the same orders at the principal-phase arguments zs, which
-    are checked here: the finder's list body, which well._q_lists calls.  J
-    at every z0 and every z of zs is one jv call, and Y at every z0 one yv
-    call; J at the real positive zs, rare in the finder's steps, is taken
-    again from one more jv call, on floats, which keeps Im exactly 0.  J and
-    Y at z0 are continued m times by the connection formulas and give J + iY;
-    a value that overflows is a RangeError, and then so is a z outside the
-    validated range."""
     real = [k for k, x in enumerate(zs) if x.imag == 0.0 and x.real > 0.0]
     j, y = _pair(jv, n, z0 + zs), _pair(yv, n, z0)
     if real:
@@ -511,9 +528,8 @@ def _cover_pair(n: int, z0: list, m: list, zs: list = []) -> tuple[list, list]:
 def _on_grid(kind: int, ell, point: SurfacePoint) -> CylinderValue:
     """Y_ell (kind 0) or H_ell^(kind) (kind 1, 2) at the one point of the
     cover that point holds, or at each point of its grid, with one range
-    check for all, in numpy arithmetic by element: as _reduced and
-    _cover_pair do for a list, with the same bits.  One point is the 0-d
-    case."""
+    check for all, in numpy arithmetic by element: as _cover_pair does for
+    a list, with the same bits.  One point is the 0-d case."""
     w = np.asarray(point.log_value)
     n = _checked_order(ell, _extremes(w.real), log=True)
     for theta in _extremes(w.imag):  # _reduce_argument's checks, at the extreme phases

@@ -14,6 +14,7 @@ be a sum of Lorentzians at the lambda_k plus a flat -L/pi background.
 from __future__ import annotations
 
 import math
+import sys
 
 from .cylinder import _integer, _positive
 from .errors import DomainError, RangeError
@@ -44,12 +45,19 @@ def delta_phase_derivative(a: float, lam: float) -> float:
 
     The textbook form -1/pi + (1/pi)(a + lambda^2 csc^2)/((a + lambda cot)^2
     + lambda^2) is multiplied through by sin^2(lambda), removing the
-    cot/csc singularities (they are removable in the combination).
+    cot/csc singularities (they are removable in the combination).  It is a
+    RangeError where its numerator or denominator is no positive normal float.
     """
     _positive(a, "delta strength a")
     _positive(lam, "lambda")
-    s = math.sin(lam)
-    c = math.cos(lam)
-    num = a * s * s + lam * lam
-    den = (a * s + lam * c) ** 2 + lam * lam * s * s
+    a, lam = float(a), float(lam)
+    s, c = math.sin(lam), math.cos(lam)
+    try:
+        num = a * s * s + lam * lam
+        den = (a * s + lam * c) ** 2 + lam * lam * s * s
+    except OverflowError:
+        num = den = math.inf
+    if not (sys.float_info.min <= num < math.inf and sys.float_info.min <= den < math.inf):
+        raise RangeError(f"sigma' at a = {a!r}, lambda = {lam!r} is outside the float range "
+                         "of its sin^2-multiplied form")
     return -1.0 / math.pi + num / (math.pi * den)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import EULER_GAMMA, SurfacePoint, _cpus, _finite, _integer, _positive
+from .cylinder import EULER_GAMMA, SurfacePoint, _cpus, _finite, _integer, _one_point, _positive
 from .errors import (
     DomainError,
     Inconclusive,
@@ -53,7 +53,6 @@ from .well import (
     CouplingFamily,
     Well,
     ZeroEnergyKind,
-    _one_point,
     _q_lists,
     char_q,
     zero_energy_kind,
@@ -363,6 +362,7 @@ def refine(
     so every step is one Q evaluation of three points.  guess must be one
     SurfacePoint (DomainError otherwise).
     """
+    _integer(ell, "mode")
     _one_point(guess, "guess")
     return _refine_all(abs(ell), [guess], [well], [epsilon])[0]
 

@@ -30,8 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cylinder import (EULER_GAMMA, MIN_ABS_ARGUMENT, _finite, _integer, _positive, _real_grid,
-                       order_table)
+from .cylinder import (EULER_GAMMA, MAX_ORDER, MIN_ABS_ARGUMENT, _finite, _integer, _positive,
+                       _real_grid, order_table)
 from .errors import DomainError, QuadratureError, RangeError
 from .well import Well, ZeroEnergyKind, zero_energy_kind
 
@@ -266,6 +266,8 @@ class PhaseTable:
             _integer(include_modes, "include_modes")
             if include_modes < 0:
                 raise DomainError(f"include_modes = {include_modes} must be >= 0")
+            if include_modes > MAX_ORDER:
+                raise RangeError(f"include_modes = {include_modes} past the largest order {MAX_ORDER}")
         (table, _), totals, l_max = _phase_table(grid, well, include_modes or 0)
         per_mode = None if include_modes is None else dict(enumerate(table[: include_modes + 1]))
         return cls(lambda_grid=grid, total=totals, l_max=l_max, per_mode=per_mode)

@@ -16,6 +16,7 @@ also emits a gnuplot-dialect script referencing the CSVs it wrote.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -246,15 +247,11 @@ class BesselEvalSpec:
     arg_z: float
 
     def run(self, out_dir: Path, name: str) -> RunResult:
-        if self.kind not in ("j", "y", "h1", "h2"):
+        kernel = {"j": bessel_j, "y": bessel_y, "h1": functools.partial(hankel, 1),
+                  "h2": functools.partial(hankel, 2)}.get(self.kind)
+        if kernel is None:
             raise ConfigError(f"kind must be one of j, y, h1, h2, got {self.kind!r}")
-        pt = SurfacePoint.from_polar(self.abs_z, self.arg_z)
-        if self.kind == "j":
-            cv = bessel_j(self.ell, pt.value)
-        elif self.kind == "y":
-            cv = bessel_y(self.ell, pt)
-        else:
-            cv = hankel(1 if self.kind == "h1" else 2, self.ell, pt)
+        cv = kernel(self.ell, SurfacePoint.from_polar(self.abs_z, self.arg_z))
         header = ("kind", "ell", "abs_z", "arg_z", "re_value", "im_value",
                   "re_derivative", "im_derivative")
         row = (self.kind, self.ell, self.abs_z, self.arg_z, cv.value.real,

@@ -14,6 +14,10 @@ derivative at r = rho produces:
 
 Depth families are parameterized as a^2(eps) = a0^2 - eps, so eps < 0
 deepens the well and eps > 0 makes it shallower.
+
+Each entry checks the mode before it reads the edge; the cylinder body that
+evaluates a point of the cover checks log|lambda rho| and its phase, for the
+finder's list body (_q_lists, over logarithms) as for char_q.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import (SurfacePoint, _cover_pair, _reduced, _finite, _integer, _positive,
+from .cylinder import (SurfacePoint, _as_point, _cover_pair, _finite, _integer, _one_point, _positive,
                        bessel_j, hankel)
 from .errors import BranchError, DomainError, MatchError, SingularityError
 
@@ -104,22 +108,13 @@ def _mu(x: complex, a) -> complex:
     return cmath.sqrt(radicand)
 
 
-def _as_point(lam: SurfacePoint | complex) -> SurfacePoint:
-    return lam if isinstance(lam, SurfacePoint) else SurfacePoint.from_complex(lam)
-
-
-def _one_point(lam, what: str) -> None:
-    """DomainError unless lam is one SurfacePoint, not a number or a grid."""
-    if not isinstance(lam, SurfacePoint) or isinstance(lam.log_value, np.ndarray):
-        raise DomainError(f"{what} {lam!r} is not one SurfacePoint")
-
-
 def _edge(ell: int, point: SurfacePoint, a: float, rho: float):
     """(lambda, mu, J_n(rho mu), H_n^(1)(lambda rho)) at n = |ell| in the
     well of depth a and radius rho, at one point or over a grid: the edge
     values that Q and the resonant state are built from.
-    hankel goes first, so a non-finite phase or a non-integer order is
+    The mode is checked first, then hankel goes, so a non-finite phase is
     rejected before point.value is read."""
+    _integer(ell, "mode")
     n = abs(ell)
     h = hankel(1, n, point.scaled(rho))
     lam = point.value
@@ -141,17 +136,17 @@ def _q_lists(n: int, ws: list, depths: list, rho: float) -> tuple[list, list]:
     """The two terms of Q_n at each logarithm of ws, each point in a well of
     radius rho and of its own depth in depths, as lists of Python complex:
     the list body that only the finder's Newton rows take, with the bits of
-    _q_terms at each point.  lambda rho is checked and reduced first, as
-    hankel does in _edge, then lambda, mu and rho mu at each point, and
-    H^(1) at lambda rho with J at rho mu from one _cover_pair call (one jv
-    call over both J argument lists, one yv call), then Python complex
-    arithmetic at each point."""
-    shift = math.log(rho)
-    n, z0, sheets = _reduced(n, [x + shift for x in ws])
+    _q_terms at each point.  lambda, mu and rho mu come first at each point
+    (an OverflowError there and a RangeError below both cost the finder the
+    row), then H^(1) at lambda rho, checked on the cover as hankel checks
+    it, with J at rho mu from one _cover_pair call (one jv call over both J
+    argument lists, one yv call), then Python complex arithmetic at each
+    point."""
     lam = [cmath.exp(x) for x in ws]
     m = [_mu(x, d) for x, d in zip(lam, depths)]
+    shift = math.log(rho)
     # H_n, H_{n-1} at lambda rho, then J_n, J_{n-1} at rho mu
-    c0, c_low = _cover_pair(n, z0, sheets, [rho * x for x in m])
+    c0, c_low = _cover_pair(n, [x + shift for x in ws], [rho * x for x in m])
     k = len(ws)
     t1 = [x * y * z for x, y, z in zip(m, c_low[k:], c0)]
     t2 = [x * y * z for x, y, z in zip(lam, c0[k:], c_low)]
@@ -237,8 +232,8 @@ def resonant_state(
     """
     _positive(r, "radius r")
     _one_point(lam, "lambda")
-    n = abs(ell)
     lam_value, m, j, h = _edge(ell, lam, well.a, well.rho)
+    n = abs(ell)
     if abs(j.value) <= 1e-290:
         raise MatchError("interior solution vanishes at the edge; cannot match")
     t1, t2 = m * j.derivative * h.value, lam_value * j.value * h.derivative

@@ -38,6 +38,8 @@ from resonance_lab import (
     bessel_zero,
     branch_limit_check,
     breit_wigner_overlay,
+    char_q,
+    char_q_scale,
     delta_phase_derivative,
     delta_resonance,
     hankel,
@@ -46,6 +48,7 @@ from resonance_lab import (
     mode_tail_bound,
     mu,
     phase_shift_derivative,
+    refine,
     resonant_state,
     run,
     s_matrix_eigenvalue,
@@ -87,6 +90,8 @@ NOT_POSITIVE = {
     "inf": math.inf,
     "zero": 0.0,
     "negative": -1.0,
+    # 0 < 10**400 < inf holds for a Python int, which no float can hold
+    "huge-int": 10**400,
 }
 
 
@@ -117,6 +122,7 @@ NOT_FINITE = {
     "string": "0.1",
     "nan": math.nan,
     "inf": math.inf,
+    "huge-int": 10**400,
 }
 
 
@@ -139,6 +145,11 @@ INTEGER_ENTRY_POINTS = {
     "hankel-kind": lambda n: hankel(n, 0, 1 + 1j),
     "branch_limit_check-n": lambda n: branch_limit_check(n, "up"),
     "phase_shift_derivative-mode": lambda n: phase_shift_derivative(n, 0.3, WELL),
+    "char_q-mode": lambda n: char_q(n, 0.3, WELL),
+    "char_q_scale-mode": lambda n: char_q_scale(n, 0.3, WELL),
+    "s_matrix_eigenvalue-mode": lambda n: s_matrix_eigenvalue(n, 0.3, WELL),
+    "resonant_state-mode": lambda n: resonant_state(n, SurfacePoint.from_complex(0.3j), WELL, 0.5),
+    "refine-mode": lambda n: refine(n, SurfacePoint.from_complex(0.3j), WELL),
 }
 
 NOT_INTEGER = {

@@ -36,7 +36,6 @@ from resonance_lab.cylinder import (
     _cover_pair,
     _grid_pair,
     _reduce_argument,
-    _reduced,
     _value,
     order_table,
 )
@@ -143,7 +142,8 @@ def test_a_phase_past_the_bound_is_a_range_error(sign):
     assert -PI / 2 < theta0 <= PI / 2 and abs(m) == 333772
     grid = SurfacePoint(np.array([0.0, complex(0.0, bound)]))
     inside = [lambda: hankel(1, 0, SurfacePoint(complex(0.0, bound))), lambda: hankel(2, 3, grid),
-              lambda: bessel_y(1, SurfacePoint(complex(0.0, bound))), lambda: char_q(1, grid, Well(2.0))]
+              lambda: bessel_y(1, SurfacePoint(complex(0.0, bound))), lambda: char_q(1, grid, Well(2.0)),
+              lambda: bessel_j(1, SurfacePoint(complex(0.0, bound)))]
     for call in inside:
         got = call()
         assert np.isfinite(getattr(got, "value", got)).all()
@@ -154,10 +154,11 @@ def test_a_phase_past_the_bound_is_a_range_error(sign):
     grid = SurfacePoint(np.array([0.0, complex(0.0, past)]))
     for call in (
         lambda: _reduce_argument(past),
-        lambda: _reduced(0, [0j, complex(0.0, past)]),
+        lambda: _cover_pair(0, [0j, complex(0.0, past)], []),
         lambda: hankel(1, 0, SurfacePoint(complex(0.0, past))),
         lambda: hankel(2, 3, grid),
         lambda: bessel_y(1, SurfacePoint(complex(0.0, past))),
+        lambda: bessel_j(1, SurfacePoint(complex(0.0, past))),
         lambda: char_q(1, SurfacePoint(complex(0.0, past)), Well(2.0)),
         lambda: char_q(1, grid, Well(2.0)),
     ):
@@ -478,8 +479,9 @@ def test_kernels_take_one_order_and_read_float_arrays_as_complex():
         lambda: hankel(2, orders, grid),
         lambda: char_q(orders, 0.5 + 0j, well),
         lambda: char_q(orders, grid, well),
-        # Y on the cover takes one point
+        # J and Y take one point of the cover
         lambda: bessel_y(0, grid),
+        lambda: bessel_j(0, grid),
     )
     for call in calls:
         with pytest.raises(DomainError):
@@ -594,8 +596,9 @@ def test_domain_and_range_errors():
         bessel_j(81, 1.0)
     with pytest.raises(RangeError):
         hankel(1, 0, SurfacePoint.from_polar(150.0, 0.0))
-    with pytest.raises(RangeError):
-        hankel(1, 0, SurfacePoint.from_polar(100.0 * (1 + 1e-12), 0.0))
+    for kernel in (lambda z: hankel(1, 0, z), lambda z: bessel_j(0, z)):
+        with pytest.raises(RangeError):
+            kernel(SurfacePoint.from_polar(100.0 * (1 + 1e-12), 0.0))
     with pytest.raises(RangeError):
         hankel(1, 0, SurfacePoint.from_polar(np.array([1.0, 100.0 * (1 + 1e-12)]), 0.0))
     with pytest.raises(DomainError):
@@ -620,6 +623,8 @@ def test_domain_and_range_errors():
     for call, message in (
         (lambda: bessel_j(0, np.array([150.0, 200.0])), "|z| in [150.0, 200.0] outside validated range [0.0, 100.0]"),
         (lambda: bessel_j(0, 150.0), "|z| in [150.0, 150.0] outside validated range [0.0, 100.0]"),
+        # a Python int no float can hold is past every float, as inf is
+        (lambda: bessel_j(0, 10**400), "|z| in [inf, inf] outside validated range [0.0, 100.0]"),
         (lambda: order_table("y", np.array([1, 2]), np.array([200.0, 150.0])),
          "|z| in [150.0, 200.0] outside validated range [0.0, 100.0]"),
         (lambda: hankel(2, 0, SurfacePoint.from_polar(np.array([150.0, 200.0]), 0.3)),
@@ -647,7 +652,7 @@ def test_values_that_overflow_on_the_cover_are_range_errors():
         lambda: hankel(1, 80, point),
         lambda: hankel(2, 3, SurfacePoint.from_polar(1e-200, 0.3)),
         lambda: hankel(1, 80, SurfacePoint.from_polar(np.array([0.5, 1e-3]), 0.3)),
-        lambda: _cover_pair(*_reduced(80, [complex(-0.5, 0.3), point.log_value])),
+        lambda: _cover_pair(80, [complex(-0.5, 0.3), point.log_value], []),
         lambda: bessel_y(80, point),
         lambda: bessel_y(80, SurfacePoint.from_polar(1e-3, 4.0)),
         lambda: char_q(80, point, Well(2.0)),
@@ -665,6 +670,8 @@ def test_values_that_overflow_on_the_cover_are_range_errors():
         pytest.param(lambda: hankel(1, 0, SurfacePoint.from_polar(100.0, 0.3)), id="hankel-cover"),
         pytest.param(lambda: bessel_y(0, SurfacePoint.from_polar(100.0, 4.0)), id="bessel_y-cover"),
         pytest.param(lambda: bessel_y(0, SurfacePoint.from_polar(100.0, 0.3)), id="bessel_y-sheet"),
+        pytest.param(lambda: bessel_j(0, SurfacePoint.from_polar(100.0, 0.0)), id="bessel_j-real"),
+        pytest.param(lambda: bessel_j(3, SurfacePoint.from_polar(100.0, 4.0)), id="bessel_j-cover"),
         # |lambda rho| = 100 and |rho mu| = 99.95; at lambda = 50, rho = 2,
         # |rho mu| = 100.18 is outside the range
         pytest.param(lambda: char_q(0, 100j, Well(3.0, 1.0)), id="char_q-edge"),
@@ -700,13 +707,12 @@ def test_grid_calls_equal_the_scalar_calls_bit_for_bit(ell, grid):
     # and a 2-d grid shaped like sector_scan's, moduli down and arguments across
     moduli, arguments = (np.array(column) for column in zip(*grid[:3]))
     sector = SurfacePoint.from_polar(moduli[:, None], arguments)
-    # the list body over the same points, in Python complex arithmetic, once
-    # _reduced has checked and reduced them
+    # the list body over the same points, in Python complex arithmetic
     logs = [p.log_value for p in singles]
     for kind in (1, 2):
         bodies = [lambda: hankel(kind, ell, points)]
         if kind == 1:  # the finder's list body, which evaluates H^(1) alone
-            bodies.append(lambda: listed(ell, [p.value for p in singles], _cover_pair(*_reduced(ell, logs))))
+            bodies.append(lambda: listed(ell, [p.value for p in singles], _cover_pair(ell, logs, [])))
         for many in bodies:
             table = cover_call(many, ell, [r for r, _ in grid])
             if table is None:
@@ -896,8 +902,13 @@ def test_derivatives_read_later_keep_their_bits(ell, modulus, arg):
     cover = [lambda kind=kind: hankel(kind, ell, point) for kind in (1, 2)]
     cover.append(lambda: bessel_y(ell, point))
     calls = [(c, z) for c in (cover_call(call, ell, [modulus]) for call in cover) if c is not None]
+    calls.append((bessel_j(ell, point), z))  # |J| <= e^|Im z| <= e^100: no value overflows
     if abs(z) <= 100.0:
         calls += [(fn(ell, z), z) for fn in (bessel_j, bessel_y)]
+        # J is single-valued: at a point of any sheet it has the bits of J at the point's value
+        at_point, at_value = calls[-3][0], calls[-2][0]
+        for part in ("value", "derivative", "low"):
+            assert np.array_equal(bits([getattr(at_point, part)]), bits([getattr(at_value, part)]))
     if modulus <= 100.0:
         calls += [(fn(ell, modulus), complex(modulus)) for fn in (bessel_j, bessel_y)]
     for c, at in calls:

@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +112,16 @@ def test_phase_derivative_validation():
         delta_phase_derivative(0.0, 1.0)
     with pytest.raises(DomainError):
         delta_phase_derivative(10.0, 0.0)
+
+
+@pytest.mark.parametrize("a, lam", [(1.0, 1e-200), (1.0, 1e308), (1e308, 1.0), (10.0, np.float64(1e-200))])
+def test_phase_derivative_outside_the_float_range_is_a_range_error(a, lam):
+    # the sin^2-multiplied numerator and denominator underflow to 0 or overflow
+    # there; numpy's float64 would signal with a RuntimeWarning, which is an error here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeError, match=re.escape(f"a = {float(a)!r}, lambda = {float(lam)!r}")):
+            delta_phase_derivative(a, lam)
 
 
 @pytest.mark.parametrize(

@@ -519,4 +519,8 @@ def test_phase_table_grid_validation():
     for modes in (-1, -3, 1.5, "2"):
         with pytest.raises(DomainError, match="include_modes"):
             PhaseTable.build(TABLE_GRID, WELL_G, include_modes=modes)
+    # past the largest order, as far as a Python int reaches
+    for modes in (81, 10**400):
+        with pytest.raises(RangeError, match="include_modes"):
+            PhaseTable.build(TABLE_GRID, WELL_G, include_modes=modes)
     assert set(PhaseTable.build(TABLE_GRID, WELL_G, include_modes=0).per_mode) == {0}

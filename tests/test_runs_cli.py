@@ -9,6 +9,7 @@ import pytest
 import resonance_lab
 from resonance_lab import (
     FORMAT_STAMP,
+    BesselEvalSpec,
     ClassifySpec,
     ConfigError,
     CsvDocument,
@@ -340,6 +341,15 @@ def test_bessel_eval_row(tmp_path):
     assert row[5] == pytest.approx(cv.value.imag, rel=1e-8)
 
 
+@pytest.mark.parametrize("kind", ["j", "y", "h1", "h2"])
+def test_bessel_eval_on_the_range_bound_is_inside(kind, tmp_path):
+    # exp(log 100) rounds to 100.00000000000004: every kind checks log|z| on the cover
+    assert main(["bessel-eval", kind, "0", "100", "0", "--output", str(tmp_path)]) == 0
+    row = read_doc(tmp_path / "bessel_eval.csv").rows[0]
+    if kind == "j":
+        assert row[4] == pytest.approx(bessel_j(0, 100.0).value.real, rel=1e-8)
+
+
 @pytest.mark.parametrize("arg", ["4.0", "-4.0", "7.0"])
 def test_bessel_eval_y_row_on_the_cover(arg, tmp_path):
     assert main(["bessel-eval", "y", "0", "1", arg, "--output", str(tmp_path)]) == 0
@@ -469,6 +479,12 @@ def test_config_errors_exit_one_without_output(argv, tmp_path, capsys):
         # a phase past MAX_ABS_PHASE = 2^20, whose reduction by m pi is not accurate
         pytest.param(["bessel-eval", "h1", "0", "1", "1e17"], id="bessel-h1-phase-past-the-bound"),
         pytest.param(["bessel-eval", "y", "0", "1", "-1048577"], id="bessel-y-phase-past-the-bound"),
+        pytest.param(["bessel-eval", "j", "0", "1", "1e17"], id="bessel-j-phase-past-the-bound"),
+        # sigma''s sin^2-multiplied form underflows to 0 / 0 at lambda = 1e-200
+        pytest.param(
+            _DELTA[:-1] + ["1", "--lambda-min", "1e-200", "--lambda-max", "1", "--steps", "2"],
+            id="delta1d-lambda-underflows",
+        ),
         # scipy takes a branch index that fits a C long alone
         pytest.param(["lambert-eval", "100000000000000000000", "1", "0"], id="lambert-branch-too-large"),
         pytest.param(
@@ -492,8 +508,9 @@ def test_specs_run_through_the_python_api(tmp_path):
     assert result.paths == (tmp_path / "named.csv",)
     assert main(["classify", "--a", f"{J11:.12f}", "--lmax", "4", "--output", str(tmp_path)]) == 0
     assert (tmp_path / "classify.csv").read_bytes() == result.paths[0].read_bytes()
-    with pytest.raises(ConfigError):
-        run(ClassifySpec(a=J11, l_max=1), tmp_path, "rejected")
+    for rejected in (ClassifySpec(a=J11, l_max=1), BesselEvalSpec("x", 0, 1.0, 0.0)):
+        with pytest.raises(ConfigError):
+            run(rejected, tmp_path, "rejected")
     jobs = figure_jobs(1)
     assert [name for name, _ in jobs] == ["figure1_left", "figure1_middle", "figure1_right"]
     assert figure_jobs(2, None)[0][0] == "figure2"

@@ -70,8 +70,9 @@ def test_mu_accepts_surface_points():
 
 
 def test_mu_branch_point_rejected():
-    with pytest.raises(BranchError):
-        mu(1.3j, 1.3)
+    for lam in (1.3j, np.array([1.3j])):
+        with pytest.raises(BranchError):
+            mu(lam, 1.3)
     with pytest.raises(DomainError):
         mu(0.5, -1.0)
     # the depth is one positive finite number, for one lambda and for a grid
