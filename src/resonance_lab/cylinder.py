@@ -42,7 +42,8 @@ expression at each element.  Only the finder's Newton rows take a list
 body, _cover_pair: H^(1) at points of the cover, given by their logarithms,
 and J at the principal-phase arguments after them, from one jv and one yv
 call, then Python complex arithmetic at each element, with the bits of the
-public calls.
+public calls; where those raise RangeError, it reads NaN or a non-finite
+value (it raises only for an order outside the validated range).
 """
 
 from __future__ import annotations
@@ -100,6 +101,10 @@ class SurfacePoint:
     """
 
     log_value: complex
+
+    def __post_init__(self) -> None:
+        if not _numeric(self.log_value):  # nan and inf stay: a lost start's record may hold one
+            raise DomainError(f"log value {self.log_value!r} is neither a number nor an array of numbers")
 
     @classmethod
     def from_complex(cls, z: complex) -> "SurfacePoint":
@@ -173,11 +178,20 @@ class CylinderValue:
 
 def _integer(value, what: str) -> None:
     """DomainError unless value is one integer (int or numpy integer); a
-    float with an integral value is rejected too, as is an array."""
+    float with an integral value is rejected too, as are a bool and an array."""
     try:
         operator.index(value)
     except TypeError:
-        raise DomainError(f"{what} {value} is not an integer") from None
+        pass
+    else:
+        if not isinstance(value, bool):
+            return
+    raise DomainError(f"{what} {value} is not an integer")
+
+
+def _numeric(x) -> bool:
+    """Whether x is one number or an array of integers, floats or complex numbers."""
+    return isinstance(x, numbers.Number) or isinstance(x, np.ndarray) and x.dtype.kind in "iufc"
 
 
 def _positive(value, what: str) -> None:
@@ -343,12 +357,11 @@ def _grid_pair(kind, n: int, z: np.ndarray) -> np.ndarray:
     return out.reshape((2,) + z.shape)
 
 
-def _finite_on_cover(n: int, c) -> None:
-    """RangeError unless every C_n and C_{n-1} in c (an array, or a list) is
-    finite: at small |z| and high order |Y_n(z)| ~ (n-1)! (2/|z|)^n / pi
-    exceeds the largest float inside the validated range, and J +- iY turns
-    that into NaN."""
-    if not (np.isfinite(c).all() if isinstance(c, np.ndarray) else all(map(cmath.isfinite, c))):
+def _finite_on_cover(n: int, c: np.ndarray) -> None:
+    """RangeError unless every C_n and C_{n-1} in the array c is finite: at small
+    |z| and high order |Y_n(z)| ~ (n-1)! (2/|z|)^n / pi exceeds the largest
+    float inside the validated range, and J +- iY turns that into NaN."""
+    if not np.isfinite(c).all():
         raise RangeError(f"order {n}: a cylinder value overflows at this point of the cover")
 
 
@@ -370,7 +383,7 @@ def _principal(kind: str, ell, z) -> CylinderValue:
         n = _checked_order(ell, [w.real], log=True)
         _reduce_argument(w.imag)
         z = np.asarray(z.value)
-    elif isinstance(z, numbers.Number) or isinstance(z, np.ndarray) and z.dtype.kind in "iufc":
+    elif _numeric(z):
         try:
             z = np.asarray(z, complex)
         except OverflowError:  # a Python int past the largest float: as inf, past the range
@@ -487,24 +500,34 @@ def hankel(kind: int, ell, point: SurfacePoint | complex) -> CylinderValue:
     return _on_grid(kind, ell, _as_point(point))
 
 
+def _log_in_range(w: complex) -> bool:
+    """Whether the point of the cover whose logarithm is w is inside the validated
+    range, as hankel checks it on log|z| and |arg z|; not if a part of w is NaN."""
+    return (_LOG_MIN_ABS_ARGUMENT <= w.real <= _LOG_MAX_ABS_ARGUMENT
+            and -MAX_ABS_PHASE <= w.imag <= MAX_ABS_PHASE)
+
+
 def _cover_pair(n: int, ws: list, zs: list) -> tuple[list, list]:
     """H^(1) of orders |n| and |n| - 1, unreflected, as lists over the points
     of the cover whose logarithms are ws, followed in each list by J of the
     same orders at the principal-phase arguments zs: the finder's list body,
-    which well._q_lists calls.  After one range check for the order and
-    every log|z|, each w is reduced to z0 = e^{w - i m pi}, arg z0 in
-    (-pi/2, pi/2].  J at every z0 and every z of zs is one jv call, and Y at
-    every z0 one yv call; J at the real positive zs, rare in the finder's
-    steps, is taken again from one more jv call, on floats, which keeps Im
-    exactly 0.  J and Y at z0 are continued m times by the connection
-    formulas and give J + iY; a value that overflows is a RangeError, and
-    then so is a z outside the validated range."""
-    n = _checked_order(n, [x.real for x in ws], log=True)
-    z0, m = [], []
-    for x in ws:
-        theta0, k = _reduce_argument(x.imag)
-        z0.append(cmath.exp(complex(x.real, theta0)))
-        m.append(k)
+    which well._q_lists calls.  After one range check for the order, each w
+    is reduced to z0 = e^{w - i m pi}, arg z0 in (-pi/2, pi/2].  J at every
+    z0 and every z of zs is one jv call, and Y at every z0 one yv call; J at
+    the real positive zs, rare in the finder's steps, is taken again from
+    one more jv call, on floats, which keeps Im exactly 0.  J and Y at z0 are
+    continued m times by the connection formulas and give J + iY.  No point
+    raises: H reads NaN at a w outside the validated range (_log_in_range),
+    J at a z with |z| > MAX_ABS_ARGUMENT, and a value that overflows stays
+    non-finite; every other element has the bits of the public call."""
+    n = _checked_order(n, [])
+    nan = complex(math.nan, math.nan)
+    z0, m = [nan] * len(ws), [0] * len(ws)
+    for k, x in enumerate(ws):
+        if _log_in_range(x):
+            theta0, m[k] = _reduce_argument(x.imag)
+            z0[k] = cmath.exp(complex(x.real, theta0))
+    zs = [z if abs(z) <= MAX_ABS_ARGUMENT else nan for z in zs]
     real = [k for k, x in enumerate(zs) if x.imag == 0.0 and x.real > 0.0]
     j, y = _pair(jv, n, z0 + zs), _pair(yv, n, z0)
     if real:
@@ -519,8 +542,6 @@ def _cover_pair(n: int, ws: list, zs: list) -> tuple[list, list]:
                     j_row[k], y_row[k] = sign * jk, sign * (yk + 2j * mk * jk)
     (j0, j1), (y0, y1) = j, y
     c0, c_low = [a + 1j * b for a, b in zip(j0, y0)], [a + 1j * b for a, b in zip(j1, y1)]
-    _finite_on_cover(n, c0 + c_low)
-    _checked_order(n, [abs(x) for x in zs])
     return c0 + j0[len(z0):], c_low + j1[len(z0):]
 
 

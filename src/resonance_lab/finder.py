@@ -23,7 +23,7 @@ well's list body, _q_lists, over flat lists of points and depths; the
 finder is its one caller.  It returns the two terms (t1, t2) of Q at each
 point: one jv and one yv call, and Python complex arithmetic at each point,
 so t1 - t2 has the bits of a char_q call there, whose scalar form is the
-0-d case of the array body.
+0-d case of the array body; where char_q raises RangeError, they are NaN.
 A track checks its family's zero-energy structure once.
 Every record, found or not, is built in one place, which alone decides
 NOT_FOUND.
@@ -222,88 +222,56 @@ def _guesses(ell: int, eps_list: tuple, family: CouplingFamily, kind: GuessKind)
     return guesses
 
 
-def _q_rows(n: int, points: list, depths: list, rho: float, width: int) -> tuple[list, list]:
-    """The two terms t1, t2 of Q_n at each log-point, each in a well of
-    radius rho and of its own depth, as flat lists of Python complex: Q is
-    t1 - t2 and |t1| + |t2| its scale.  All points go to one _q_lists call,
-    so each keeps the bits of a char_q call there.  They form rows of width
-    points, one per start; a row reads None at each point where its
-    evaluation leaves the validated range (RangeError, OverflowError): a
-    call over several rows that raises one is redone row by row.
-    """
-    if not points:
-        return [], []
-    try:
-        return _q_lists(n, points, depths, rho)
-    except (RangeError, OverflowError):
-        if len(points) == width:
-            return [None] * width, [None] * width
-    rows = [_q_rows(n, points[k : k + width], depths[k : k + width], rho, width)
-            for k in range(0, len(points), width)]
-    return [t for t1, _ in rows for t in t1], [t for _, t2 in rows for t in t2]
-
-
 def _refine_all(
     n: int, starts: list, wells: list, epsilons: list
 ) -> list[ResonanceRecord]:
     """Newton refinement of char_q from each start in its own well (the
-    wells share rho), all in lockstep: each step is one _q_rows call over
+    wells share rho), all in lockstep: each step is one _q_lists call over
     the flat list of central-difference points of every start still
     running, whose Q values are t1 - t2, and one more gives the residuals.
     The per-point arithmetic is refine's, on Python complex values, so each
-    record is the one a refinement of that start alone gives.  Every record
-    comes from _record; a start outside the basin, or lost on the way,
-    passes residual inf.
+    record is the one a refinement of that start alone gives.  A start
+    outside the basin, or whose Q or derivative is not finite (NaN outside
+    the validated range), stops where it is, with residual inf.  Every
+    record comes from _record, in a loop: a comprehension's frame would
+    move the stacklevel of its warning.
     """
-    records: list = [None] * len(starts)
     w = [start.log_value for start in starts]
+    residuals = [math.inf] * len(starts)
     depths = [well.a for well in wells]
     rho = wells[0].rho
-
-    def lost(i: int) -> None:
-        records[i] = _record(epsilons[i], starts[i], SurfacePoint(w[i]), math.inf)
-
-    running = []
-    for i, start in enumerate(starts):
-        # compare in log scale so absurd guesses cannot overflow exp()
-        if start.log_value.real > math.log(GUESS_BASIN):
-            lost(i)
-        else:
-            running.append(i)
+    # compare in log scale so absurd guesses cannot overflow exp()
+    running = [i for i, x in enumerate(w) if not x.real > math.log(GUESS_BASIN)]
     stopped = []
     for _ in range(MAX_ITER):
         if not running:
             break
         points = [x for i in running for x in (w[i], w[i] + FD_STEP, w[i] - FD_STEP)]
-        t1, t2 = _q_rows(n, points, [depths[i] for i in running for _ in (0, 1, 2)], rho, 3)
+        t1, t2 = _q_lists(n, points, [depths[i] for i in running for _ in (0, 1, 2)], rho)
         still = []
         for i, k in zip(running, range(0, len(points), 3)):
-            if t1[k] is None:
-                lost(i)
-                continue
             f, q_up, q_down = t1[k] - t2[k], t1[k + 1] - t2[k + 1], t1[k + 2] - t2[k + 2]
             try:
                 fp = (q_up - q_down) / (2 * FD_STEP)
                 if fp == 0 or not (abs(f) < math.inf and abs(fp) < math.inf):
-                    lost(i)
                     continue
                 dw = f / fp
                 w[i] = w[i] - dw
                 (stopped if abs(dw) <= STEP_TOL else still).append(i)
-            except OverflowError:
-                lost(i)
+            except OverflowError:  # abs of a complex past the largest float
+                pass
         running = still
     stopped = sorted(stopped + running)
-    t1, t2 = _q_rows(n, [w[i] for i in stopped], [depths[i] for i in stopped], rho, 1)
+    t1, t2 = _q_lists(n, [w[i] for i in stopped], [depths[i] for i in stopped], rho)
     for i, a, b in zip(stopped, t1, t2):
-        residual = math.inf
-        if a is not None:
-            try:
-                scale = abs(a) + abs(b)
-                residual = abs(a - b) / scale if scale > 0 else math.inf
-            except OverflowError:
-                pass
-        records[i] = _record(epsilons[i], starts[i], SurfacePoint(w[i]), residual)
+        try:
+            scale = abs(a) + abs(b)
+            residuals[i] = abs(a - b) / scale if scale > 0 else math.inf
+        except OverflowError:
+            pass
+    records = []
+    for eps, start, x, residual in zip(epsilons, starts, w, residuals):
+        records.append(_record(eps, start, SurfacePoint(x), residual))
     return records
 
 
@@ -316,7 +284,7 @@ def _record(
     found record is checked for sheet drift and classified."""
     try:
         energy = refined.value ** 2
-    except OverflowError:
+    except (OverflowError, ValueError):  # e^w overflows, or the phase is infinite
         energy = complex(math.inf, math.inf)
     if not (residual <= RESIDUAL_TOL):
         classification, residual = Classification.NOT_FOUND, math.inf
@@ -360,10 +328,12 @@ def refine(
     argument moved more than pi/2 from the guess.  This is the one-start
     case of the Newton loop that track runs over all its guesses at once,
     so every step is one Q evaluation of three points.  guess must be one
-    SurfacePoint (DomainError otherwise).
+    SurfacePoint with a finite logarithm (DomainError otherwise), and an
+    order past MAX_ORDER is a RangeError, as in char_q.
     """
     _integer(ell, "mode")
     _one_point(guess, "guess")
+    _finite(guess.log_value, "guess")
     return _refine_all(abs(ell), [guess], [well], [epsilon])[0]
 
 

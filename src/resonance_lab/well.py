@@ -16,8 +16,9 @@ Depth families are parameterized as a^2(eps) = a0^2 - eps, so eps < 0
 deepens the well and eps > 0 makes it shallower.
 
 Each entry checks the mode before it reads the edge; the cylinder body that
-evaluates a point of the cover checks log|lambda rho| and its phase, for the
-finder's list body (_q_lists, over logarithms) as for char_q.
+evaluates a point of the cover checks log|lambda rho| and its phase, which
+char_q reports as a RangeError and the finder's list body (_q_lists, over
+logarithms) as NaN at that point.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import (SurfacePoint, _as_point, _cover_pair, _finite, _integer, _one_point, _positive,
-                       bessel_j, hankel)
+from .cylinder import (SurfacePoint, _as_point, _cover_pair, _finite, _integer, _log_in_range,
+                       _one_point, _positive, bessel_j, hankel)
 from .errors import BranchError, DomainError, MatchError, SingularityError
 
 # |J_{|ell|-1}(rho a)| at or below this counts as J vanishing: the well then
@@ -136,17 +137,19 @@ def _q_lists(n: int, ws: list, depths: list, rho: float) -> tuple[list, list]:
     """The two terms of Q_n at each logarithm of ws, each point in a well of
     radius rho and of its own depth in depths, as lists of Python complex:
     the list body that only the finder's Newton rows take, with the bits of
-    _q_terms at each point.  lambda, mu and rho mu come first at each point
-    (an OverflowError there and a RangeError below both cost the finder the
-    row), then H^(1) at lambda rho, checked on the cover as hankel checks
-    it, with J at rho mu from one _cover_pair call (one jv call over both J
-    argument lists, one yv call), then Python complex arithmetic at each
-    point."""
-    lam = [cmath.exp(x) for x in ws]
-    m = [_mu(x, d) for x, d in zip(lam, depths)]
+    _q_terms at each point.  lambda, mu and rho mu come first at each point,
+    then H^(1) at lambda rho and J at rho mu from one _cover_pair call (one
+    jv call over both J argument lists, one yv call), then Python complex
+    arithmetic at each point.  Where char_q raises RangeError, the terms
+    read NaN (lambda rho outside the range is tested before e^w is taken)
+    or a non-finite value; only an order past the range, or mu's
+    BranchError, raises."""
     shift = math.log(rho)
+    at = [x + shift for x in ws]
+    lam = [cmath.exp(x) if _log_in_range(y) else complex(math.nan, math.nan) for x, y in zip(ws, at)]
+    m = [_mu(x, d) for x, d in zip(lam, depths)]
     # H_n, H_{n-1} at lambda rho, then J_n, J_{n-1} at rho mu
-    c0, c_low = _cover_pair(n, [x + shift for x in ws], [rho * x for x in m])
+    c0, c_low = _cover_pair(n, at, [rho * x for x in m])
     k = len(ws)
     t1 = [x * y * z for x, y, z in zip(m, c_low[k:], c0)]
     t2 = [x * y * z for x, y, z in zip(lam, c0[k:], c_low)]

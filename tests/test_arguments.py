@@ -5,14 +5,15 @@ eps or a real lambda) is one real number with 0 < x < inf
 (`cylinder._positive`); a finite one (a complex lambda, a Lambert W
 argument, a resonance, a coupling offset eps) is one finite number, real
 where it must be (`cylinder._finite`); a mode, a branch index or a Hankel
-kind is one integer (`cylinder._integer`).  Every public entry point that
-takes one raises DomainError for anything else: an array, a string, nan,
-inf, and zero or a negative number where x > 0.  A run spec's steps, l_max
-and k_max are integers too, and `runs.run` reports one that is not as a
-ConfigError.  An array of reals (a lambda grid, a polar modulus or
+kind is one integer, not a bool (`cylinder._integer`).  Every public entry
+point that takes one raises DomainError for anything else: an array, a
+string, nan, inf, and zero or a negative number where x > 0.  A run spec's
+steps, l_max and k_max are integers too, and `runs.run` reports one that is
+not as a ConfigError.  An array of reals (a lambda grid, a polar modulus or
 argument) holds finite real numbers alone (`cylinder._real_grid`): a
 string, a complex number, a ragged nest, nan and inf are a DomainError
-there too.
+there too.  A point of the cover holds one number or an array of numbers,
+finite or not, as its logarithm.
 """
 
 import math
@@ -159,6 +160,8 @@ NOT_INTEGER = {
     "string": "1",
     "nan": math.nan,
     "inf": math.inf,
+    # operator.index takes it, as 1
+    "bool": True,
 }
 
 
@@ -168,6 +171,28 @@ def test_an_integer_argument_is_one_integer(call, value):
     # the error names the argument passed, not an order it reaches inside
     with pytest.raises(DomainError, match="^(Hankel kind|branch index|mode) .* is not an integer"):
         call(value)
+
+
+NOT_A_LOG_VALUE = {
+    "string": "abc",
+    "none": None,
+    "list": [0.1, 0.2],
+    "strings": np.array(["0.1", "0.2"]),
+    "objects": np.array([0.1, None], dtype=object),
+    "bools": np.array([True, False]),
+}
+
+
+@pytest.mark.parametrize("value", NOT_A_LOG_VALUE.values(), ids=NOT_A_LOG_VALUE)
+def test_a_surface_point_holds_a_number_or_an_array_of_numbers(value):
+    with pytest.raises(DomainError, match="neither a number nor an array of numbers"):
+        SurfacePoint(value)
+
+
+def test_a_surface_point_may_hold_a_logarithm_that_is_not_finite():
+    # a start lost on its way may stop there: |lambda| = 0 is log -inf
+    for w in (complex(-math.inf, 0.3), complex(0.0, math.nan), np.array([math.inf, 1j])):
+        assert SurfacePoint(w).log_value is w
 
 
 SPEC_INTEGER_FIELDS = {

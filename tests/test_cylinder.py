@@ -154,7 +154,6 @@ def test_a_phase_past_the_bound_is_a_range_error(sign):
     grid = SurfacePoint(np.array([0.0, complex(0.0, past)]))
     for call in (
         lambda: _reduce_argument(past),
-        lambda: _cover_pair(0, [0j, complex(0.0, past)], []),
         lambda: hankel(1, 0, SurfacePoint(complex(0.0, past))),
         lambda: hankel(2, 3, grid),
         lambda: bessel_y(1, SurfacePoint(complex(0.0, past))),
@@ -165,6 +164,10 @@ def test_a_phase_past_the_bound_is_a_range_error(sign):
         with pytest.raises(RangeError) as error:
             call()
         assert str(error.value) == message
+    # the finder's list body reads NaN there, in H at the two points and in J
+    # at the two zs after them, the second past |z| = 100
+    for c in _cover_pair(0, [0j, complex(0.0, past)], [0.5, 100.5j]):
+        assert [cmath.isnan(x) for x in c] == [False, True, False, True]
 
 
 def test_reduce_argument_half_open_convention():
@@ -652,13 +655,15 @@ def test_values_that_overflow_on_the_cover_are_range_errors():
         lambda: hankel(1, 80, point),
         lambda: hankel(2, 3, SurfacePoint.from_polar(1e-200, 0.3)),
         lambda: hankel(1, 80, SurfacePoint.from_polar(np.array([0.5, 1e-3]), 0.3)),
-        lambda: _cover_pair(80, [complex(-0.5, 0.3), point.log_value], []),
         lambda: bessel_y(80, point),
         lambda: bessel_y(80, SurfacePoint.from_polar(1e-3, 4.0)),
         lambda: char_q(80, point, Well(2.0)),
     ):
         with pytest.raises(RangeError, match="overflows"):
             call()
+    # the finder's list body keeps a value that overflows non-finite
+    c0, c_low = _cover_pair(80, [complex(-0.5, 0.3), point.log_value], [])
+    assert [cmath.isfinite(c) for c in c0 + c_low] == [True, False, True, False]
     # a plain argument keeps its infinity, which phase reads in its Y tables
     assert bessel_y(80, 1e-3).value == -math.inf
 
@@ -707,19 +712,13 @@ def test_grid_calls_equal_the_scalar_calls_bit_for_bit(ell, grid):
     # and a 2-d grid shaped like sector_scan's, moduli down and arguments across
     moduli, arguments = (np.array(column) for column in zip(*grid[:3]))
     sector = SurfacePoint.from_polar(moduli[:, None], arguments)
-    # the list body over the same points, in Python complex arithmetic
-    logs = [p.log_value for p in singles]
     for kind in (1, 2):
-        bodies = [lambda: hankel(kind, ell, points)]
-        if kind == 1:  # the finder's list body, which evaluates H^(1) alone
-            bodies.append(lambda: listed(ell, [p.value for p in singles], _cover_pair(ell, logs, [])))
-        for many in bodies:
-            table = cover_call(many, ell, [r for r, _ in grid])
-            if table is None:
-                # a grid or list raises where one of its points raises alone
-                with pytest.raises(RangeError):
-                    [hankel(kind, ell, p) for p in singles]
-                continue
+        table = cover_call(lambda: hankel(kind, ell, points), ell, [r for r, _ in grid])
+        if table is None:
+            # a grid raises where one of its points raises alone
+            with pytest.raises(RangeError):
+                [hankel(kind, ell, p) for p in singles]
+        else:
             for part in ("value", "derivative", "low"):
                 want = [getattr(hankel(kind, ell, p), part) for p in singles]
                 assert np.array_equal(bits(getattr(table, part)), bits(want))
@@ -734,6 +733,17 @@ def test_grid_calls_equal_the_scalar_calls_bit_for_bit(ell, grid):
                 for r in moduli
             ]
             assert np.array_equal(bits(getattr(table, part)), bits(want))
+    # the finder's list body over the same points, which evaluates H^(1) alone, in
+    # Python complex arithmetic: not finite where the call at the point raises
+    for p, pair in zip(singles, zip(*_cover_pair(ell, [p.log_value for p in singles], []))):
+        try:
+            want = hankel(1, ell, p)
+        except RangeError:
+            assert not all(map(cmath.isfinite, pair))
+            continue
+        table = listed(ell, [p.value], [[c] for c in pair])
+        for part in ("value", "derivative", "low"):
+            assert np.array_equal(bits(getattr(table, part)), bits([getattr(want, part)]))
     # bessel_j and bessel_y over the grid's values, a complex array
     z = points.value
     z = z[np.hypot(z.real, z.imag) <= 100.0]

@@ -181,6 +181,36 @@ def test_refine_rejects_a_grid_guess():
         refine(1, grid, Well(2.4))
 
 
+@pytest.mark.parametrize(
+    "log_value",
+    [complex(0.0, math.inf), complex(0.0, math.nan), complex(math.nan, 0.0), complex(-math.inf, 1.0)],
+    ids=["inf-phase", "nan-phase", "nan-modulus", "zero-modulus"],
+)
+def test_refine_rejects_a_guess_whose_logarithm_is_not_finite(log_value):
+    with pytest.raises(DomainError, match="^guess .* must be one finite number"):
+        refine(1, SurfacePoint(log_value), Well(2.0))
+
+
+def test_an_iterate_with_an_infinite_phase_is_not_found():
+    # e^w raises ValueError there: the record is built all the same
+    guess = SurfacePoint(complex(-1.0, 0.5))
+    rec = finder._record(0.1, guess, SurfacePoint(complex(-1.0, math.inf)), math.inf)
+    assert rec.classification is Classification.NOT_FOUND and rec.residual == math.inf
+
+
+def test_an_order_past_the_range_is_a_range_error():
+    # as in char_q: the finder does not report it as a start not found
+    family = CouplingFamily(a0=2.0)  # J_80(2) vanishes: mode 81 has zero-energy structure
+    for call in (
+        lambda: char_q(81, SurfacePoint.from_polar(0.2, 0.0), Well(2.0)),
+        lambda: refine(81, SurfacePoint.from_polar(0.2, 0.0), Well(2.0)),
+        lambda: refine(-81, SurfacePoint.from_polar(5.0, 0.0), Well(2.0)),  # outside the basin
+        lambda: track(81, family, (0.05, 0.09), GuessKind.persist_sqrt(0)),
+    ):
+        with pytest.raises(RangeError, match="^order 81 outside validated range"):
+            call()
+
+
 def test_refine_respects_iteration_budget(monkeypatch):
     monkeypatch.setattr(finder, "MAX_ITER", 1)
     guess = initial_guess(2, 0.09, FAM_S, GuessKind.persist_sqrt(0))
@@ -500,21 +530,22 @@ def test_lockstep_track_keeps_basin_range_and_drift_records(monkeypatch):
         "_guesses",
         lambda ell, grid, fam, k: [odd.get(e) or g for e, g in zip(grid, guesses_of(ell, grid, fam, k))],
     )
-    grid_raised = []
+    held_nan = []
     q_lists = finder._q_lists
 
     def spy(n, ws, depths, rho):
-        try:
-            return q_lists(n, ws, depths, rho)
-        except RangeError:
-            grid_raised.append(len(ws) > 3)
-            raise
+        t1, t2 = q_lists(n, ws, depths, rho)
+        # the terms are NaN exactly at the points that leave |lambda rho| <= 100
+        outside = [w.real + math.log(rho) > math.log(100.0) for w in ws]
+        assert [cmath.isnan(t) for t in t1 + t2] == outside * 2
+        held_nan.append(len(ws) > 3 and any(outside))
+        return t1, t2
 
     monkeypatch.setattr(finder, "_q_lists", spy)
     want = records_and_drifts(lambda: track_sequential(1, FAM_P, eps_grid, kind).records)
     assert records_and_drifts(lambda: track(1, FAM_P, eps_grid, kind).records) == want
-    # a batch of several rows left the range and was redone row by row; one start drifted
-    assert True in grid_raised
+    # a batch of several rows held a start that left the range as NaN; one start drifted
+    assert True in held_nan
     assert len(want[1]) == 1
     for eps, start in odd.items():
         well = FAM_P.well(eps)
@@ -540,15 +571,15 @@ def test_each_newton_step_makes_one_jv_and_one_yv_call(monkeypatch):
 
         monkeypatch.setattr(cylinder, kind.__name__, call)
     steps = []
-    q_rows = finder._q_rows
+    q_lists = finder._q_lists
 
     def spy(n, points, *args):
         calls.clear()
-        out = q_rows(n, points, *args)
+        out = q_lists(n, points, *args)
         steps.append((sorted(calls), any(w.imag == 0 for w in points)))
         return out
 
-    monkeypatch.setattr(finder, "_q_rows", spy)
+    monkeypatch.setattr(finder, "_q_lists", spy)
     for ell, family, kind, eps in (
         (1, FAM_P, GuessKind.persist_lw(-1), (0.05, 0.07, 0.09, 0.11)),
         (2, FAM_S, GuessKind.persist_sqrt(0), (0.04, 0.09)),
