@@ -7,10 +7,9 @@ of the Riemann surface of the logarithm, plus real Bessel zeros j_{ell,k}.
 Points of the surface are represented by their logarithm, so arguments keep
 an unrestricted phase and two points whose phases differ by 2*pi stay
 distinct.  A point enters every body in that form (hankel, bessel_j and
-bessel_y take one, the finder's list body a list of them), and the body that
-evaluates it checks log|z| and |arg z|.  Evaluation reduces the phase to the
-best-conditioned half-plane theta in (-pi/2, pi/2] and applies the
-integer-order connection formulas
+bessel_y take one), and the body that evaluates it checks log|z| and
+|arg z|.  Evaluation reduces the phase to the best-conditioned half-plane
+theta in (-pi/2, pi/2] and applies the integer-order connection formulas
 
     J_ell(z e^{i m pi}) = (-1)^{m ell} J_ell(z),
     Y_ell(z e^{i m pi}) = (-1)^{m ell} [Y_ell(z) + 2 i m J_ell(z)],
@@ -38,12 +37,9 @@ scipy call over all its orders and arguments, on the calling thread: real Y
 and J cost too little per element there for a thread to pay.  The
 continuation on the cover is numpy's complex arithmetic, whose products here
 are exact or round once, as CPython's do; a derivative is the scalar
-expression at each element.  Only the finder's Newton rows take a list
-body, _cover_pair: H^(1) at points of the cover, given by their logarithms,
-and J at the principal-phase arguments after them, from one jv and one yv
-call, then Python complex arithmetic at each element, with the bits of the
-public calls; where those raise RangeError, it reads NaN or a non-finite
-value (it raises only for an order outside the validated range).
+expression at each element.  The rules of the validated range
+(_checked_order, _log_in_range, _reduce_argument) are written here alone;
+the finder's list body, in well, reads them too.
 """
 
 from __future__ import annotations
@@ -189,23 +185,29 @@ def _integer(value, what: str) -> None:
     raise DomainError(f"{what} {value} is not an integer")
 
 
+def _one_number(x, kind=numbers.Number) -> bool:
+    """Whether x is one number of kind, not a bool."""
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 def _numeric(x) -> bool:
-    """Whether x is one number or an array of integers, floats or complex numbers."""
-    return isinstance(x, numbers.Number) or isinstance(x, np.ndarray) and x.dtype.kind in "iufc"
+    """Whether x is one number or an array of integers, floats or complex numbers (not bools)."""
+    return _one_number(x) or isinstance(x, np.ndarray) and x.dtype.kind in "iufc"
 
 
 def _positive(value, what: str) -> None:
     """DomainError unless value is one real number with 0 < value < inf; an
-    array, a string, nan, inf and an int no float holds are rejected."""
-    if not (isinstance(value, numbers.Real) and 0 < value <= sys.float_info.max):
+    array, a string, a bool, nan, inf and an int no float holds are rejected."""
+    if not (_one_number(value, numbers.Real) and 0 < value <= sys.float_info.max):
         raise DomainError(f"{what} {value!r} must be one positive finite number")
 
 
 def _finite(value, what: str, kind=numbers.Number, nonzero: bool = False) -> None:
     """DomainError unless value is one finite number of kind (numbers.Real for a real one),
-    and not 0 if nonzero; an array, a string, nan, inf and an int no float holds are rejected."""
+    and not 0 if nonzero; an array, a string, a bool, nan, inf and an int no float holds
+    are rejected."""
     big = sys.float_info.max
-    if not (isinstance(value, kind) and abs(value.real) <= big and abs(value.imag) <= big
+    if not (_one_number(value, kind) and abs(value.real) <= big and abs(value.imag) <= big
             and not (nonzero and value == 0)):
         raise DomainError(f"{what} {value!r} must be one finite "
                           f"{'nonzero ' if nonzero else ''}{kind.__name__.lower()}")
@@ -282,16 +284,9 @@ def _value(ell, at, c0, c_low) -> CylinderValue:
     return CylinderValue(-c0 if ell < 0 and ell % 2 else c0, c_low, ell, at)
 
 
-# the orders (n, n - 1) of _pair as a column, for each n: indexing it costs
-# less than building the column on each call
+# the orders (n, n - 1) of a scipy call as a column, for each n: indexing it
+# costs less than building the column on each call
 _ORDER_PAIRS = np.arange(MAX_ORDER + 1.0)[:, None, None] - [[0.0], [1.0]]
-
-
-def _pair(kind, n: int, x: list) -> list:
-    """[C_n(x), C_{n-1}(x)], each a list over the floats or complex numbers
-    x, from one scipy call: each element has the bits of kind(n, x[k]).
-    The list goes to the ufunc as it is, which costs less than np.array."""
-    return kind(_ORDER_PAIRS[n], x).tolist()
 
 
 def _scipy(kind: str, real: bool):
@@ -507,50 +502,12 @@ def _log_in_range(w: complex) -> bool:
             and -MAX_ABS_PHASE <= w.imag <= MAX_ABS_PHASE)
 
 
-def _cover_pair(n: int, ws: list, zs: list) -> tuple[list, list]:
-    """H^(1) of orders |n| and |n| - 1, unreflected, as lists over the points
-    of the cover whose logarithms are ws, followed in each list by J of the
-    same orders at the principal-phase arguments zs: the finder's list body,
-    which well._q_lists calls.  After one range check for the order, each w
-    is reduced to z0 = e^{w - i m pi}, arg z0 in (-pi/2, pi/2].  J at every
-    z0 and every z of zs is one jv call, and Y at every z0 one yv call; J at
-    the real positive zs, rare in the finder's steps, is taken again from
-    one more jv call, on floats, which keeps Im exactly 0.  J and Y at z0 are
-    continued m times by the connection formulas and give J + iY.  No point
-    raises: H reads NaN at a w outside the validated range (_log_in_range),
-    J at a z with |z| > MAX_ABS_ARGUMENT, and a value that overflows stays
-    non-finite; every other element has the bits of the public call."""
-    n = _checked_order(n, [])
-    nan = complex(math.nan, math.nan)
-    z0, m = [nan] * len(ws), [0] * len(ws)
-    for k, x in enumerate(ws):
-        if _log_in_range(x):
-            theta0, m[k] = _reduce_argument(x.imag)
-            z0[k] = cmath.exp(complex(x.real, theta0))
-    zs = [z if abs(z) <= MAX_ABS_ARGUMENT else nan for z in zs]
-    real = [k for k, x in enumerate(zs) if x.imag == 0.0 and x.real > 0.0]
-    j, y = _pair(jv, n, z0 + zs), _pair(yv, n, z0)
-    if real:
-        for k, (c0, c1) in zip(real, zip(*_pair(jv, n, [zs[k].real for k in real]))):
-            j[0][len(z0) + k], j[1][len(z0) + k] = complex(c0), complex(c1)
-    if any(m):
-        for order, j_row, y_row in zip((n, n - 1), j, y):
-            for k, mk in enumerate(m):
-                if mk:
-                    sign = -1.0 if (mk * order) % 2 else 1.0
-                    jk, yk = j_row[k], y_row[k]
-                    j_row[k], y_row[k] = sign * jk, sign * (yk + 2j * mk * jk)
-    (j0, j1), (y0, y1) = j, y
-    c0, c_low = [a + 1j * b for a, b in zip(j0, y0)], [a + 1j * b for a, b in zip(j1, y1)]
-    return c0 + j0[len(z0):], c_low + j1[len(z0):]
-
-
 @np.errstate(all="ignore")
 def _on_grid(kind: int, ell, point: SurfacePoint) -> CylinderValue:
     """Y_ell (kind 0) or H_ell^(kind) (kind 1, 2) at the one point of the
     cover that point holds, or at each point of its grid, with one range
-    check for all, in numpy arithmetic by element: as _cover_pair does for
-    a list, with the same bits.  One point is the 0-d case."""
+    check for all, in numpy arithmetic by element; H^(1) has the bits of the
+    finder's list body in well.  One point is the 0-d case."""
     w = np.asarray(point.log_value)
     n = _checked_order(ell, _extremes(w.real), log=True)
     for theta in _extremes(w.imag):  # _reduce_argument's checks, at the extreme phases

@@ -361,7 +361,10 @@ def track(
     against the asymptotic guess.  NotFound points are recorded and the
     track continues.
     """
-    eps_list = tuple(eps_list)
+    try:
+        eps_list = tuple(eps_list)
+    except TypeError:
+        raise DomainError(f"eps grid {eps_list!r} is not an iterable of numbers") from None
     # every guess and well is built before any refinement, so a bad grid
     # point raises before work is done; the guesses go first, so an eps that
     # is not one finite nonzero real number is reported by name, and the

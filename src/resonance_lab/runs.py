@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .cylinder import SurfacePoint, _integer, _positive, bessel_j, bessel_y, bessel_zero, hankel
+from .cylinder import (SurfacePoint, _finite, _integer, _one_number, _positive, bessel_j, bessel_y, bessel_zero,
+                       hankel)
 from .delta1d import delta_phase_derivative, delta_resonance
 from .errors import ConfigError, DomainError, MissingInput, RangeError, StructureError
 from .finder import Classification, GuessKind, ResonanceTrack, track
@@ -113,7 +115,9 @@ def _guess_kind(ell: int, branch: int | None) -> GuessKind:
 
 
 def _lambda_grid(lo: float, hi: float, steps: int) -> np.ndarray:
-    if not (math.isfinite(hi) and hi > lo >= 0):
+    _finite(lo, "lambda-min", numbers.Real)
+    _finite(hi, "lambda-max", numbers.Real)
+    if not hi > lo >= 0:
         raise ConfigError(f"need 0 <= lambda-min < lambda-max, got {lo}, {hi}")
     _integer(steps, "steps")
     if steps < 2:
@@ -268,6 +272,8 @@ class LambertEvalSpec:
     im: float
 
     def run(self, out_dir: Path, name: str) -> RunResult:
+        _finite(self.re, "re", numbers.Real)
+        _finite(self.im, "im", numbers.Real)
         x = complex(self.re, self.im)
         w = lambert_w(self.n, x)
         row = (self.n, x.real, x.imag, w.real, w.imag, abs(w * np.exp(w) - x))
@@ -319,10 +325,15 @@ FIGURES: dict[int, dict[str | None, Spec]] = {
 }
 
 
+def _is_figure(figure, table: dict) -> bool:
+    """Whether figure is one integer that keys table: 1.0 and True equal the key 1, but are not."""
+    return _one_number(figure, numbers.Integral) and figure in table
+
+
 def figure_jobs(figure: int, panel: str | None = None) -> list[tuple[str, Spec]]:
     """The (output name, spec) jobs of one numbered figure (optionally one panel)."""
-    if figure not in FIGURES:
-        raise ConfigError(f"--figure must be 1..6, got {figure}")
+    if not _is_figure(figure, FIGURES):
+        raise ConfigError(f"--figure must be 1..6, got {figure!r}")
     jobs = [
         (f"figure{figure}_{p}" if p else f"figure{figure}", spec)
         for p, spec in FIGURES[figure].items()
@@ -398,8 +409,8 @@ def emit_plot_script(
     for p in paths:
         if p.suffix == ".csv" and not p.exists():
             raise MissingInput(f"plot input {p} does not exist")
-    if figure_id not in PLOT_LAYOUTS:
-        raise ConfigError(f"figure id must be one of {sorted(PLOT_LAYOUTS)}, got {figure_id}")
+    if not _is_figure(figure_id, PLOT_LAYOUTS):
+        raise ConfigError(f"figure id must be one of {sorted(PLOT_LAYOUTS)}, got {figure_id!r}")
     preamble, layout = PLOT_LAYOUTS[figure_id]
     lines = [f"# gnuplot layout for figure {figure_id}", "set datafile separator ','",
              "set key autotitle columnhead", *preamble]

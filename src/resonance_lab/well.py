@@ -17,8 +17,8 @@ deepens the well and eps > 0 makes it shallower.
 
 Each entry checks the mode before it reads the edge; the cylinder body that
 evaluates a point of the cover checks log|lambda rho| and its phase, which
-char_q reports as a RangeError and the finder's list body (_q_lists, over
-logarithms) as NaN at that point.
+char_q reports as a RangeError.  The finder's Newton rows take the one list
+body, _q_lists, which reads cylinder's range rules and gives NaN there.
 """
 
 from __future__ import annotations
@@ -30,9 +30,10 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import jv, yv
 
-from .cylinder import (SurfacePoint, _as_point, _cover_pair, _finite, _integer, _log_in_range,
-                       _one_point, _positive, bessel_j, hankel)
+from .cylinder import (MAX_ABS_ARGUMENT, _ORDER_PAIRS, SurfacePoint, _as_point, _checked_order, _finite,
+                       _integer, _log_in_range, _one_point, _positive, _reduce_argument, bessel_j, hankel)
 from .errors import BranchError, DomainError, MatchError, SingularityError
 
 # |J_{|ell|-1}(rho a)| at or below this counts as J vanishing: the well then
@@ -137,22 +138,43 @@ def _q_lists(n: int, ws: list, depths: list, rho: float) -> tuple[list, list]:
     """The two terms of Q_n at each logarithm of ws, each point in a well of
     radius rho and of its own depth in depths, as lists of Python complex:
     the list body that only the finder's Newton rows take, with the bits of
-    _q_terms at each point.  lambda, mu and rho mu come first at each point,
-    then H^(1) at lambda rho and J at rho mu from one _cover_pair call (one
-    jv call over both J argument lists, one yv call), then Python complex
-    arithmetic at each point.  Where char_q raises RangeError, the terms
-    read NaN (lambda rho outside the range is tested before e^w is taken)
-    or a non-finite value; only an order past the range, or mu's
-    BranchError, raises."""
+    _q_terms at each point.  After the order's check, each log(lambda rho)
+    is tested against the range and reduced to z0, arg z0 in (-pi/2, pi/2];
+    then lambda, mu and rho mu.  J at every z0 and rho mu is one jv call, Y
+    at every z0 one yv call (J at a real positive rho mu one more, on
+    floats, keeping Im exactly 0); J and Y at z0 are continued on the cover
+    into H^(1) = J + iY.  Where char_q raises RangeError, the terms read NaN
+    (no e^w is taken outside the range; |rho mu| > 100) or a non-finite
+    value; only the order's check and mu's BranchError raise."""
+    n = _checked_order(n, [])
+    nan = complex(math.nan, math.nan)
     shift = math.log(rho)
-    at = [x + shift for x in ws]
-    lam = [cmath.exp(x) if _log_in_range(y) else complex(math.nan, math.nan) for x, y in zip(ws, at)]
+    lam, z0, sheet = [nan] * len(ws), [nan] * len(ws), [0] * len(ws)
+    for k, x in enumerate(ws):
+        at = x + shift
+        if _log_in_range(at):
+            theta0, sheet[k] = _reduce_argument(at.imag)
+            lam[k], z0[k] = cmath.exp(x), cmath.exp(complex(at.real, theta0))
     m = [_mu(x, d) for x, d in zip(lam, depths)]
-    # H_n, H_{n-1} at lambda rho, then J_n, J_{n-1} at rho mu
-    c0, c_low = _cover_pair(n, at, [rho * x for x in m])
-    k = len(ws)
-    t1 = [x * y * z for x, y, z in zip(m, c_low[k:], c0)]
-    t2 = [x * y * z for x, y, z in zip(lam, c0[k:], c_low)]
+    z = [v if abs(v) <= MAX_ABS_ARGUMENT else nan for v in (rho * x for x in m)]
+    # J at z0, then J at rho mu, each with orders n, n - 1 down its rows
+    orders = _ORDER_PAIRS[n]
+    (j, j_edge), y = jv(orders, [[z0], [z]]).tolist(), yv(orders, z0).tolist()
+    real = [k for k, x in enumerate(z) if x.imag == 0.0 and x.real > 0.0]
+    if real:
+        for row, values in zip(j_edge, jv(orders, [z[k].real for k in real]).tolist()):
+            for k, x in zip(real, values):
+                row[k] = complex(x)
+    if any(sheet):
+        for order, j_row, y_row in zip((n, n - 1), j, y):
+            for k, mk in enumerate(sheet):
+                if mk:
+                    sign = -1.0 if (mk * order) % 2 else 1.0
+                    jk, yk = j_row[k], y_row[k]
+                    j_row[k], y_row[k] = sign * jk, sign * (yk + 2j * mk * jk)
+    (j0, j1), (y0, y1), (e0, e1) = j, y, j_edge
+    t1 = [x * e * (a + 1j * b) for x, e, a, b in zip(m, e1, j0, y0)]
+    t2 = [x * e * (a + 1j * b) for x, e, a, b in zip(lam, e0, j1, y1)]
     return t1, t2
 
 

@@ -7,9 +7,10 @@ argument, a resonance, a coupling offset eps) is one finite number, real
 where it must be (`cylinder._finite`); a mode, a branch index or a Hankel
 kind is one integer, not a bool (`cylinder._integer`).  Every public entry
 point that takes one raises DomainError for anything else: an array, a
-string, nan, inf, and zero or a negative number where x > 0.  A run spec's
-steps, l_max and k_max are integers too, and `runs.run` reports one that is
-not as a ConfigError.  An array of reals (a lambda grid, a polar modulus or
+string, a bool, nan, inf, and zero or a negative number where x > 0.  A run
+spec's steps, l_max and k_max are integers too, its lambda bounds and Lambert
+re and im finite reals, and its eps grid an iterable; `runs.run` reports one
+that is not as a ConfigError.  An array of reals (a lambda grid, a polar modulus or
 argument) holds finite real numbers alone (`cylinder._real_grid`): a
 string, a complex number, a ragged nest, nan and inf are a DomainError
 there too.  A point of the cover holds one number or an array of numbers,
@@ -29,6 +30,7 @@ from resonance_lab import (
     Delta1dSpec,
     DomainError,
     GuessKind,
+    LambertEvalSpec,
     PhaseSpec,
     PhaseTable,
     RangeError,
@@ -93,6 +95,8 @@ NOT_POSITIVE = {
     "negative": -1.0,
     # 0 < 10**400 < inf holds for a Python int, which no float can hold
     "huge-int": 10**400,
+    # a bool is a numbers.Real, equal to 1
+    "bool": True,
 }
 
 
@@ -124,6 +128,7 @@ NOT_FINITE = {
     "nan": math.nan,
     "inf": math.inf,
     "huge-int": 10**400,
+    "bool": True,
 }
 
 
@@ -180,6 +185,7 @@ NOT_A_LOG_VALUE = {
     "strings": np.array(["0.1", "0.2"]),
     "objects": np.array([0.1, None], dtype=object),
     "bools": np.array([True, False]),
+    "bool": True,
 }
 
 
@@ -209,6 +215,31 @@ def test_a_spec_integer_field_is_one_integer(spec, value, tmp_path):
     # steps = 2.5 would give the grid [0.04, 0.08, 0.12], past lambda_max = 0.1
     with pytest.raises(ConfigError, match="^(l_max|k_max|steps) .* is not an integer"):
         run(spec(value), tmp_path, "out")
+    assert list(tmp_path.iterdir()) == []
+
+
+SPEC_REAL_FIELDS = {
+    "PhaseSpec-lambda_min": lambda x: PhaseSpec(l0=1, eps=0.09, lambda_max=0.1, steps=3, lambda_min=x),
+    "PhaseSpec-lambda_max": lambda x: PhaseSpec(l0=1, eps=0.09, lambda_max=x, steps=3),
+    "Delta1dSpec-lambda_min": lambda x: Delta1dSpec(a=10.0, k_max=1, lambda_max=11.0, steps=3, lambda_min=x),
+    "Delta1dSpec-lambda_max": lambda x: Delta1dSpec(a=10.0, k_max=1, lambda_max=x, steps=3),
+    "LambertEvalSpec-re": lambda x: LambertEvalSpec(1, x, 0.0),
+    "LambertEvalSpec-im": lambda x: LambertEvalSpec(1, 0.5, x),
+}
+
+
+@pytest.mark.parametrize("value", ["1", None], ids=["string", "none"])
+@pytest.mark.parametrize("spec", SPEC_REAL_FIELDS.values(), ids=SPEC_REAL_FIELDS)
+def test_a_spec_real_field_is_one_finite_real_number(spec, value, tmp_path):
+    # a bare TypeError from math.isfinite, a comparison or complex() otherwise
+    with pytest.raises(ConfigError, match="^(lambda-min|lambda-max|re|im) .* must be one finite real$"):
+        run(spec(value), tmp_path, "out")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_spec_eps_grid_is_an_iterable(tmp_path):
+    with pytest.raises(ConfigError, match="^eps grid 0.1 is not an iterable of numbers$"):
+        run(TrackSpec(ell=2, l0=1, eps_grid=0.1), tmp_path, "out")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -33,12 +33,11 @@ from resonance_lab.cylinder import (
     EULER_GAMMA,
     MAX_ABS_PHASE,
     MIN_CHUNK_POINTS,
-    _cover_pair,
     _grid_pair,
     _reduce_argument,
-    _value,
     order_table,
 )
+from resonance_lab.well import _q_lists, _q_terms
 
 import oracles
 from equivalent_forms import derivative_by_recurrence
@@ -75,13 +74,6 @@ def cover_call(call, ell, moduli):
         return None
     assert size < top + 10
     return got
-
-
-def listed(ell, at, pair):
-    """A list body's (C_n, C_{n-1}) at the arguments at, as the CylinderValue
-    of a call there: odd negative orders reflected, the derivative read from
-    the recurrence at each element."""
-    return _value(ell, np.array(at, complex), *(np.array(c, complex) for c in pair))
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +156,9 @@ def test_a_phase_past_the_bound_is_a_range_error(sign):
         with pytest.raises(RangeError) as error:
             call()
         assert str(error.value) == message
-    # the finder's list body reads NaN there, in H at the two points and in J
-    # at the two zs after them, the second past |z| = 100
-    for c in _cover_pair(0, [0j, complex(0.0, past)], [0.5, 100.5j]):
-        assert [cmath.isnan(x) for x in c] == [False, True, False, True]
+    # the finder's list body reads NaN there, and where rho mu is past |z| = 100
+    for t in _q_lists(0, [0j, complex(0.0, past), 0j], [2.0, 2.0, 100.5], 1.0):
+        assert [cmath.isnan(x) for x in t] == [False, True, True]
 
 
 def test_reduce_argument_half_open_convention():
@@ -662,8 +653,8 @@ def test_values_that_overflow_on_the_cover_are_range_errors():
         with pytest.raises(RangeError, match="overflows"):
             call()
     # the finder's list body keeps a value that overflows non-finite
-    c0, c_low = _cover_pair(80, [complex(-0.5, 0.3), point.log_value], [])
-    assert [cmath.isfinite(c) for c in c0 + c_low] == [True, False, True, False]
+    t1, t2 = _q_lists(80, [complex(-0.5, 0.3), point.log_value], [2.0, 2.0], 1.0)
+    assert [cmath.isfinite(t) for t in t1 + t2] == [True, False, True, False]
     # a plain argument keeps its infinity, which phase reads in its Y tables
     assert bessel_y(80, 1e-3).value == -math.inf
 
@@ -733,17 +724,17 @@ def test_grid_calls_equal_the_scalar_calls_bit_for_bit(ell, grid):
                 for r in moduli
             ]
             assert np.array_equal(bits(getattr(table, part)), bits(want))
-    # the finder's list body over the same points, which evaluates H^(1) alone, in
-    # Python complex arithmetic: not finite where the call at the point raises
-    for p, pair in zip(singles, zip(*_cover_pair(ell, [p.log_value for p in singles], []))):
+    # the finder's list body over the same points, in a well of depth 2, in
+    # Python complex arithmetic: Q's terms, not finite where the call at the point raises
+    rho = 1.5
+    listed = _q_lists(abs(ell), [p.log_value for p in singles], [2.0] * len(grid), rho)
+    for p, terms in zip(singles, zip(*listed)):
         try:
-            want = hankel(1, ell, p)
+            want = _q_terms(ell, p, 2.0, rho)
         except RangeError:
-            assert not all(map(cmath.isfinite, pair))
+            assert not all(map(cmath.isfinite, terms))
             continue
-        table = listed(ell, [p.value], [[c] for c in pair])
-        for part in ("value", "derivative", "low"):
-            assert np.array_equal(bits(getattr(table, part)), bits([getattr(want, part)]))
+        assert np.array_equal(bits(terms), bits(want))
     # bessel_j and bessel_y over the grid's values, a complex array
     z = points.value
     z = z[np.hypot(z.real, z.imag) <= 100.0]

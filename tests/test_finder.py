@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from resonance_lab import cylinder, finder
+from resonance_lab import well as well_module
 from resonance_lab import (
     Classification,
     CouplingFamily,
@@ -563,13 +564,13 @@ def test_each_newton_step_makes_one_jv_and_one_yv_call(monkeypatch):
     # lambda, as a persist-sqrt guess on sheet 0 at eps > 0 is) makes one
     # more jv call, on floats, for those points
     calls = []
-    for kind in (cylinder.jv, cylinder.yv):
+    for kind in (well_module.jv, well_module.yv):
 
         def call(orders, x, kind=kind, **kwargs):
             calls.append(kind.__name__)
             return kind(orders, x, **kwargs)
 
-        monkeypatch.setattr(cylinder, kind.__name__, call)
+        monkeypatch.setattr(well_module, kind.__name__, call)
     steps = []
     q_lists = finder._q_lists
 

@@ -4,6 +4,7 @@ import hashlib
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import resonance_lab
@@ -208,11 +209,21 @@ def test_plot_script_missing_input(tmp_path):
         emit_plot_script([tmp_path / "absent.csv"], 1, tmp_path / "out.gp")
 
 
-@pytest.mark.parametrize("figure_id", [0, 7])
+@pytest.mark.parametrize("figure_id", [0, 7, 1.0, True])
 def test_plot_script_unknown_figure(tmp_path, figure_id):
     with pytest.raises(ConfigError, match=f"got {figure_id}"):
         emit_plot_script([], figure_id, tmp_path / "out.gp")
     assert not (tmp_path / "out.gp").exists()
+
+
+@pytest.mark.parametrize("figure", [1.0, True])
+def test_a_figure_number_is_one_integer(tmp_path, figure):
+    # 1.0 and True equal the key 1, and named jobs "figure1.0_left" and "figureTrue_left"
+    with pytest.raises(ConfigError, match=f"got {figure!r}"):
+        figure_jobs(figure)
+    with pytest.raises(ConfigError, match=f"got {figure!r}"):
+        run_figure(figure, output_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 # ----------------------------------------------------------- subcommands
@@ -514,6 +525,7 @@ def test_specs_run_through_the_python_api(tmp_path):
     jobs = figure_jobs(1)
     assert [name for name, _ in jobs] == ["figure1_left", "figure1_middle", "figure1_right"]
     assert figure_jobs(2, None)[0][0] == "figure2"
+    assert figure_jobs(np.int64(4))[0][0] == "figure4"
 
 
 def test_public_names_resolve():
