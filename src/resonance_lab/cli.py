@@ -16,6 +16,7 @@ import sys
 
 from .errors import ConfigError
 from .runs import (
+    BESSEL_KINDS,
     BesselEvalSpec,
     ClassifySpec,
     Delta1dSpec,
@@ -111,7 +112,7 @@ def build_parser() -> _Parser:
     p_delta.add_argument("--steps", type=int, required=True)
 
     p_bessel = add("bessel-eval", BesselEvalSpec, "evaluate one cylinder function")
-    p_bessel.add_argument("kind", choices=["j", "y", "h1", "h2"])
+    p_bessel.add_argument("kind", choices=list(BESSEL_KINDS))
     p_bessel.add_argument("ell", type=int)
     p_bessel.add_argument("abs_z", type=float)
     p_bessel.add_argument("arg_z", type=float)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +48,8 @@ def neg_eps_grid(kmin: int, kmax: int, delta: float) -> tuple[float, ...]:
 
 # eps grids of the standard experiment presets
 QUAD_EPS = quad_eps_grid(15, 0.0036)
+# figures 3 and 6's offset e, and the node of figure 6's overlays: QUAD_EPS's k = 5
+NODE_EPS = 0.09
 DEEPENING_EPS = neg_eps_grid(2, 25, 0.1)
 
 
@@ -179,6 +181,8 @@ class PhaseSpec:
     per_mode: bool = False
 
     def run(self, out_dir: Path, name: str) -> RunResult:
+        if not isinstance(self.per_mode, bool):
+            raise ConfigError(f"per_mode must be True or False, got {self.per_mode!r}")
         e = self.eps
         _positive(e, "eps")
         grid = _lambda_grid(self.lambda_min, self.lambda_max, self.steps)
@@ -241,6 +245,11 @@ class Delta1dSpec:
         return RunResult(0, (res_path, _write(header, phase_rows, out_dir, f"{name}_phase.csv")))
 
 
+# bessel-eval kind -> its kernel
+BESSEL_KINDS = {"j": bessel_j, "y": bessel_y, "h1": functools.partial(hankel, 1),
+                "h2": functools.partial(hankel, 2)}
+
+
 @dataclass(frozen=True)
 class BesselEvalSpec:
     """`bessel-eval`: one cylinder value and derivative at |z| e^{i arg z}."""
@@ -251,11 +260,9 @@ class BesselEvalSpec:
     arg_z: float
 
     def run(self, out_dir: Path, name: str) -> RunResult:
-        kernel = {"j": bessel_j, "y": bessel_y, "h1": functools.partial(hankel, 1),
-                  "h2": functools.partial(hankel, 2)}.get(self.kind)
-        if kernel is None:
-            raise ConfigError(f"kind must be one of j, y, h1, h2, got {self.kind!r}")
-        cv = kernel(self.ell, SurfacePoint.from_polar(self.abs_z, self.arg_z))
+        if not (isinstance(self.kind, str) and self.kind in BESSEL_KINDS):
+            raise ConfigError(f"kind must be one of {', '.join(BESSEL_KINDS)}, got {self.kind!r}")
+        cv = BESSEL_KINDS[self.kind](self.ell, SurfacePoint.from_polar(self.abs_z, self.arg_z))
         header = ("kind", "ell", "abs_z", "arg_z", "re_value", "im_value",
                   "re_derivative", "im_derivative")
         row = (self.kind, self.ell, self.abs_z, self.arg_z, cv.value.real,
@@ -301,26 +308,25 @@ def run(spec: Spec, output_dir: str | Path, name: str) -> RunResult:
 # figure presets
 # ---------------------------------------------------------------------------
 
+_FIGURE1 = {
+    "left": TrackSpec(ell=1, l0=0, eps_grid=QUAD_EPS, branch=-1),
+    "middle": TrackSpec(ell=2, l0=1, eps_grid=QUAD_EPS, branch=0),
+    "right": TrackSpec(ell=3, l0=2, eps_grid=QUAD_EPS, branch=0),
+}
+
 # figure -> panel -> spec; the panel None marks a figure without panels
 FIGURES: dict[int, dict[str | None, Spec]] = {
-    1: {
-        "left": TrackSpec(ell=1, l0=0, eps_grid=QUAD_EPS, branch=-1),
-        "middle": TrackSpec(ell=2, l0=1, eps_grid=QUAD_EPS, branch=0),
-        "right": TrackSpec(ell=3, l0=2, eps_grid=QUAD_EPS, branch=0),
-    },
+    1: _FIGURE1,
     2: {None: TrackSpec(ell=0, l0=1, eps_grid=DEEPENING_EPS)},
     3: {
-        "left": PhaseSpec(l0=1, eps=0.09, lambda_max=0.1, steps=200),
-        "right": PhaseSpec(l0=0, eps=0.09, lambda_max=0.15, steps=200),
+        "left": PhaseSpec(l0=1, eps=NODE_EPS, lambda_max=0.1, steps=200),
+        "right": PhaseSpec(l0=0, eps=NODE_EPS, lambda_max=0.15, steps=200),
     },
     4: {None: Delta1dSpec(a=10.0, k_max=3, lambda_max=11.0, steps=440)},
-    5: {
-        "n-1": TrackSpec(ell=1, l0=0, eps_grid=QUAD_EPS, branch=-1),
-        "n-2": TrackSpec(ell=1, l0=0, eps_grid=QUAD_EPS, branch=-2),
-    },
+    5: {"n-1": _FIGURE1["left"], "n-2": replace(_FIGURE1["left"], branch=-2)},
     6: {
-        "left": PhaseSpec(l0=1, eps=0.09, lambda_max=1.0, steps=400),
-        "right": PhaseSpec(l0=0, eps=0.09, lambda_max=1.0, steps=400),
+        "left": PhaseSpec(l0=1, eps=NODE_EPS, lambda_max=1.0, steps=400),
+        "right": PhaseSpec(l0=0, eps=NODE_EPS, lambda_max=1.0, steps=400),
     },
 }
 
@@ -381,10 +387,8 @@ PLOT_LAYOUTS = {
 # x0 - ig of a one-point track spec, drawn as g/((x-x0)**2 + g**2) plus a
 # background (plot convention without the 1/pi)
 _BW_OVERLAYS = {
-    # figure 1 middle's node
-    "figure6_left": (TrackSpec(ell=2, l0=1, eps_grid=(0.09,)), "- 0.8*sqrt(x)"),
-    # figure 1 left's node
-    "figure6_right": (TrackSpec(ell=1, l0=0, eps_grid=(0.09,), branch=-1), "+ log(x)"),
+    "figure6_left": (replace(_FIGURE1["middle"], eps_grid=(NODE_EPS,)), "- 0.8*sqrt(x)"),
+    "figure6_right": (replace(_FIGURE1["left"], eps_grid=(NODE_EPS,)), "+ log(x)"),
 }
 
 

@@ -9,7 +9,8 @@ kind is one integer, not a bool (`cylinder._integer`).  Every public entry
 point that takes one raises DomainError for anything else: an array, a
 string, a bool, nan, inf, and zero or a negative number where x > 0.  A run
 spec's steps, l_max and k_max are integers too, its lambda bounds and Lambert
-re and im finite reals, and its eps grid an iterable; `runs.run` reports one
+re and im finite reals, its eps grid an iterable, its per_mode True or False
+and its bessel-eval kind a key of `runs.BESSEL_KINDS`; `runs.run` reports one
 that is not as a ConfigError.  An array of reals (a lambda grid, a polar modulus or
 argument) holds finite real numbers alone (`cylinder._real_grid`): a
 string, a complex number, a ragged nest, nan and inf are a DomainError
@@ -24,6 +25,7 @@ import numpy as np
 import pytest
 
 from resonance_lab import (
+    BesselEvalSpec,
     ClassifySpec,
     ConfigError,
     CouplingFamily,
@@ -215,6 +217,22 @@ def test_a_spec_integer_field_is_one_integer(spec, value, tmp_path):
     # steps = 2.5 would give the grid [0.04, 0.08, 0.12], past lambda_max = 0.1
     with pytest.raises(ConfigError, match="^(l_max|k_max|steps) .* is not an integer"):
         run(spec(value), tmp_path, "out")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", [["j"], None, "x"], ids=["list", "none", "string"])
+def test_a_bessel_eval_kind_is_a_key_of_the_kind_table(kind, tmp_path):
+    # a list is unhashable: a bare TypeError from the table lookup otherwise
+    with pytest.raises(ConfigError, match="^kind must be one of j, y, h1, h2, got "):
+        run(BesselEvalSpec(kind, 0, 1.0, 0.0), tmp_path, "out")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["no", 2, None, np.True_], ids=["string", "int", "none", "numpy-bool"])
+def test_a_phase_spec_per_mode_is_one_bool(value, tmp_path):
+    # only its truth value was read: "no" and 2 wrote the per-mode columns
+    with pytest.raises(ConfigError, match="^per_mode must be True or False, got "):
+        run(PhaseSpec(l0=1, eps=0.09, lambda_max=0.1, steps=3, per_mode=value), tmp_path, "out")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -493,6 +493,7 @@ def test_kernels_take_one_order_and_read_float_arrays_as_complex():
                 assert np.array_equal(bits(got), bits(want))
 
 
+@pytest.mark.deep
 @given(
     columns=st.lists(
         st.tuples(st.integers(0, 80), st.floats(0.0, 100.0, exclude_min=True)),
@@ -524,6 +525,7 @@ def real_y_error(ell, x, got):
         return float(abs(mpmath.mpf(got) - y) / mpmath.sqrt(j * j + y * y))
 
 
+@pytest.mark.deep
 @given(
     at=st.one_of(
         st.tuples(st.integers(0, 80), st.floats(1e-3, 100.0)),
@@ -690,6 +692,7 @@ cover_arguments = st.one_of(
 )
 
 
+@pytest.mark.deep
 @given(
     ell=st.integers(-80, 80),
     grid=st.lists(st.tuples(st.floats(1e-3, 100.0), cover_arguments), min_size=1, max_size=8),

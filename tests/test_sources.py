@@ -1,13 +1,11 @@
 """The package and test modules as source: no top-level definition is
-shadowed, and every test selector of the CI workflow selects a test."""
+shadowed, and the deep marker marks hypothesis sweeps only."""
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted([*(ROOT / "src" / "resonance_lab").glob("*.py"), *(ROOT / "tests").glob("*.py")])
-WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
 def shadowed(path: Path) -> list[str]:
@@ -27,19 +25,18 @@ def test_no_module_defines_a_top_level_name_twice():
     assert [name for path in MODULES for name in shadowed(path)] == []
 
 
-def defined_tests(path: Path) -> list[str]:
-    """The top-level test functions that path defines."""
+def decorators(path: Path) -> dict[str, list[str]]:
+    """The top-level functions of path, each with its decorators' dotted names
+    (`pytest.mark.deep`, `given`), called or not."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    return [node.name for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")]
+    return {node.name: [ast.unparse(d.func if isinstance(d, ast.Call) else d) for d in node.decorator_list]
+            for node in tree.body if isinstance(node, ast.FunctionDef)}
 
 
-def test_each_deep_sweep_selector_names_a_test():
-    # a renamed test drops out of a -k selection without an error: each term
-    # of each -k "a or b" of the deep sweep must be part of a test's name in
-    # the file its command runs
-    step = WORKFLOW.read_text().split("- name: Deep hypothesis sweep\n", 1)[1].split("- name:", 1)[0]
-    selections = re.findall(r'pytest .*?(tests/\S+\.py) .*?-k "([^"]*)"', step)
-    assert selections and len(selections) == step.count("python -m pytest")
-    unmatched = [f"{path}: {term}" for path, expression in selections for term in expression.split(" or ")
-                 if not any(term in name for name in defined_tests(ROOT / path))]
-    assert unmatched == []
+def test_the_deep_marker_marks_hypothesis_sweeps_only():
+    # -m deep --hypothesis-profile=deep raises the example budget, which a test
+    # without @given does not read
+    marked = {f"{path.name}::{name}": names for path in MODULES if path.parent.name == "tests"
+              for name, names in decorators(path).items() if "pytest.mark.deep" in names}
+    assert marked
+    assert [name for name, names in marked.items() if "given" not in names] == []

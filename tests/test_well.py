@@ -161,6 +161,7 @@ def assert_near_the_scalar_calls(got, want, scale):
     assert (abs(got - want)[finite] <= 1e-13 * scale[finite]).all()
 
 
+@pytest.mark.deep
 @given(
     ell=st.integers(-80, 80),
     a=st.floats(0.5, 6.0),
@@ -279,6 +280,7 @@ def test_newton_rows_are_the_scalar_calls_on_every_sheet(ell):
             assert_near_the_scalar_calls(grid, got, scale)
 
 
+@pytest.mark.deep
 @given(
     ell=st.integers(0, 12),
     rho=st.floats(0.5, 2.0),
